@@ -55,6 +55,7 @@ from .simulation import (
     run_trials,
     scan_accession,
     shuffle_trial,
+    summarize,
     summary_from_json,
 )
 
@@ -103,6 +104,7 @@ __all__ = [
     "shuffle_trial",
     "run_trials",
     "run_shuffles",
+    "summarize",
     "completion_topics",
     "completion_vs_analytic",
     "summary_from_json",

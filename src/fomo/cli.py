@@ -15,8 +15,8 @@ Subcommands:
     gen-corpus  synthesize a power-law multi-label corpus
     compare     simulated completion versus the analytic scan model
 
-``FOMO_THREADS`` caps worker threads during ``simulate``; output bytes
-never depend on it.
+Validation failures exit with status 1 and a one-line ``error: ...``
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from typing import Iterable, Sequence
 
@@ -46,8 +45,6 @@ from .simulation import (
     summary_from_json,
 )
 
-_THREADS_ENV = "FOMO_THREADS"
-
 
 def _parse_ints(text: str) -> list[int]:
     try:
@@ -61,17 +58,6 @@ def _parse_floats(text: str) -> list[float]:
         return [float(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
-
-
-def _worker_count() -> int:
-    raw = os.environ.get(_THREADS_ENV, "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"{_THREADS_ENV} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"{_THREADS_ENV} must be >= 1, got {workers}")
-    return workers
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -149,7 +135,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 def _load_probabilities(path: str) -> CouponDistribution:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
-    if not isinstance(data, list):
+    if not isinstance(data, list) or not all(type(p) in (int, float) for p in data):
         raise ValueError(f"{path}: expected a JSON array of probabilities")
     return CouponDistribution(tuple(float(p) for p in data))
 
@@ -196,7 +182,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         quantiles=quantiles,
         bin_count=args.bins,
-        workers=_worker_count(),
     )
     if args.summary_json:
         _write_text(args.summary_json, summary.to_json() + "\n")

@@ -32,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy import integrate
 
-from .prng import GAMMA, MASK64, SplitMix64, derive_key_array, mix64_array
+from .prng import GAMMA, MASK64, derive_key_array, mix64_array
 
 __all__ = [
     "CouponDistribution",
@@ -371,24 +371,3 @@ def simulate_expected_draws(
         minimum=int(completions.min()),
         maximum=int(completions.max()),
     )
-
-
-def single_trial_draws(probabilities: ProbabilityVector, trial_key: int) -> int:
-    """Draws one collection run sequentially; reference path for the
-    lockstep sampler (same key, same thresholds, same result)."""
-    dist = _coerce_distribution(probabilities)
-    p = np.asarray(dist.probabilities, dtype=float)
-    m = len(p)
-    thresholds = _coupon_thresholds(p).tolist()
-    rng = SplitMix64(trial_key)
-    seen: set[int] = set()
-    t = 0
-    while len(seen) < m:
-        t += 1
-        u = rng.next_u64()
-        k = 0
-        while k < m and thresholds[k] <= u:
-            k += 1
-        if k < m:
-            seen.add(k)
-    return t

@@ -23,6 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -134,6 +135,11 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.documents)
+
+    @cached_property
+    def absent_topics(self) -> tuple[int, ...]:
+        """Topic ids below ``topic_count`` that no document carries."""
+        return tuple(sorted(set(range(self.topic_count)) - self.topics_present))
 
     def topic_counts(self) -> list[int]:
         """Number of documents carrying each topic id."""
@@ -276,7 +282,7 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
         if header.get("version") != CORPUS_VERSION:
             raise _format_error(1, f"unsupported version {header.get('version')!r}")
         topic_count = header.get("topic_count")
-        if not isinstance(topic_count, int) or topic_count < 1:
+        if type(topic_count) is not int or topic_count < 1:  # bool is not a count
             raise _format_error(1, f"bad topic_count {topic_count!r}")
 
         documents: list[Document] = []

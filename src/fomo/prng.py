@@ -4,8 +4,7 @@ Every random draw in this package comes from SplitMix64 (Steele, Lea &
 Flatt's ``SplittableRandom`` mixer, as published by Vigna). Python's own
 ``random`` module is deliberately avoided: its seeding behaviour is not
 guaranteed stable across interpreter versions, and byte-identical output
-across runs, machines, and parallelism schedules is a hard requirement
-here.
+across runs and machines is a hard requirement here.
 
 The generator is a Weyl sequence passed through an avalanching finalizer:
 
@@ -14,10 +13,9 @@ The generator is a Weyl sequence passed through an avalanching finalizer:
 
 Because the state advances by a fixed increment, the t-th output (1-based)
 of a stream seeded with ``s`` is simply ``mix64(s + t * GAMMA)``. That
-counter form is what makes the rest of the package embarrassingly
-parallel: any draw can be computed from (seed, index) alone, in any order,
-on any number of workers, with identical results. :func:`bulk_u64` is the
-vectorized version of the same identity.
+counter form means any draw can be computed from (seed, index) alone, in
+any order, with identical results. :func:`bulk_u64` is the vectorized
+version of the same identity.
 
 Independent streams (one per document, one per trial) are keyed with
 :func:`derive_key`, the package's seed-mixing function.
@@ -25,7 +23,7 @@ Independent streams (one per document, one per trial) are keyed with
 
 from __future__ import annotations
 
-from collections.abc import MutableSequence
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -106,10 +104,6 @@ class SplitMix64:
         self._state = (self._state + GAMMA) & MASK64
         return mix64(self._state)
 
-    def next_float(self) -> float:
-        """Uniform float in [0, 1) with 53 random bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def next_below(self, n: int) -> int:
         """Unbiased uniform integer in [0, n).
 
@@ -126,15 +120,18 @@ class SplitMix64:
             u = self.next_u64()
         return u % n
 
-    def shuffle(self, items: MutableSequence) -> None:
-        """In-place Fisher-Yates shuffle, fixing positions front to back.
 
-        For each position i = 0 .. n-2, swaps items[i] with a uniformly
-        chosen items[j], j in [i, n). Fixing the front first means a prefix
-        of the permutation depends only on a prefix of the draws, which the
-        simulation engine exploits to stop a shuffle early.
-        """
-        n = len(items)
-        for i in range(n - 1):
-            j = i + self.next_below(n - i)
-            items[i], items[j] = items[j], items[i]
+def fisher_yates(n: int, key: int) -> Iterator[int]:
+    """Uniform random permutation of ``range(n)``, yielded front to back.
+
+    Knuth's Algorithm P (TAOCP Vol. 2, 3.4.2) fixing positions from the
+    front: position i swaps in a choice from [i, n) drawn from the stream
+    seeded with ``key``. A caller that stops early draws nothing past the
+    prefix it read, and that prefix is the one a full shuffle produces.
+    """
+    rng = SplitMix64(key)
+    order = list(range(n))
+    for i in range(n):
+        j = i + rng.next_below(n - i)  # the last position draws nothing
+        order[i], order[j] = order[j], order[i]
+        yield order[i]

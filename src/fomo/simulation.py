@@ -9,25 +9,25 @@ in for a different case history, and summarizes the completion
 positions as a histogram, nearest-rank percentiles, and the recall
 level each percentile corresponds to.
 
-Determinism contract: trial i permutes with a Fisher-Yates shuffle
-driven by the SplitMix64 stream keyed by (master_seed, i). Results are
-merged by trial index, so the summary is byte-for-byte identical no
-matter how many workers run the trials. A shuffle is generated lazily
-front to back and abandoned at the completion position; the emitted
-prefix is identical to what a full shuffle would have produced.
+Determinism contract: trial i permutes with the Fisher-Yates shuffle
+driven by the SplitMix64 stream keyed by (master_seed, i), so its result
+depends only on the seed and i. A shuffle is generated lazily front to
+back and abandoned at the completion position; the emitted prefix is
+identical to what a full shuffle would have produced.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from itertools import accumulate
+from typing import Iterable, Mapping, Sequence
 
 from .collector import completion_quantile, expected_draws_unequal_sum
 from .corpus import Corpus
-from .prng import SplitMix64, derive_key
+from .prng import derive_key, fisher_yates
 
 __all__ = [
     "CoverageCurve",
@@ -39,6 +39,7 @@ __all__ = [
     "shuffle_trial",
     "run_trials",
     "run_shuffles",
+    "summarize",
     "completion_topics",
     "completion_vs_analytic",
     "summary_from_json",
@@ -127,25 +128,38 @@ class SimulationSummary:
 
 
 def summary_from_json(text: str) -> SimulationSummary:
-    """Parse a summary produced by :meth:`SimulationSummary.to_json`."""
+    """Parse a summary produced by :meth:`SimulationSummary.to_json`;
+    anything else raises ValueError."""
     payload = json.loads(text)
-    if payload.get("format") != SUMMARY_FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != SUMMARY_FORMAT:
         raise ValueError(f"not a {SUMMARY_FORMAT} document")
     if payload.get("version") != SUMMARY_VERSION:
         raise ValueError(f"unsupported summary version {payload.get('version')!r}")
-    return SimulationSummary(
-        trial_count=payload["trial_count"],
-        seed=payload["seed"],
-        histogram=tuple(
-            HistogramBin(b["lower"], b["upper"], b["count"])
-            for b in payload["histogram"]
-        ),
-        percentiles={float(q): v for q, v in payload["percentiles"].items()},
-        min_completion=payload["min_completion"],
-        max_completion=payload["max_completion"],
-        mean_completion=payload["mean_completion"],
-        recall_at={float(q): v for q, v in payload["recall_at"].items()},
-    )
+    try:
+        summary = SimulationSummary(
+            trial_count=payload["trial_count"],
+            seed=payload["seed"],
+            histogram=tuple(
+                HistogramBin(b["lower"], b["upper"], b["count"])
+                for b in payload["histogram"]
+            ),
+            percentiles={float(q): v for q, v in payload["percentiles"].items()},
+            min_completion=payload["min_completion"],
+            max_completion=payload["max_completion"],
+            mean_completion=payload["mean_completion"],
+            recall_at={float(q): v for q, v in payload["recall_at"].items()},
+        )
+    except KeyError as exc:
+        raise ValueError(f"summary lacks field {exc}") from None
+    except (AttributeError, TypeError):
+        raise ValueError("summary fields have the wrong JSON types") from None
+    positions = [summary.min_completion, summary.mean_completion, *summary.percentiles.values()]
+    numbers = [summary.trial_count, summary.seed, summary.max_completion, *positions]
+    numbers += summary.recall_at.values()
+    numbers += [x for b in summary.histogram for x in (b.lower, b.upper, b.count)]
+    if not all(type(v) in (int, float) for v in numbers) or min(positions) < 1:
+        raise ValueError("summary values must be numbers, completion positions >= 1")
+    return summary
 
 
 @dataclass(frozen=True)
@@ -169,53 +183,42 @@ class AnalyticComparison:
     mean_relative_difference: float
 
 
+def _first_sightings(corpus: Corpus, order: Iterable[int]) -> dict[int, int]:
+    """Scan documents by index in ``order``; map each topic to the 1-based
+    position where it first appeared, in order of appearance. Stops as
+    soon as every topic present has been seen."""
+    docs = corpus.documents
+    needed = len(corpus.topics_present)
+    first_seen: dict[int, int] = {}
+    for position, index in enumerate(order, start=1):
+        for topic in docs[index].topics:
+            if topic not in first_seen:
+                first_seen[topic] = position
+        if len(first_seen) == needed:
+            break
+    return first_seen
+
+
 def scan_accession(corpus: Corpus) -> CoverageCurve:
     """Coverage curve for the corpus's own document order."""
-    seen: set[int] = set()
-    points: list[tuple[int, int]] = []
-    for position, doc in enumerate(corpus.documents, start=1):
-        before = len(seen)
-        seen.update(doc.topics)
-        if len(seen) > before:
-            points.append((position, len(seen)))
+    n = len(corpus.documents)
+    new_topics = Counter(_first_sightings(corpus, range(n)).values())
     return CoverageCurve(
-        points=tuple(points),
-        total_documents=len(corpus.documents),
+        points=tuple(zip(new_topics, accumulate(new_topics.values()))),
+        total_documents=n,
         total_topics_present=len(corpus.topics_present),
     )
 
 
 def shuffle_trial(corpus: Corpus, trial_seed: int) -> TrialResult:
-    """Scan the corpus in one uniformly random order.
-
-    The order is a Fisher-Yates permutation driven by ``trial_seed``,
-    generated lazily: position i is fixed by swapping in a uniform choice
-    from the remaining documents, scanned, and the loop stops once every
-    topic present has been seen. Only topic sets are read; document
-    payloads never matter here.
-    """
-    docs = corpus.documents
-    n = len(docs)
-    needed = len(corpus.topics_present)
-    rng = SplitMix64(trial_seed)
-    order = list(range(n))
-    first_seen: dict[int, int] = {}
-    completion = n
-    for i in range(n):
-        remaining = n - i
-        if remaining > 1:
-            j = i + rng.next_below(remaining)
-            order[i], order[j] = order[j], order[i]
-        position = i + 1
-        for topic in docs[order[i]].topics:
-            if topic not in first_seen:
-                first_seen[topic] = position
-        if len(first_seen) == needed:
-            completion = position
-            break
-    absent = tuple(sorted(set(range(corpus.topic_count)) - corpus.topics_present))
+    """Scan the corpus in the uniformly random :func:`~fomo.prng.fisher_yates`
+    order keyed by ``trial_seed``, drawn lazily and abandoned once every
+    topic present has been seen."""
+    first_seen = _first_sightings(corpus, fisher_yates(len(corpus), trial_seed))
     return TrialResult(
-        completion_position=completion, first_seen=first_seen, absent_topics=absent
+        completion_position=max(first_seen.values()),
+        first_seen=first_seen,
+        absent_topics=corpus.absent_topics,
     )
 
 
@@ -232,25 +235,14 @@ def completion_topics(result: TrialResult) -> tuple[int, ...]:
 
 
 def run_trials(
-    corpus: Corpus, trial_count: int, master_seed: int, workers: int = 1
+    corpus: Corpus, trial_count: int, master_seed: int
 ) -> tuple[TrialResult, ...]:
-    """Run independent shuffle trials; trial i is keyed by (master_seed, i).
-
-    ``workers`` only sets the thread pool size; results are ordered by
-    trial index, so the output never depends on it.
-    """
+    """Run independent shuffle trials; trial i is keyed by (master_seed, i)."""
     if trial_count < 1:
         raise ValueError(f"trial_count must be >= 1, got {trial_count}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-
-    def one(index: int) -> TrialResult:
-        return shuffle_trial(corpus, derive_key(master_seed, index))
-
-    if workers == 1:
-        return tuple(one(i) for i in range(trial_count))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return tuple(pool.map(one, range(trial_count)))
+    return tuple(
+        shuffle_trial(corpus, derive_key(master_seed, i)) for i in range(trial_count)
+    )
 
 
 def _nearest_rank(sorted_values: Sequence[int], q: float) -> int:
@@ -277,20 +269,7 @@ def _equal_width_histogram(
     )
 
 
-def run_shuffles(
-    corpus: Corpus,
-    trial_count: int,
-    master_seed: int,
-    quantiles: Sequence[float] = DEFAULT_QUANTILES,
-    bin_count: int = DEFAULT_BIN_COUNT,
-    workers: int = 1,
-) -> SimulationSummary:
-    """Shuffle, scan, and summarize.
-
-    Builds an equal-width histogram of the completion positions over
-    [min, max], nearest-rank percentiles for the requested quantiles,
-    and the corresponding recall fractions.
-    """
+def _checked_quantiles(quantiles: Sequence[float], bin_count: int) -> tuple[float, ...]:
     quantiles = tuple(quantiles)
     if not quantiles:
         raise ValueError("need at least one quantile")
@@ -299,21 +278,49 @@ def run_shuffles(
             raise ValueError(f"quantiles must be in (0, 1), got {q}")
     if bin_count < 1:
         raise ValueError(f"bin_count must be >= 1, got {bin_count}")
+    return quantiles
 
-    results = run_trials(corpus, trial_count, master_seed, workers=workers)
+
+def summarize(
+    results: Sequence[TrialResult],
+    n_docs: int,
+    master_seed: int,
+    quantiles: Sequence[float] = DEFAULT_QUANTILES,
+    bin_count: int = DEFAULT_BIN_COUNT,
+) -> SimulationSummary:
+    """Summarize trials run over a corpus of ``n_docs`` documents.
+
+    Builds an equal-width histogram of the completion positions over
+    [min, max], nearest-rank percentiles for the requested quantiles,
+    and the corresponding recall fractions.
+    """
+    quantiles = _checked_quantiles(quantiles, bin_count)
     completions = sorted(r.completion_position for r in results)
     percentiles = {q: _nearest_rank(completions, q) for q in quantiles}
-    n_docs = len(corpus.documents)
     return SimulationSummary(
-        trial_count=trial_count,
+        trial_count=len(results),
         seed=master_seed,
         histogram=_equal_width_histogram(completions, bin_count),
         percentiles=percentiles,
         min_completion=completions[0],
         max_completion=completions[-1],
-        mean_completion=sum(completions) / trial_count,
+        mean_completion=sum(completions) / len(results),
         recall_at={q: percentiles[q] / n_docs for q in quantiles},
     )
+
+
+def run_shuffles(
+    corpus: Corpus,
+    trial_count: int,
+    master_seed: int,
+    quantiles: Sequence[float] = DEFAULT_QUANTILES,
+    bin_count: int = DEFAULT_BIN_COUNT,
+) -> SimulationSummary:
+    """Shuffle, scan, and :func:`summarize`; bad quantiles or bin counts
+    fail before any trial runs."""
+    quantiles = _checked_quantiles(quantiles, bin_count)
+    results = run_trials(corpus, trial_count, master_seed)
+    return summarize(results, len(corpus.documents), master_seed, quantiles, bin_count)
 
 
 def completion_vs_analytic(

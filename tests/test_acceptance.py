@@ -8,6 +8,7 @@ topic can claim a majority of trials (see the note in the README).
 """
 
 import csv
+import hashlib
 import io
 import itertools
 import math
@@ -37,6 +38,7 @@ from fomo.simulation import (
     run_trials,
     scan_accession,
     shuffle_trial,
+    summarize,
 )
 
 
@@ -64,7 +66,7 @@ def study_experiment():
     dist = zipf_prevalences(STUDY_TOPICS, STUDY_MAX_PREV, STUDY_MIN_PREV)
     corpus = generate_corpus(STUDY_DOCS, dist, seed=STUDY_GEN_SEED)
     results = run_trials(corpus, STUDY_TRIALS, master_seed=STUDY_TRIAL_SEED)
-    summary = run_shuffles(corpus, STUDY_TRIALS, master_seed=STUDY_TRIAL_SEED)
+    summary = summarize(results, len(corpus), STUDY_TRIAL_SEED)
     elapsed = time.perf_counter() - started
     return dist, corpus, results, summary, elapsed
 
@@ -290,17 +292,60 @@ def test_criterion_6_runtime(study_experiment):
     )
 
 
-# -- 7: worker-count determinism ---------------------------------------------
+# -- golden fingerprints ------------------------------------------------------
+#
+# SHA-256 of outputs that every refactor must leave byte-identical.
+
+GOLDEN_STUDY_SUMMARY = "9bcffa475fdc2c0671b66d4e694c5dd3e66adc4c99f6b37589f4bf7de60f687b"
+GOLDEN_CRITERION_7_SUMMARY = "2405aa8ce832259df93c991e9aa0bd88c0a7f01408ad823523d937be2229368e"
+GOLDEN_STUDY_CORPUS = "e4b9e8a01af720fd8f0ae3e5064a6de2510b52b7b10ffc241ed57e4b8b190003"
+GOLDEN_TABLE_CSV = "45d3f3f50c8eca5217a160c00bf78426fbf64ad23f418dfadb1aa68c813f483e"
+GOLDEN_STUDY_CURVE_CSV = "37236adccabc25f734c6fe49e8cd546918b8d498fa95f52c52f9fd2ca7f4d2f5"
+
+
+def sha256_text(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_golden_study_summary(study_experiment):
+    _, _, _, summary, _ = study_experiment
+    assert sha256_text(summary.to_json()) == GOLDEN_STUDY_SUMMARY
+
+
+def test_golden_study_corpus_and_curve(study_experiment, tmp_path, capsys):
+    _, corpus, _, _, _ = study_experiment
+    path = tmp_path / "study.jsonl"
+    save_corpus(corpus, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_STUDY_CORPUS
+    assert main(["curve", "--corpus", str(path)]) == 0
+    assert sha256_text(capsys.readouterr().out) == GOLDEN_STUDY_CURVE_CSV
+
+
+def test_golden_table_csv(capsys):
+    assert main(["table"]) == 0
+    assert sha256_text(capsys.readouterr().out) == GOLDEN_TABLE_CSV
+
+
+# -- 7: determinism ----------------------------------------------------------
 
 
 def test_criterion_7_byte_identical_across_workers():
+    # Trial i depends only on the seed and i: the summary is pinned, two
+    # runs agree byte for byte, and trials computed alone in reverse
+    # index order match the batch.
     dist = zipf_prevalences(12, 0.4, 0.01)
     corpus = generate_corpus(2000, dist, seed=71)
-    blobs = {
-        run_shuffles(corpus, 60, master_seed=72, workers=w).to_json()
-        for w in (1, 4, 8)
-    }
-    check("7", "summary JSON is byte-identical at 1, 4, and 8 workers", len(blobs) == 1)
+    first = run_shuffles(corpus, 60, master_seed=72).to_json()
+    second = run_shuffles(corpus, 60, master_seed=72).to_json()
+    batch = run_trials(corpus, 60, master_seed=72)
+    alone = {i: shuffle_trial(corpus, derive_key(72, i)) for i in reversed(range(60))}
+    check(
+        "7",
+        "summary JSON is pinned, repeatable, and independent of trial order",
+        sha256_text(first) == GOLDEN_CRITERION_7_SUMMARY
+        and first == second
+        and all(alone[i] == result for i, result in enumerate(batch)),
+    )
 
 
 # -- 8: randomized invariant suites ------------------------------------------

@@ -182,21 +182,6 @@ class TestSimulate:
             paths.append((summary.read_bytes(), hist.read_bytes(), out))
         assert paths[0] == paths[1]
 
-    def test_thread_env_does_not_change_output(self, capsys, tiny_corpus, tmp_path, monkeypatch):
-        outputs = []
-        for threads in ("1", "4"):
-            monkeypatch.setenv("FOMO_THREADS", threads)
-            summary = tmp_path / f"t{threads}.json"
-            code, out, _ = run_cli(
-                capsys,
-                "simulate", "--corpus", str(tiny_corpus),
-                "--trials", "60", "--seed", "5",
-                "--summary-json", str(summary),
-            )
-            assert code == 0
-            outputs.append((summary.read_bytes(), out))
-        assert outputs[0] == outputs[1]
-
     def test_stdout_reports_quantiles_and_recall(self, capsys, tiny_corpus):
         code, out, _ = run_cli(
             capsys, "simulate", "--corpus", str(tiny_corpus),
@@ -311,3 +296,57 @@ class TestCompare:
         assert [r["metric"] for r in rows] == ["median_completion", "mean_completion"]
         for row in rows:
             assert float(row["relative_difference"]) >= 0.0
+
+
+VALID_SUMMARY = {
+    "format": "fomo-summary",
+    "version": 1,
+    "trial_count": 4,
+    "seed": 1,
+    "min_completion": 3,
+    "max_completion": 3,
+    "mean_completion": 3.0,
+    "percentiles": {"0.5": 3},
+    "recall_at": {"0.5": 1.0},
+    "histogram": [{"lower": 3.0, "upper": 3.0, "count": 4}],
+}
+
+# name -> (file contents, argv with {file} and {corpus} placeholders)
+MALFORMED_INPUTS = {
+    "probs-nested-array": ("[[0.5],0.5]", ["collector", "--probs", "{file}"]),
+    "summary-without-trial-count": (
+        json.dumps({k: v for k, v in VALID_SUMMARY.items() if k != "trial_count"}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-text-percentile": (
+        json.dumps({**VALID_SUMMARY, "percentiles": {"0.5": "x"}}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "corpus-boolean-topic-count": (
+        '{"format":"fomo-corpus","version":1,"topic_count":true}\n'
+        '{"doc_id":"a","topics":[0]}\n',
+        ["curve", "--corpus", "{file}"],
+    ),
+}
+
+
+def test_valid_summary_compares(capsys, tiny_corpus, tmp_path):
+    path = tmp_path / "summary.json"
+    path.write_text(json.dumps(VALID_SUMMARY), encoding="utf-8")
+    code, _, err = run_cli(
+        capsys, "compare", "--corpus", str(tiny_corpus), "--summary", str(path)
+    )
+    assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_is_a_one_line_error(case, capsys, tiny_corpus, tmp_path):
+    contents, argv = MALFORMED_INPUTS[case]
+    path = tmp_path / "input"
+    path.write_text(contents, encoding="utf-8")
+    argv = [a.format(file=path, corpus=tiny_corpus) for a in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1

@@ -5,6 +5,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from fomo.collector import (
     CouponDistribution,
     SubsetLimitError,
+    _coupon_thresholds,
     birthday_first_collision_expected,
     completion_quantile,
     dice_sum_distribution,
@@ -19,9 +21,8 @@ from fomo.collector import (
     expected_draws_unequal_exact,
     expected_draws_unequal_sum,
     simulate_expected_draws,
-    single_trial_draws,
 )
-from fomo.prng import derive_key
+from fomo.prng import SplitMix64, derive_key
 
 
 def inclusion_exclusion_oracle(probabilities):
@@ -33,6 +34,25 @@ def inclusion_exclusion_oracle(probabilities):
         for subset in combinations(range(m), size):
             total += sign / sum(probabilities[i] for i in subset)
     return total
+
+
+def single_trial_draws(dist, trial_key):
+    """Draws one collection run sequentially; reference path for the
+    lockstep sampler (same key, same thresholds, same result)."""
+    m = len(dist)
+    thresholds = _coupon_thresholds(np.asarray(dist.probabilities)).tolist()
+    rng = SplitMix64(trial_key)
+    seen = set()
+    t = 0
+    while len(seen) < m:
+        t += 1
+        u = rng.next_u64()
+        k = 0
+        while k < m and thresholds[k] <= u:
+            k += 1
+        if k < m:
+            seen.add(k)
+    return t
 
 
 @st.composite

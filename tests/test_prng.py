@@ -10,6 +10,7 @@ from fomo.prng import (
     bulk_u64,
     derive_key,
     derive_key_array,
+    fisher_yates,
     mix64,
     mix64_array,
 )
@@ -83,13 +84,6 @@ def test_derive_key_streams_are_distinct():
     assert not keys & other
 
 
-def test_next_float_range():
-    rng = SplitMix64(3)
-    values = [rng.next_float() for _ in range(10_000)]
-    assert all(0.0 <= v < 1.0 for v in values)
-    assert 0.45 < sum(values) / len(values) < 0.55
-
-
 def test_next_below_bounds_and_uniformity():
     rng = SplitMix64(17)
     n = 7
@@ -116,24 +110,33 @@ def test_next_below_rejects_nonpositive():
 
 
 def test_shuffle_is_a_permutation_and_deterministic():
-    items = list(range(100))
-    rng = SplitMix64(123)
-    rng.shuffle(items)
+    items = list(fisher_yates(100, 123))
     assert sorted(items) == list(range(100))
-    again = list(range(100))
-    SplitMix64(123).shuffle(again)
-    assert items == again
-    different = list(range(100))
-    SplitMix64(124).shuffle(different)
-    assert items != different
+    assert items == list(fisher_yates(100, 123))
+    assert items != list(fisher_yates(100, 124))
 
 
 def test_shuffle_frozen_permutation():
     # Change detector: this exact permutation is part of the
     # reproducibility contract.
-    items = list(range(8))
-    SplitMix64(2024).shuffle(items)
-    assert items == FROZEN_SHUFFLE_2024
+    assert list(fisher_yates(8, 2024)) == FROZEN_SHUFFLE_2024
+
+
+def in_place_fisher_yates(items, key):
+    """Reference: the textbook in-place loop, fixing positions front to back."""
+    rng = SplitMix64(key)
+    n = len(items)
+    for i in range(n - 1):
+        j = i + rng.next_below(n - i)
+        items[i], items[j] = items[j], items[i]
+
+
+def test_fisher_yates_matches_in_place_reference():
+    for n in range(101):
+        for key in (0, 7, 2**64 - 1):
+            items = list(range(n))
+            in_place_fisher_yates(items, key)
+            assert list(fisher_yates(n, key)) == items
 
 
 # Computed once from the implementation above and frozen; any algorithm

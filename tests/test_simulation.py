@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from fomo.corpus import Corpus, Document, generate_corpus, zipf_prevalences
-from fomo.prng import SplitMix64, derive_key
+import fomo.simulation
+from fomo.prng import derive_key, fisher_yates
 from fomo.simulation import (
     completion_topics,
     completion_vs_analytic,
@@ -17,6 +18,7 @@ from fomo.simulation import (
     run_trials,
     scan_accession,
     shuffle_trial,
+    summarize,
     summary_from_json,
 )
 
@@ -37,6 +39,23 @@ def marked_singleton_corpus(n):
     return corpus_from_topic_sets(sets, topic_count=2)
 
 
+ACCESSION_TOPIC_SETS = st.lists(
+    st.sets(st.integers(0, 5), min_size=1, max_size=3), min_size=1, max_size=30
+)
+
+
+def accession_oracle(corpus):
+    """Reference: every document scanned, a point wherever the count grows."""
+    seen = set()
+    points = []
+    for position, doc in enumerate(corpus.documents, start=1):
+        before = len(seen)
+        seen.update(doc.topics)
+        if len(seen) > before:
+            points.append((position, len(seen)))
+    return tuple(points)
+
+
 class TestScanAccession:
     def test_hand_traced_curve(self):
         corpus = corpus_from_topic_sets([{0}, {0}, {1}])
@@ -51,13 +70,13 @@ class TestScanAccession:
         curve = scan_accession(corpus)
         assert curve.points[-1][1] == len(corpus.topics_present)
 
-    @given(
-        st.lists(
-            st.sets(st.integers(0, 5), min_size=1, max_size=3),
-            min_size=1,
-            max_size=30,
-        )
-    )
+    @given(ACCESSION_TOPIC_SETS)
+    @settings(max_examples=100)
+    def test_matches_full_scan_oracle(self, topic_sets):
+        corpus = corpus_from_topic_sets(topic_sets, topic_count=6)
+        assert scan_accession(corpus).points == accession_oracle(corpus)
+
+    @given(ACCESSION_TOPIC_SETS)
     @settings(max_examples=100)
     def test_strictly_increasing_topic_counts(self, topic_sets):
         curve = scan_accession(corpus_from_topic_sets(topic_sets, topic_count=6))
@@ -79,8 +98,7 @@ class TestShuffleTrial:
         )
         for seed in (0, 1, 99, 12345):
             result = shuffle_trial(corpus, seed)
-            order = list(range(len(corpus.documents)))
-            SplitMix64(seed).shuffle(order)
+            order = list(fisher_yates(len(corpus.documents), seed))
             first_seen = {}
             for position, doc_index in enumerate(order, start=1):
                 for topic in corpus.documents[doc_index].topics:
@@ -203,15 +221,24 @@ class TestRunShuffles:
         assert summary.percentiles[0.1] == completions[math.ceil(0.1 * trials) - 1]
         assert summary.percentiles[0.5] == completions[math.ceil(0.5 * trials) - 1]
 
-    def test_worker_count_never_changes_bytes(self):
+    def test_equals_summarize_of_run_trials(self):
         corpus = corpus_from_topic_sets(
             [{i % 5} for i in range(40)] + [{5}], topic_count=6
         )
-        reports = [
-            run_shuffles(corpus, 120, master_seed=10, workers=w).to_json()
-            for w in (1, 4, 8)
-        ]
-        assert reports[0] == reports[1] == reports[2]
+        results = run_trials(corpus, 120, master_seed=10)
+        expected = summarize(results, len(corpus), 10, (0.3, 0.5), 7)
+        assert run_shuffles(corpus, 120, 10, (0.3, 0.5), 7) == expected
+
+    def test_bad_options_fail_before_any_trial(self, monkeypatch):
+        def no_trials(*args):
+            raise AssertionError("trials ran before the options were checked")
+
+        monkeypatch.setattr(fomo.simulation, "run_trials", no_trials)
+        corpus = corpus_from_topic_sets([{0}])
+        with pytest.raises(ValueError):
+            run_shuffles(corpus, 5, 1, quantiles=(1.5,))
+        with pytest.raises(ValueError):
+            run_shuffles(corpus, 5, 1, bin_count=0)
 
     def test_summary_json_round_trip(self):
         corpus = corpus_from_topic_sets([{0}, {1}, {0, 1}, {2}])
