@@ -15,8 +15,8 @@ Subcommands:
     gen-corpus  synthesize a power-law multi-label corpus
     compare     simulated completion versus the analytic scan model
 
-Validation failures exit with status 1 and a one-line ``error: ...``
-diagnostic on stderr.
+Validation failures, and inputs too large to allocate, exit with status
+1 and a one-line ``error: ...`` diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -155,7 +155,7 @@ def _cmd_collector(args: argparse.Namespace) -> int:
     if args.method == "exact":
         expected = expected_draws_unequal_exact(dist)
     elif args.method == "sum":
-        expected = expected_draws_unequal_sum(dist, args.tolerance)
+        expected = expected_draws_unequal_sum(dist)
     else:
         sample = simulate_expected_draws(dist, args.trials, args.seed)
         expected = sample.mean
@@ -281,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--uniform", type=int, help="m equally likely coupons")
     source.add_argument("--probs", help="JSON file with a probability array")
     collector.add_argument("--method", choices=("exact", "sum", "montecarlo"), default="exact")
-    collector.add_argument("--tolerance", type=float, default=1e-9)
     collector.add_argument("--trials", type=int, default=100_000)
     collector.add_argument("--seed", type=int, default=0)
     _add_output_options(collector)
@@ -329,7 +328,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except MemoryError as exc:  # a size option or header too large to allocate
+        detail = f" ({exc})" if str(exc) else ""  # list growth gives no message
+        print(f"error: out of memory{detail}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

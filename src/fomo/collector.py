@@ -32,7 +32,7 @@ from typing import Sequence, Union
 import numpy as np
 from scipy import integrate
 
-from .prng import GAMMA, MASK64, derive_key_array, mix64_array
+from .prng import derive_key_array, stream_u64, u64_thresholds
 
 __all__ = [
     "CouponDistribution",
@@ -54,7 +54,9 @@ EXACT_COUPON_LIMIT = 25
 # Bitmask width in the Monte Carlo sampler.
 _SAMPLER_COUPON_LIMIT = 64
 
-_SUM_TOLERANCE_DEFAULT = 1e-9
+# A trial needs about 1/p_min draws, so rarer coupons could keep the
+# sampler busy for days; the integral route has no such limit.
+_SAMPLER_RAREST_LIMIT = 10**6
 
 
 class SubsetLimitError(ValueError):
@@ -197,9 +199,7 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
     return -total
 
 
-def expected_draws_unequal_sum(
-    probabilities: ProbabilityVector, tolerance: float = _SUM_TOLERANCE_DEFAULT
-) -> float:
+def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     """The same expectation as the exact form, without subset enumeration.
 
     Evaluates E[T] as the integral over u >= 0 of
@@ -213,22 +213,20 @@ def expected_draws_unequal_sum(
     remaining tail, bounded by sum_i exp(-p_i * U) / p_min, is below the
     error budget.
 
-    ``tolerance`` bounds the *relative* error of the result (the budget
-    is anchored at the 1/p_min lower bound of the expectation, which
-    absolute control cannot beat once expectations reach 1e6 in double
-    precision).
+    The relative error of the result is at most 1e-9: the budget is
+    anchored at the 1/p_min lower bound of the expectation, because
+    absolute control cannot beat that once expectations reach 1e6 in
+    double precision.
 
     Also accepts probability vectors summing above 1 (multi-label
     prevalences); the result is then the independent-sightings
     approximation of a document scan rather than a draw-by-draw
     collector.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be > 0, got {tolerance}")
     p = _probability_array(probabilities)
     p_min = float(p.min())
     p_max = float(p.max())
-    budget = tolerance * max(1.0, 1.0 / p_min)
+    budget = 1e-9 * max(1.0, 1.0 / p_min)  # the relative error above
 
     def integrand(u: float) -> float:
         miss = np.exp(-p * u)  # chance coupon i still unseen at time u
@@ -305,15 +303,13 @@ def _coupon_thresholds(p: np.ndarray) -> np.ndarray:
 
     A draw u (uniform uint64) yields coupon k when thr[k-1] <= u < thr[k];
     u at or above thr[-1] yields nothing. Integer thresholds keep the
-    scalar and vectorized samplers bit-for-bit identical.
+    scalar and vectorized samplers bit-for-bit identical. Every coupon
+    gets a nonempty range because callers cap 1/p at _SAMPLER_RAREST_LIMIT.
     """
     cum = np.cumsum(p)
     if abs(float(cum[-1]) - 1.0) <= 1e-9:
         cum[-1] = 1.0
-    thr = [min(int(c * 2.0**64), (1 << 64) - 1) for c in cum]
-    if thr[0] == 0 or any(b <= a for a, b in zip(thr, thr[1:])):
-        raise ValueError("probabilities too small to resolve in 64 bits")
-    return np.array(thr, dtype=np.uint64)
+    return u64_thresholds(cum)
 
 
 def simulate_expected_draws(
@@ -333,6 +329,12 @@ def simulate_expected_draws(
     m = len(p)
     if m > _SAMPLER_COUPON_LIMIT:
         raise ValueError(f"sampler supports at most {_SAMPLER_COUPON_LIMIT} coupons, got {m}")
+    p_min = float(p.min())
+    if 1.0 / p_min > _SAMPLER_RAREST_LIMIT:
+        raise ValueError(
+            f"rarest coupon probability {p_min!r} needs over {_SAMPLER_RAREST_LIMIT}"
+            " draws per trial; use expected_draws_unequal_sum (--method sum)"
+        )
     thresholds = _coupon_thresholds(p)
     full = np.uint64((1 << m) - 1)
 
@@ -344,8 +346,7 @@ def simulate_expected_draws(
     t = 0
     while index.size:
         t += 1
-        step = np.uint64((t * GAMMA) & MASK64)
-        draws = mix64_array(keys + step)
+        draws = stream_u64(keys, t)
         coupon = np.searchsorted(thresholds, draws, side="right")
         got = coupon < m
         if got.any():

@@ -28,7 +28,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .prng import GAMMA, MASK64, derive_key_array, mix64_array
+from .prng import derive_key_array, stream_u64, u64_thresholds
 
 __all__ = [
     "TopicDistribution",
@@ -209,10 +209,7 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     q = np.asarray(dist.prevalences, dtype=float)
     m = len(q)
     always = q >= 1.0
-    # Bernoulli(q) as an integer compare: draw < floor(q * 2**64).
-    thresholds = np.array(
-        [min(int(v * 2.0**64), (1 << 64) - 1) for v in q], dtype=np.uint64
-    )
+    thresholds = u64_thresholds(q)  # Bernoulli(q) as draw < threshold
 
     keys = derive_key_array(seed, np.arange(doc_count, dtype=np.uint64))
     topics_by_doc: list[tuple[int, ...] | None] = [None] * doc_count
@@ -225,8 +222,7 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
             if always[i]:
                 included[:, i] = True
                 continue
-            counter = np.uint64(((round_index * m + i + 1) * GAMMA) & MASK64)
-            included[:, i] = mix64_array(base + counter) < thresholds[i]
+            included[:, i] = stream_u64(base, round_index * m + i + 1) < thresholds[i]
         nonempty = included.any(axis=1)
         for row in np.flatnonzero(nonempty):
             d = int(pending[row])

@@ -14,8 +14,9 @@ The generator is a Weyl sequence passed through an avalanching finalizer:
 Because the state advances by a fixed increment, the t-th output (1-based)
 of a stream seeded with ``s`` is simply ``mix64(s + t * GAMMA)``. That
 counter form means any draw can be computed from (seed, index) alone, in
-any order, with identical results. :func:`bulk_u64` is the vectorized
-version of the same identity.
+any order, with identical results. :func:`stream_u64` is the vectorized
+counter form, and :func:`u64_thresholds` turns probabilities into the
+integer cut-offs a draw is compared against.
 
 Independent streams (one per document, one per trial) are keyed with
 :func:`derive_key`, the package's seed-mixing function.
@@ -23,7 +24,7 @@ Independent streams (one per document, one per trial) are keyed with
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 
 import numpy as np
 
@@ -60,14 +61,12 @@ def derive_key(seed: int, index: int) -> int:
 
 def derive_key_array(seed: int, indices: np.ndarray) -> np.ndarray:
     """Vectorized :func:`derive_key` over an array of stream indices."""
-    s = np.uint64(mix64(seed & MASK64))
-    idx = indices.astype(np.uint64) + np.uint64(1)
-    return mix64_array(s + idx * np.uint64(GAMMA))
+    return stream_u64(mix64(seed & MASK64), indices.astype(np.uint64) + np.uint64(1))
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """Vectorized :func:`mix64` over a ``uint64`` array (wrapping mod 2**64)."""
-    z = z.astype(np.uint64, copy=True)
+    z = np.array(z, dtype=np.uint64)  # 0-d stays an array, so products wrap silently
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX_MUL_1)
     z ^= z >> np.uint64(27)
@@ -76,16 +75,30 @@ def mix64_array(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def bulk_u64(key: int, start: int, count: int) -> np.ndarray:
-    """Outputs ``start+1 .. start+count`` of the stream seeded with ``key``.
+def stream_u64(keys: int | np.ndarray, counters: int | np.ndarray) -> np.ndarray:
+    """Output number ``counters`` (1-based) of the streams seeded with ``keys``.
 
-    Identical to calling ``SplitMix64(key).next_u64()`` that many times and
-    keeping the requested slice, but computed in one vectorized pass.
+    ``mix64(key + counter * GAMMA)`` broadcast over both arguments, so one
+    call can read many draws of one stream or one draw of many streams;
+    each value equals what ``SplitMix64(key).next_u64()`` returns on that
+    call.
     """
-    if start < 0 or count < 0:
-        raise ValueError("start and count must be nonnegative")
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    return mix64_array(np.uint64(key & MASK64) + idx * np.uint64(GAMMA))
+    keys = np.asarray(keys, dtype=np.uint64)
+    counters = np.asarray(counters, dtype=np.uint64)
+    return mix64_array(keys + counters * np.uint64(GAMMA))
+
+
+def u64_thresholds(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:
+    """``min(floor(p * 2**64), 2**64 - 1)`` per probability, as ``uint64``.
+
+    A uniform draw ``u`` falls below the threshold of ``p`` with chance
+    ``p`` (up to 2**-64), so integer compares stand in for float ones and
+    stay bit-identical on every platform.
+    """
+    return np.array(
+        [min(int(p * 2.0**64), MASK64) for p in np.asarray(probabilities, dtype=float)],
+        dtype=np.uint64,
+    )
 
 
 class SplitMix64:

@@ -339,7 +339,7 @@ def completion_vs_analytic(
         fraction for _, fraction in sorted(corpus.empirical_prevalences().items())
     ]
     analytic_median = completion_quantile(prevalences, 0.5)
-    analytic_mean = expected_draws_unequal_sum(prevalences, 1e-9)
+    analytic_mean = expected_draws_unequal_sum(prevalences)
     empirical_median = summary.percentiles[0.5]
     empirical_mean = summary.mean_completion
     return AnalyticComparison(

@@ -170,7 +170,7 @@ def test_criterion_5a_scalable_form_matches_exact():
         cases.append(CouponDistribution(tuple(p * scale for p in raw)))
     for dist in cases:
         exact = expected_draws_unequal_exact(dist)
-        scalable = expected_draws_unequal_sum(dist, 1e-9)
+        scalable = expected_draws_unequal_sum(dist)
         worst = max(worst, abs(scalable - exact) / exact)
     check(
         "5a",

@@ -311,7 +311,9 @@ VALID_SUMMARY = {
     "histogram": [{"lower": 3.0, "upper": 3.0, "count": 4}],
 }
 
-# name -> (file contents, argv with {file} and {corpus} placeholders)
+TOO_LARGE = "1000000000000"
+
+# name -> (file contents, argv with {file}, {corpus} and {summary} placeholders)
 MALFORMED_INPUTS = {
     "probs-nested-array": ("[[0.5],0.5]", ["collector", "--probs", "{file}"]),
     "summary-without-trial-count": (
@@ -326,6 +328,26 @@ MALFORMED_INPUTS = {
         '{"format":"fomo-corpus","version":1,"topic_count":true}\n'
         '{"doc_id":"a","topics":[0]}\n',
         ["curve", "--corpus", "{file}"],
+    ),
+    "probs-rarer-than-one-in-a-million": (
+        "[1e-12,0.5]",
+        ["collector", "--probs", "{file}", "--method", "montecarlo", "--trials", "10"],
+    ),
+    # Each size below is too large to allocate.
+    "simulate-huge-bins": ("", ["simulate", "--corpus", "{corpus}", "--bins", TOO_LARGE]),
+    "collector-huge-trials": (
+        "",
+        ["collector", "--dice", "--method", "montecarlo", "--trials", TOO_LARGE],
+    ),
+    "gen-corpus-huge-docs": (
+        "",
+        ["gen-corpus", "--docs", TOO_LARGE, "--topics", "4", "--max-prev", "0.5",
+         "--min-prev", "0.1", "--out", "{file}"],
+    ),
+    "compare-huge-topic-count": (
+        '{"format":"fomo-corpus","version":1,"topic_count":%s}\n'
+        '{"doc_id":"a","topics":[0]}\n' % TOO_LARGE,
+        ["compare", "--corpus", "{file}", "--summary", "{summary}"],
     ),
 }
 
@@ -344,7 +366,9 @@ def test_malformed_input_is_a_one_line_error(case, capsys, tiny_corpus, tmp_path
     contents, argv = MALFORMED_INPUTS[case]
     path = tmp_path / "input"
     path.write_text(contents, encoding="utf-8")
-    argv = [a.format(file=path, corpus=tiny_corpus) for a in argv]
+    summary = tmp_path / "summary.json"
+    summary.write_text(json.dumps(VALID_SUMMARY), encoding="utf-8")
+    argv = [a.format(file=path, corpus=tiny_corpus, summary=summary) for a in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""

@@ -163,23 +163,23 @@ class TestExactCollector:
 class TestScalableForm:
     def test_dice_agree_with_exact(self):
         dice = dice_sum_distribution()
-        assert expected_draws_unequal_sum(dice, 1e-9) == pytest.approx(
+        assert expected_draws_unequal_sum(dice) == pytest.approx(
             expected_draws_unequal_exact(dice), rel=1e-8
         )
 
     def test_single_coupon_is_geometric(self):
-        assert expected_draws_unequal_sum([0.5], 1e-9) == pytest.approx(2.0, rel=1e-9)
+        assert expected_draws_unequal_sum([0.5]) == pytest.approx(2.0, rel=1e-9)
 
     def test_uniform_365_matches_harmonic(self):
-        assert expected_draws_unequal_sum(
-            CouponDistribution.uniform(365), 1e-9
-        ) == pytest.approx(expected_draws_equal(365), rel=1e-9)
+        assert expected_draws_unequal_sum(CouponDistribution.uniform(365)) == pytest.approx(
+            expected_draws_equal(365), rel=1e-9
+        )
 
     @given(small_distributions(max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_agrees_with_exact_everywhere(self, dist):
         exact = expected_draws_unequal_exact(dist)
-        scalable = expected_draws_unequal_sum(dist, 1e-9)
+        scalable = expected_draws_unequal_sum(dist)
         assert scalable == pytest.approx(exact, rel=1e-6)
 
     def test_sixty_four_power_law_prevalences(self):
@@ -187,12 +187,12 @@ class TestScalableForm:
         # and dominated by the waits for the rare tail
         exponent = math.log(0.36 / 1.4e-6) / math.log(64)
         prevs = [0.36 / (i + 1) ** exponent for i in range(64)]
-        value = expected_draws_unequal_sum(prevs, 1e-6)
+        value = expected_draws_unequal_sum(prevs)
         assert value >= 1.0 / min(prevs)
         assert value == pytest.approx(1801412.0, rel=1e-3)
 
     def test_accepts_multilabel_prevalences_summing_above_one(self):
-        value = expected_draws_unequal_sum([0.9, 0.8, 0.5], 1e-9)
+        value = expected_draws_unequal_sum([0.9, 0.8, 0.5])
         assert value > 1.0 / 0.5
 
     def test_sixty_four_coupons_cross_checked_by_monte_carlo(self):
@@ -202,13 +202,9 @@ class TestScalableForm:
         dist = CouponDistribution(
             tuple(0.36 / (i + 1) ** exponent for i in range(64))
         )
-        value = expected_draws_unequal_sum(dist, 1e-9)
+        value = expected_draws_unequal_sum(dist)
         sample = simulate_expected_draws(dist, 10_000, seed=64)
         assert abs(sample.mean - value) <= 3 * sample.std_error
-
-    def test_rejects_nonpositive_tolerance(self):
-        with pytest.raises(ValueError):
-            expected_draws_unequal_sum([0.5], 0.0)
 
 
 class TestCompletionQuantile:

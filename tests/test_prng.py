@@ -7,12 +7,13 @@ from fomo.prng import (
     GAMMA,
     MASK64,
     SplitMix64,
-    bulk_u64,
     derive_key,
     derive_key_array,
     fisher_yates,
     mix64,
     mix64_array,
+    stream_u64,
+    u64_thresholds,
 )
 
 # Published SplitMix64 outputs for seed 1234567 (reference C implementation).
@@ -57,8 +58,12 @@ def test_bulk_matches_sequential():
     seed = 55
     rng = SplitMix64(seed)
     sequential = [rng.next_u64() for _ in range(100)]
-    assert bulk_u64(seed, 0, 100).tolist() == sequential
-    assert bulk_u64(seed, 40, 10).tolist() == sequential[40:50]
+    assert stream_u64(seed, np.arange(1, 101)).tolist() == sequential
+    assert stream_u64(seed, np.arange(41, 51)).tolist() == sequential[40:50]
+
+
+def test_u64_thresholds_edges():
+    assert u64_thresholds([1.0, 0.5]).tolist() == [MASK64, 2**63]
 
 
 def test_mix64_array_matches_scalar():
