@@ -39,6 +39,7 @@ from .corpus import generate_corpus, load_corpus, save_corpus, zipf_prevalences
 from .simulation import (
     DEFAULT_BIN_COUNT,
     DEFAULT_QUANTILES,
+    MAX_BIN_COUNT,
     completion_vs_analytic,
     run_shuffles,
     scan_accession,
@@ -293,7 +294,12 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--quantiles", default=",".join(repr(q) for q in DEFAULT_QUANTILES)
     )
-    simulate.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT)
+    simulate.add_argument(
+        "--bins",
+        type=int,
+        default=DEFAULT_BIN_COUNT,
+        help=f"histogram bins, 1..{MAX_BIN_COUNT} (default {DEFAULT_BIN_COUNT})",
+    )
     simulate.add_argument("--summary-json", default=None)
     simulate.add_argument("--histogram-csv", default=None)
     _add_output_options(simulate)

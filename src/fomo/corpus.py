@@ -6,6 +6,20 @@ synthetic ones are generated from a prevalence vector, with topic
 frequencies following a power law between a chosen most-common and
 rarest prevalence.
 
+In memory a corpus is columnar, in compressed sparse row (CSR) form:
+
+    doc_ids   n ids, numpy ``StringDType``; an id of up to 15 bytes of
+              UTF-8 sits inside its 16-byte element
+    indptr    int64, n + 1 entries; document d's topics are
+              ``indices[indptr[d]:indptr[d + 1]]``
+    indices   int32, sorted and unique within each document
+
+A document with a short id therefore costs 24 bytes plus 4 per topic:
+about 29 bytes at the study calibration's ~1.2 topics per document, or
+about 64 MB for a 2,202,935-document production. The arrays are
+read-only. :attr:`Corpus.documents` rebuilds per-document tuples for
+tests and small corpora; nothing in the package reads it.
+
 File format (UTF-8, one JSON object per line):
 
     {"format":"fomo-corpus","version":1,"topic_count":<m>}
@@ -22,11 +36,15 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+import re
+from array import array
+from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, NamedTuple
 
 import numpy as np
+from numpy.dtypes import StringDType
 
 from .prng import derive_key_array, stream_u64, u64_thresholds
 
@@ -44,6 +62,13 @@ __all__ = [
 
 CORPUS_FORMAT = "fomo-corpus"
 CORPUS_VERSION = 1
+
+# The largest topic id the int32 ``indices`` column holds.
+MAX_TOPIC_ID = int(np.iinfo(np.int32).max)
+
+# Documents per block when generating, saving and loading: bounds the
+# working memory beside the corpus itself, and changes no output byte.
+BLOCK_DOCUMENTS = 1 << 12
 
 
 class CorpusFormatError(ValueError):
@@ -95,64 +120,151 @@ class Document(NamedTuple):
     topics: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Corpus:
-    """Ordered documents with validated topic sets.
+def _frozen(values, dtype) -> np.ndarray:
+    """``values`` as a read-only array, copied only to change its dtype."""
+    frozen = np.asarray(values, dtype=dtype)
+    frozen.flags.writeable = False
+    return frozen
 
-    List order is accession order. Every document carries at least one
-    topic id below ``topic_count``; topics are stored sorted and unique.
+
+def _row_of(indptr: np.ndarray, position: int) -> int:
+    """The document whose topics include ``indices[position]``."""
+    return int(np.searchsorted(indptr, position, side="right")) - 1
+
+
+def _within_row_steps(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
+    """``indices[i + 1] - indices[i]``, with the step from one document's
+    last topic to the next document's first read as 1. Every document
+    must be nonempty."""
+    steps = np.diff(indices)
+    steps[indptr[1:-1] - 1] = 1
+    return steps
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Corpus:
+    """Documents in accession order, as read-only CSR arrays.
+
+    See the module docstring for the layout. Every document carries at
+    least one topic id below ``topic_count``; each document's topics are
+    sorted and unique. An array passed in whose dtype already fits is
+    kept without a copy and made read-only in place.
     """
 
-    documents: tuple[Document, ...]
+    doc_ids: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
     topic_count: int
-    topics_present: frozenset[int] = field(init=False)
 
     def __post_init__(self) -> None:
         if self.topic_count < 1:
             raise ValueError(f"topic_count must be >= 1, got {self.topic_count}")
-        if not self.documents:
+        doc_ids = _frozen(self.doc_ids, StringDType())
+        indptr = _frozen(self.indptr, np.int64)
+        indices = np.asarray(self.indices)
+        n = doc_ids.size
+        if not n:
             raise ValueError("a corpus must contain at least one document")
-        present: set[int] = set()
-        for pos, doc in enumerate(self.documents):
-            topics = doc.topics
-            if not topics:
-                raise ValueError(f"document {pos} ({doc.doc_id!r}) has no topics")
-            previous = -1
-            for t in topics:
+        if indices.size and indices.dtype.kind not in "iu":
+            raise ValueError(f"topic ids must be integers, got {indices.dtype}")
+        if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
+            raise ValueError(f"indptr must hold {n + 1} offsets from 0 to {indices.size}")
+        empty = np.flatnonzero(np.diff(indptr) < 1)
+        if empty.size:
+            d = int(empty[0])
+            raise ValueError(f"document {d} ({doc_ids[d]!r}) has no topics")
+        limit = min(self.topic_count, MAX_TOPIC_ID + 1)
+        outside = np.flatnonzero((indices < 0) | (indices >= limit))
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(
+                f"document {_row_of(indptr, i)}: topic id {indices[i]} outside 0..{limit - 1}"
+            )
+        indices = _frozen(indices, np.int32)
+        unsorted = np.flatnonzero(_within_row_steps(indices, indptr) <= 0)
+        if unsorted.size:
+            d = _row_of(indptr, int(unsorted[0]))
+            topics = tuple(indices[indptr[d] : indptr[d + 1]].tolist())
+            raise ValueError(f"document {d}: topics must be sorted unique, got {topics}")
+        object.__setattr__(self, "doc_ids", doc_ids)
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "indices", indices)
+
+    @classmethod
+    def from_documents(cls, documents: Iterable[Document], topic_count: int) -> Corpus:
+        """Build a corpus from per-document tuples (for tests and small callers)."""
+        documents = tuple(documents)
+        for pos, doc in enumerate(documents):
+            for t in doc.topics:
                 if not isinstance(t, int) or isinstance(t, bool):
                     raise ValueError(f"document {pos}: topic ids must be integers, got {t!r}")
-                if t <= previous:
-                    raise ValueError(
-                        f"document {pos}: topics must be sorted unique, got {topics}"
-                    )
-                if not 0 <= t < self.topic_count:
-                    raise ValueError(
-                        f"document {pos}: topic id {t} outside 0..{self.topic_count - 1}"
-                    )
-                previous = t
-            present.update(topics)
-        object.__setattr__(self, "topics_present", frozenset(present))
+        return cls(
+            doc_ids=[doc.doc_id for doc in documents],
+            indptr=np.cumsum([0, *(len(doc.topics) for doc in documents)]),
+            indices=[t for doc in documents for t in doc.topics],
+            topic_count=topic_count,
+        )
 
     def __len__(self) -> int:
-        return len(self.documents)
+        return self.doc_ids.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Corpus):
+            return NotImplemented
+        return (
+            self.topic_count == other.topic_count
+            and np.array_equal(self.doc_ids, other.doc_ids)
+            and np.array_equal(self.indptr, other.indptr)
+            and np.array_equal(self.indices, other.indices)
+        )
+
+    def __repr__(self) -> str:
+        return f"Corpus({len(self)} documents, topic_count={self.topic_count})"
+
+    @property
+    def documents(self) -> tuple[Document, ...]:
+        """Per-document tuples, rebuilt on every access: a view for tests
+        and small corpora. The package itself reads only the arrays."""
+        topics = self.indices.tolist()
+        ends = self.indptr.tolist()
+        return tuple(
+            Document(doc_id, tuple(topics[a:b]))
+            for doc_id, a, b in zip(self.doc_ids.tolist(), ends, ends[1:])
+        )
+
+    @cached_property
+    def sorted_topics_present(self) -> np.ndarray:
+        """Topic ids that occur in some document, ascending."""
+        present = np.unique(self.indices)
+        present.flags.writeable = False
+        return present
+
+    @cached_property
+    def topics_present(self) -> frozenset[int]:
+        """Topic ids that occur in some document."""
+        return frozenset(self.sorted_topics_present.tolist())
+
+    @cached_property
+    def _topic_counts(self) -> np.ndarray:
+        # Sized by the declared topic_count: a huge declared count fails
+        # here at once with MemoryError.
+        return np.bincount(self.indices, minlength=self.topic_count)
 
     @cached_property
     def absent_topics(self) -> tuple[int, ...]:
         """Topic ids below ``topic_count`` that no document carries."""
-        return tuple(sorted(set(range(self.topic_count)) - self.topics_present))
+        return tuple(np.flatnonzero(self._topic_counts == 0).tolist())
 
     def topic_counts(self) -> list[int]:
         """Number of documents carrying each topic id."""
-        counts = [0] * self.topic_count
-        for doc in self.documents:
-            for t in doc.topics:
-                counts[t] += 1
-        return counts
+        return self._topic_counts.tolist()
 
     def empirical_prevalences(self) -> dict[int, float]:
         """Observed document fraction per topic, for topics that occur."""
-        n = len(self.documents)
-        return {t: c / n for t, c in enumerate(self.topic_counts()) if c > 0}
+        n = len(self)
+        counts = self._topic_counts
+        present = np.flatnonzero(counts)
+        return {t: c / n for t, c in zip(present.tolist(), counts[present].tolist())}
 
 
 def zipf_prevalences(
@@ -177,22 +289,18 @@ def zipf_prevalences(
     )
 
 
-def _doc_ids(count: int) -> list[str]:
-    return [f"d{i}" for i in range(count)]
-
-
 def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpus:
     """Draw a synthetic multi-label corpus from a prevalence vector.
 
     Each document includes each topic independently with its prevalence;
     documents that come out empty are redrawn until nonempty (which
     inflates every marginal by 1 / (1 - P(empty)) - negligible when the
-    prevalences sum to around 1).
+    prevalences sum to around 1). Document d is named ``d<d>``.
 
     Document d's draws come from the SplitMix64 stream keyed by
     (seed, d): redraw round r tests topic i with draw number r*m + i + 1.
     Generation is therefore order-independent and reproducible across
-    platforms and any parallel schedule.
+    platforms; documents are drawn in blocks of ``BLOCK_DOCUMENTS``.
 
     Raises:
         DegenerateDistributionError: if P(empty document) >= 1 - 1e-9,
@@ -210,60 +318,148 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     m = len(q)
     always = q >= 1.0
     thresholds = u64_thresholds(q)  # Bernoulli(q) as draw < threshold
+    first_round = np.arange(1, m + 1, dtype=np.uint64)
 
-    keys = derive_key_array(seed, np.arange(doc_count, dtype=np.uint64))
-    topics_by_doc: list[tuple[int, ...] | None] = [None] * doc_count
-    pending = np.arange(doc_count)
-    round_index = 0
-    while pending.size:
-        base = keys[pending]
-        included = np.empty((pending.size, m), dtype=bool)
-        for i in range(m):
-            if always[i]:
-                included[:, i] = True
-                continue
-            included[:, i] = stream_u64(base, round_index * m + i + 1) < thresholds[i]
-        nonempty = included.any(axis=1)
-        for row in np.flatnonzero(nonempty):
-            d = int(pending[row])
-            topics_by_doc[d] = tuple(int(t) for t in np.flatnonzero(included[row]))
-        pending = pending[~nonempty]
-        round_index += 1
+    lengths = np.empty(doc_count, dtype=np.int64)
+    topic_blocks = []
+    for start in range(0, doc_count, BLOCK_DOCUMENTS):
+        stop = min(start + BLOCK_DOCUMENTS, doc_count)
+        keys = derive_key_array(seed, np.arange(start, stop, dtype=np.uint64))
+        included = np.zeros((stop - start, m), dtype=bool)
+        pending = np.arange(stop - start)
+        round_index = 0
+        while pending.size:
+            counters = first_round + np.uint64(round_index * m)
+            drawn = stream_u64(keys[pending, None], counters) < thresholds
+            drawn[:, always] = True
+            nonempty = drawn.any(axis=1)
+            included[pending[nonempty]] = drawn[nonempty]
+            pending = pending[~nonempty]
+            round_index += 1
+        lengths[start:stop] = included.sum(axis=1)
+        topic_blocks.append(np.nonzero(included)[1].astype(np.int32))
 
-    ids = _doc_ids(doc_count)
-    documents = tuple(
-        Document(ids[d], topics_by_doc[d]) for d in range(doc_count)  # type: ignore[arg-type]
+    return Corpus(
+        doc_ids=np.strings.add("d", np.arange(doc_count).astype(StringDType())),
+        indptr=np.concatenate(([0], np.cumsum(lengths))),
+        indices=np.concatenate(topic_blocks),
+        topic_count=m,
     )
-    return Corpus(documents=documents, topic_count=m)
 
 
 def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
-    """Write the JSON-lines corpus format; the exact inverse of load_corpus."""
+    """Write the JSON-lines corpus format; the exact inverse of load_corpus.
+
+    Each line is what ``json.dumps({"doc_id": ..., "topics": [...]},
+    separators=(",", ":"))`` gives, built a block of documents at a time.
+    """
     header = {
         "format": CORPUS_FORMAT,
         "version": CORPUS_VERSION,
         "topic_count": corpus.topic_count,
     }
+    indptr = corpus.indptr
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for doc in corpus.documents:
-            line = json.dumps(
-                {"doc_id": doc.doc_id, "topics": list(doc.topics)},
-                separators=(",", ":"),
-            )
-            fh.write(line + "\n")
+        for start in range(0, len(corpus), BLOCK_DOCUMENTS):
+            stop = min(start + BLOCK_DOCUMENTS, len(corpus))
+            ends = (indptr[start : stop + 1] - indptr[start]).tolist()
+            topics = list(map(str, corpus.indices[indptr[start] : indptr[stop]].tolist()))
+            ids = map(encode_basestring_ascii, corpus.doc_ids[start:stop].tolist())
+            lines = [
+                '{"doc_id":%s,"topics":[%s]}\n' % (doc_id, ",".join(topics[a:b]))
+                for doc_id, a, b in zip(ids, ends, ends[1:])
+            ]
+            fh.write("".join(lines))
 
 
 def _format_error(line_number: int, message: str) -> CorpusFormatError:
     return CorpusFormatError(f"line {line_number}: {message}")
 
 
+# A document line as save_corpus writes it: an id without escapes and at
+# least one topic id written without sign or leading zeros, below 10**9.
+# It parses to the id and the topic ids as written; any other line takes
+# the general JSON path of _parse_record.
+_TOPIC = r"(?:0|[1-9][0-9]{0,8})"
+_SAVED_LINE = re.compile(
+    r'\{"doc_id":"([^"\\\x00-\x1f]*)","topics":\[(%s(?:,%s)*)\]\}\n?' % (_TOPIC, _TOPIC)
+)
+
+
+def _topics_problem(topics: list[int], topic_count: int) -> str | None:
+    """What is wrong with a document's integer topic ids, if anything."""
+    if len(set(topics)) != len(topics):
+        return f"duplicate topic ids in {topics}"
+    for t in topics:
+        if not 0 <= t < topic_count:
+            return f"topic id {t} outside 0..{topic_count - 1}"
+        if t > MAX_TOPIC_ID:
+            return f"topic id {t} above the largest supported id {MAX_TOPIC_ID}"
+    return None
+
+
+def _parse_record(number: int, raw: str, topic_count: int) -> tuple[str, list[int]]:
+    """Parse and check one document line of any valid JSON spelling."""
+    if not raw.strip():
+        raise _format_error(number, "blank line")
+    try:
+        record = json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise _format_error(number, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(record, dict):
+        raise _format_error(number, "expected an object")
+    doc_id = record.get("doc_id")
+    if not isinstance(doc_id, str):
+        raise _format_error(number, f"bad doc_id {doc_id!r}")
+    topics = record.get("topics")
+    if not isinstance(topics, list) or not all(
+        isinstance(t, int) and not isinstance(t, bool) for t in topics
+    ):
+        raise _format_error(number, f"bad topics {topics!r}")
+    if not topics:
+        raise _format_error(number, f"document {doc_id!r} has no topics")
+    problem = _topics_problem(topics, topic_count)
+    if problem:
+        raise _format_error(number, problem)
+    return doc_id, topics
+
+
+def _sorted_topics(topics: array, ends: array, topic_count: int) -> np.ndarray:
+    """Check the topic ids of the documents on lines 2, 3, ... as written
+    (flat, with document d's ending at ``ends[d + 1]``), and return them
+    sorted within each document. Raises the error of the first line with
+    a repeated or out-of-range id."""
+    indices = np.frombuffer(topics, np.intc)
+    indptr = np.frombuffer(ends, np.int64)
+    bad = np.flatnonzero(indices >= topic_count)[:1].tolist()
+    unsorted = np.flatnonzero(_within_row_steps(indices, indptr) <= 0)
+    ordered = indices
+    if unsorted.size:
+        lengths = np.diff(indptr)
+        document = np.repeat(np.arange(lengths.size), lengths)
+        ordered = indices[np.lexsort((indices, document))]
+        bad += np.flatnonzero(_within_row_steps(ordered, indptr) == 0)[:1].tolist()
+    if bad:
+        d = _row_of(indptr, min(bad))
+        listed = indices[indptr[d] : indptr[d + 1]].tolist()
+        raise _format_error(d + 2, _topics_problem(listed, topic_count))
+    return ordered
+
+
 def load_corpus(path: str | os.PathLike) -> Corpus:
     """Read a JSON-lines corpus, preserving line order as accession order.
 
-    Raises CorpusFormatError naming the offending line for anything
+    Raises CorpusFormatError naming the first offending line for anything
     malformed: bad JSON, a missing or wrong header, out-of-range or
-    duplicate topic ids, or a document with no topics.
+    duplicate topic ids, or a document with no topics. Topic ids may be
+    listed in any order; they are stored sorted.
+
+    The file is streamed: only the ids, one flat array of topic ids and
+    the document ends are kept. Repeated and out-of-range ids on lines in
+    the form save_corpus writes are found with array checks once the
+    lines are read, or when a later line fails, so errors still come in
+    line order.
     """
     with open(path, "r", encoding="utf-8") as fh:
         header_line = fh.readline()
@@ -281,35 +477,35 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
         if type(topic_count) is not int or topic_count < 1:  # bool is not a count
             raise _format_error(1, f"bad topic_count {topic_count!r}")
 
-        documents: list[Document] = []
-        for number, raw in enumerate(fh, start=2):
-            if not raw.strip():
-                raise _format_error(number, "blank line")
-            try:
-                record = json.loads(raw)
-            except json.JSONDecodeError as exc:
-                raise _format_error(number, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(record, dict):
-                raise _format_error(number, "expected an object")
-            doc_id = record.get("doc_id")
-            if not isinstance(doc_id, str):
-                raise _format_error(number, f"bad doc_id {doc_id!r}")
-            topics = record.get("topics")
-            if not isinstance(topics, list) or not all(
-                isinstance(t, int) and not isinstance(t, bool) for t in topics
-            ):
-                raise _format_error(number, f"bad topics {topics!r}")
-            if not topics:
-                raise _format_error(number, f"document {doc_id!r} has no topics")
-            if len(set(topics)) != len(topics):
-                raise _format_error(number, f"duplicate topic ids in {topics}")
-            for t in topics:
-                if not 0 <= t < topic_count:
-                    raise _format_error(
-                        number, f"topic id {t} outside 0..{topic_count - 1}"
-                    )
-            documents.append(Document(doc_id, tuple(sorted(topics))))
-
-    if not documents:
+        id_blocks = []
+        ids: list[str] = []
+        topics = array("i")
+        ends = array("q", [0])
+        try:
+            for number, raw in enumerate(fh, start=2):
+                saved = _SAVED_LINE.fullmatch(raw)
+                if saved:
+                    doc_id = saved[1]
+                    topics.extend(map(int, saved[2].split(",")))
+                else:
+                    doc_id, listed = _parse_record(number, raw, topic_count)
+                    topics.extend(listed)
+                ids.append(doc_id)
+                ends.append(len(topics))
+                if len(ids) == BLOCK_DOCUMENTS:
+                    id_blocks.append(np.array(ids, dtype=StringDType()))
+                    ids = []
+        except ValueError:
+            # An earlier line's repeated or out-of-range topic id comes first.
+            _sorted_topics(topics, ends, topic_count)
+            raise
+    if ids:
+        id_blocks.append(np.array(ids, dtype=StringDType()))
+    if not id_blocks:
         raise CorpusFormatError("corpus file contains a header but no documents")
-    return Corpus(documents=tuple(documents), topic_count=topic_count)
+    return Corpus(
+        doc_ids=np.concatenate(id_blocks),
+        indptr=np.frombuffer(ends, np.int64),
+        indices=_sorted_topics(topics, ends, topic_count),
+        topic_count=topic_count,
+    )

@@ -22,8 +22,10 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, islice
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .collector import completion_quantile, expected_draws_unequal_sum
 from .corpus import Corpus
@@ -50,6 +52,12 @@ SUMMARY_VERSION = 1
 
 DEFAULT_QUANTILES = (0.10, 0.20, 0.50, 0.95)
 DEFAULT_BIN_COUNT = 20
+# The histogram's bin limit, the same order as the Monte Carlo collector's
+# 1/p <= 10**6 cap; checked before any trial runs.
+MAX_BIN_COUNT = 10**6
+
+# Document indices the first-sighting scan reads per array step.
+SCAN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -185,23 +193,46 @@ class AnalyticComparison:
 
 def _first_sightings(corpus: Corpus, order: Iterable[int]) -> dict[int, int]:
     """Scan documents by index in ``order``; map each topic to the 1-based
-    position where it first appeared, in order of appearance. Stops as
-    soon as every topic present has been seen."""
-    docs = corpus.documents
-    needed = len(corpus.topics_present)
+    position where it first appeared, in order of appearance (by position,
+    then by topic id). Stops once every topic present has been seen.
+
+    ``order`` is read ``SCAN_CHUNK`` indices at a time, so up to
+    ``SCAN_CHUNK - 1`` indices past the last new topic are drawn; each
+    chunk is searched with array operations over the CSR rows. ``seen``
+    is indexed by rank among the topics present, not by topic id.
+    """
+    indptr, indices = corpus.indptr, corpus.indices
+    present = corpus.sorted_topics_present
+    seen = np.zeros(present.size, dtype=bool)
     first_seen: dict[int, int] = {}
-    for position, index in enumerate(order, start=1):
-        for topic in docs[index].topics:
-            if topic not in first_seen:
-                first_seen[topic] = position
-        if len(first_seen) == needed:
+    order = iter(order)
+    scanned = 0
+    while len(first_seen) < present.size:
+        docs = np.fromiter(islice(order, SCAN_CHUNK), dtype=np.int64)
+        if not docs.size:
             break
+        starts = indptr[docs]
+        lengths = indptr[docs + 1] - starts
+        row_ends = np.cumsum(lengths)
+        # Positions in ``indices`` of the chunk's topics, document by document.
+        flat = np.arange(row_ends[-1]) + np.repeat(starts - row_ends + lengths, lengths)
+        ranks = np.searchsorted(present, indices[flat])
+        unseen = np.flatnonzero(~seen[ranks])
+        if unseen.size:
+            found, first = np.unique(ranks[unseen], return_index=True)
+            seen[found] = True
+            hits = unseen[first]
+            appearance = np.argsort(hits)
+            rows = np.searchsorted(row_ends, hits[appearance], side="right")
+            topics = present[found[appearance]].tolist()
+            first_seen.update(zip(topics, (scanned + rows + 1).tolist()))
+        scanned += docs.size
     return first_seen
 
 
 def scan_accession(corpus: Corpus) -> CoverageCurve:
     """Coverage curve for the corpus's own document order."""
-    n = len(corpus.documents)
+    n = len(corpus)
     new_topics = Counter(_first_sightings(corpus, range(n)).values())
     return CoverageCurve(
         points=tuple(zip(new_topics, accumulate(new_topics.values()))),
@@ -276,8 +307,8 @@ def _checked_quantiles(quantiles: Sequence[float], bin_count: int) -> tuple[floa
     for q in quantiles:
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantiles must be in (0, 1), got {q}")
-    if bin_count < 1:
-        raise ValueError(f"bin_count must be >= 1, got {bin_count}")
+    if not 1 <= bin_count <= MAX_BIN_COUNT:
+        raise ValueError(f"bin_count must be in 1..{MAX_BIN_COUNT}, got {bin_count}")
     return quantiles
 
 
@@ -320,7 +351,7 @@ def run_shuffles(
     fail before any trial runs."""
     quantiles = _checked_quantiles(quantiles, bin_count)
     results = run_trials(corpus, trial_count, master_seed)
-    return summarize(results, len(corpus.documents), master_seed, quantiles, bin_count)
+    return summarize(results, len(corpus), master_seed, quantiles, bin_count)
 
 
 def completion_vs_analytic(
@@ -343,7 +374,7 @@ def completion_vs_analytic(
     empirical_median = summary.percentiles[0.5]
     empirical_mean = summary.mean_completion
     return AnalyticComparison(
-        corpus_documents=len(corpus.documents),
+        corpus_documents=len(corpus),
         topics_present=len(corpus.topics_present),
         empirical_median=empirical_median,
         analytic_median=analytic_median,

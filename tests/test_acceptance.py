@@ -182,10 +182,8 @@ def test_criterion_5a_scalable_form_matches_exact():
 
 def test_criterion_5b_shuffles_match_exhaustive_enumeration():
     topic_sets = [{0}, {0}, {1}, {0, 2}, {0}, {2}, {0}, {1}]
-    corpus = Corpus(
-        documents=tuple(
-            Document(f"doc{i}", tuple(sorted(s))) for i, s in enumerate(topic_sets)
-        ),
+    corpus = Corpus.from_documents(
+        (Document(f"doc{i}", tuple(sorted(s))) for i, s in enumerate(topic_sets)),
         topic_count=3,
     )
     total = 0
@@ -358,7 +356,7 @@ def _random_corpus(rng: random.Random) -> Corpus:
         size = rng.randint(1, topic_count)
         topics = tuple(sorted(rng.sample(range(topic_count), size)))
         documents.append(Document(f"doc{i}", topics))
-    return Corpus(documents=tuple(documents), topic_count=topic_count)
+    return Corpus.from_documents(documents, topic_count)
 
 
 def test_criterion_8_invariant_suites(tmp_path):

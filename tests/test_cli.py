@@ -333,7 +333,7 @@ MALFORMED_INPUTS = {
         "[1e-12,0.5]",
         ["collector", "--probs", "{file}", "--method", "montecarlo", "--trials", "10"],
     ),
-    # Each size below is too large to allocate.
+    # Each size below is too large to allocate or above its limit.
     "simulate-huge-bins": ("", ["simulate", "--corpus", "{corpus}", "--bins", TOO_LARGE]),
     "collector-huge-trials": (
         "",
@@ -349,6 +349,11 @@ MALFORMED_INPUTS = {
         '{"doc_id":"a","topics":[0]}\n' % TOO_LARGE,
         ["compare", "--corpus", "{file}", "--summary", "{summary}"],
     ),
+    "simulate-huge-topic-count": (
+        '{"format":"fomo-corpus","version":1,"topic_count":%s}\n'
+        '{"doc_id":"a","topics":[0]}\n' % TOO_LARGE,
+        ["simulate", "--corpus", "{file}", "--trials", "1"],
+    ),
 }
 
 
@@ -359,6 +364,14 @@ def test_valid_summary_compares(capsys, tiny_corpus, tmp_path):
         capsys, "compare", "--corpus", str(tiny_corpus), "--summary", str(path)
     )
     assert (code, err) == (0, "")
+
+
+def test_huge_declared_topic_count_fails_at_once(capsys, tmp_path):
+    path = tmp_path / "huge.jsonl"
+    path.write_text(MALFORMED_INPUTS["simulate-huge-topic-count"][0], encoding="utf-8")
+    code, _, err = run_cli(capsys, "simulate", "--corpus", str(path), "--trials", "1")
+    assert code == 1
+    assert err.startswith("error: out of memory")
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))

@@ -3,6 +3,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -144,26 +145,34 @@ class TestGenerateCorpus:
 class TestCorpusInvariants:
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
-            Corpus(documents=(), topic_count=3)
+            Corpus.from_documents((), topic_count=3)
 
     def test_rejects_document_without_topics(self):
         with pytest.raises(ValueError):
-            Corpus(documents=(Document("a", ()),), topic_count=3)
+            Corpus.from_documents((Document("a", ()),), topic_count=3)
 
     def test_rejects_out_of_range_topic(self):
         with pytest.raises(ValueError):
-            Corpus(documents=(Document("a", (3,)),), topic_count=3)
+            Corpus.from_documents((Document("a", (3,)),), topic_count=3)
 
     def test_rejects_unsorted_or_duplicate_topics(self):
         with pytest.raises(ValueError):
-            Corpus(documents=(Document("a", (1, 0)),), topic_count=3)
+            Corpus.from_documents((Document("a", (1, 0)),), topic_count=3)
         with pytest.raises(ValueError):
-            Corpus(documents=(Document("a", (1, 1)),), topic_count=3)
+            Corpus.from_documents((Document("a", (1, 1)),), topic_count=3)
+
+    def test_csr_arrays_are_read_only(self):
+        corpus = generate_corpus(20, zipf_prevalences(4, 0.8, 0.2), seed=5)
+        assert (corpus.indptr.dtype, corpus.indices.dtype) == (np.int64, np.int32)
+        assert corpus.indptr.shape == (21,) and corpus.indptr[-1] == corpus.indices.size
+        for column in (corpus.doc_ids, corpus.indptr, corpus.indices):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = column[0]
 
     def test_topics_present_and_counts(self):
-        corpus = Corpus(
-            documents=(Document("a", (0,)), Document("b", (0, 2))),
-            topic_count=4,
+        corpus = Corpus.from_documents(
+            (Document("a", (0,)), Document("b", (0, 2))), topic_count=4
         )
         assert corpus.topics_present == frozenset({0, 2})
         assert corpus.topic_counts() == [2, 0, 1, 0]
@@ -201,9 +210,8 @@ class TestSaveLoad:
         assert first.read_bytes() == second.read_bytes()
 
     def test_unicode_doc_ids_survive(self, tmp_path):
-        corpus = Corpus(
-            documents=(Document("ドキュメント-1", (0,)), Document("café", (1,))),
-            topic_count=2,
+        corpus = Corpus.from_documents(
+            (Document("ドキュメント-1", (0,)), Document("café", (1,))), topic_count=2
         )
         path = tmp_path / "u.jsonl"
         save_corpus(corpus, path)
@@ -268,8 +276,49 @@ class TestSaveLoad:
         with pytest.raises(OSError):
             load_corpus(tmp_path / "nope.jsonl")
 
+    @pytest.mark.parametrize(
+        "record, line, message",
+        [
+            ("   ", 3, "blank line"),
+            ("[1, 2]", 3, "expected an object"),
+            ('{"doc_id":7,"topics":[0]}', 3, "bad doc_id 7"),
+            ('{"doc_id":"b","topics":[true]}', 3, "bad topics [True]"),
+            ('{"doc_id":"b","topics":[0.0]}', 3, "bad topics [0.0]"),
+            ('{"doc_id":"b","topics":[-1]}', 3, "topic id -1 outside 0..2"),
+            ('{"doc_id":"b","topics":[2,0,2]}', 3, "duplicate topic ids in [2, 0, 2]"),
+            ('{"doc_id":"b","topics":[3]}', 3, "topic id 3 outside 0..2"),
+            ('{"doc_id":"b","topics":[10000000000000000000000]}', 3, "outside 0..2"),
+            ('{"doc_id":"b","topics":[]}', 3, "document 'b' has no topics"),
+            ('{"doc_id":"b","topics":[1,1]}\n{"doc_id":"c","topics":[0', 3, "duplicate"),
+            ('{"doc_id":"b","topics":[0]}\n{"doc_id":"c","topics":[9]}', 4, "topic id 9"),
+            ('{"doc_id":"b","topics":[0]}\n{"doc_id":"c","topics":[5,5]}', 4, "duplicate"),
+        ],
+    )
+    def test_every_loader_error_names_its_line(self, tmp_path, record, line, message):
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            '{"format":"fomo-corpus","version":1,"topic_count":3}\n'
+            '{"doc_id":"a","topics":[0]}\n' + record + "\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value).startswith(f"line {line}: ")
+        assert message in str(info.value)
+
+    def test_unsorted_topics_load_sorted(self, tmp_path):
+        path = tmp_path / "unsorted.jsonl"
+        path.write_text(
+            '{"format":"fomo-corpus","version":1,"topic_count":3}\n'
+            '{"doc_id":"a","topics":[2,0]}\n'
+            '{"doc_id":"b","topics":[1]}\n',
+            encoding="utf-8",
+        )
+        corpus = load_corpus(path)
+        assert corpus.documents == (Document("a", (0, 2)), Document("b", (1,)))
+
     def test_header_is_the_documented_literal(self, tmp_path):
-        corpus = Corpus(documents=(Document("a", (0,)),), topic_count=7)
+        corpus = Corpus.from_documents((Document("a", (0,)),), topic_count=7)
         path = tmp_path / "h.jsonl"
         save_corpus(corpus, path)
         first_line = path.read_text(encoding="utf-8").splitlines()[0]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,7 @@ def corpus_from_topic_sets(topic_sets, topic_count=None):
         Document(f"doc{i}", tuple(sorted(topics)))
         for i, topics in enumerate(topic_sets)
     )
-    return Corpus(documents=documents, topic_count=topic_count)
+    return Corpus.from_documents(documents, topic_count)
 
 
 def marked_singleton_corpus(n):
@@ -54,6 +55,55 @@ def accession_oracle(corpus):
         if len(seen) > before:
             points.append((position, len(seen)))
     return tuple(points)
+
+
+def first_sightings_oracle(corpus, order):
+    """Reference scan: one document at a time, topics in ascending order,
+    stopping once every topic present has been seen."""
+    docs = corpus.documents
+    needed = len(corpus.topics_present)
+    first_seen = {}
+    for position, index in enumerate(order, start=1):
+        for topic in docs[index].topics:
+            if topic not in first_seen:
+                first_seen[topic] = position
+        if len(first_seen) == needed:
+            break
+    return first_seen
+
+
+@st.composite
+def common_and_rare_topic_sets(draw):
+    """1 to 600 documents of common topics 0-2, a few of which also carry
+    rare topics 3-40, so first sightings land anywhere in a long scan."""
+    n = draw(st.integers(1, 600))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sets = [set(rng.sample(range(3), rng.randint(1, 2))) for _ in range(n)]
+    rare = st.tuples(st.integers(0, n - 1), st.sets(st.integers(3, 40), max_size=3))
+    for position, topics in draw(st.lists(rare, max_size=8)):
+        sets[position] = sets[position] | topics
+    return sets
+
+
+class TestFirstSightings:
+    @given(common_and_rare_topic_sets(), st.integers(0, 2**64 - 1), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_document_oracle(self, topic_sets, seed, shuffled):
+        corpus = corpus_from_topic_sets(topic_sets, topic_count=41)
+        n = len(corpus)
+        order = list(fisher_yates(n, seed)) if shuffled else range(n)
+        scanned = fomo.simulation._first_sightings(corpus, iter(order))
+        expected = first_sightings_oracle(corpus, order)
+        assert list(scanned.items()) == list(expected.items())
+
+    def test_rare_topic_past_several_chunks(self):
+        chunk = fomo.simulation.SCAN_CHUNK
+        sets = [{0}] * (3 * chunk + 5) + [{1, 2}, {0, 3}]
+        corpus = corpus_from_topic_sets(sets, topic_count=5)
+        scanned = fomo.simulation._first_sightings(corpus, range(len(corpus)))
+        assert list(scanned.items()) == [
+            (0, 1), (1, 3 * chunk + 6), (2, 3 * chunk + 6), (3, 3 * chunk + 7)
+        ]
 
 
 class TestScanAccession:
@@ -239,6 +289,15 @@ class TestRunShuffles:
             run_shuffles(corpus, 5, 1, quantiles=(1.5,))
         with pytest.raises(ValueError):
             run_shuffles(corpus, 5, 1, bin_count=0)
+
+    def test_too_many_bins_fail_before_any_trial(self, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the bin count was checked")
+
+        monkeypatch.setattr(fomo.simulation, "shuffle_trial", no_trial)
+        corpus = corpus_from_topic_sets([{0}])
+        with pytest.raises(ValueError, match=str(fomo.simulation.MAX_BIN_COUNT)):
+            run_shuffles(corpus, 5, 1, bin_count=10**6 + 1)
 
     def test_summary_json_round_trip(self):
         corpus = corpus_from_topic_sets([{0}, {1}, {0, 1}, {2}])
