@@ -30,6 +30,7 @@ from typing import Iterable, Sequence
 from .analytic import RecallScenario, fomo_table, format_percent, prevalence_upper_bound
 from .collector import (
     CouponDistribution,
+    check_coupon_count,
     dice_sum_distribution,
     expected_draws_unequal_exact,
     expected_draws_unequal_sum,
@@ -146,6 +147,7 @@ def _cmd_collector(args: argparse.Namespace) -> int:
         dist = dice_sum_distribution()
         source = "dice"
     elif args.uniform is not None:
+        check_coupon_count(args.uniform, args.method)  # before building m floats
         dist = CouponDistribution.uniform(args.uniform)
         source = f"uniform-{args.uniform}"
     else:

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
-from scipy import integrate
 
 from .prng import derive_key_array, stream_u64, u64_thresholds
 
@@ -61,6 +60,19 @@ _SAMPLER_RAREST_LIMIT = 10**6
 
 class SubsetLimitError(ValueError):
     """Too many coupons for subset enumeration."""
+
+
+def check_coupon_count(m: int, method: str) -> None:
+    """Raise the error the ``method`` route ("exact", "sum" or
+    "montecarlo") gives for ``m`` coupons, if it has a limit and ``m`` is
+    above it; lets a caller refuse before building the probabilities."""
+    if method == "exact" and m > EXACT_COUPON_LIMIT:
+        raise SubsetLimitError(
+            f"{m} coupons means 2**{m} subsets; expected_draws_unequal_exact "
+            f"is capped at {EXACT_COUPON_LIMIT}, use expected_draws_unequal_sum"
+        )
+    if method == "montecarlo" and m > _SAMPLER_COUPON_LIMIT:
+        raise ValueError(f"sampler supports at most {_SAMPLER_COUPON_LIMIT} coupons, got {m}")
 
 
 @dataclass(frozen=True)
@@ -165,11 +177,7 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
     dist = _coerce_distribution(probabilities)
     p = np.asarray(dist.probabilities, dtype=float)
     m = len(p)
-    if m > EXACT_COUPON_LIMIT:
-        raise SubsetLimitError(
-            f"{m} coupons means 2**{m} subsets; expected_draws_unequal_exact "
-            f"is capped at {EXACT_COUPON_LIMIT}, use expected_draws_unequal_sum"
-        )
+    check_coupon_count(m, "exact")
 
     # Subset sums over the first k coupons by doubling; remaining coupons
     # are enumerated as offsets so peak memory stays at 2**k floats.
@@ -223,6 +231,8 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     approximation of a document scan rather than a draw-by-draw
     collector.
     """
+    from scipy import integrate  # most of the package's import time; only this needs it
+
     p = _probability_array(probabilities)
     p_min = float(p.min())
     p_max = float(p.max())
@@ -327,8 +337,7 @@ def simulate_expected_draws(
     dist = _coerce_distribution(probabilities)
     p = np.asarray(dist.probabilities, dtype=float)
     m = len(p)
-    if m > _SAMPLER_COUPON_LIMIT:
-        raise ValueError(f"sampler supports at most {_SAMPLER_COUPON_LIMIT} coupons, got {m}")
+    check_coupon_count(m, "montecarlo")
     p_min = float(p.min())
     if 1.0 / p_min > _SAMPLER_RAREST_LIMIT:
         raise ValueError(

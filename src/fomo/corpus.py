@@ -17,8 +17,7 @@ In memory a corpus is columnar, in compressed sparse row (CSR) form:
 A document with a short id therefore costs 24 bytes plus 4 per topic:
 about 29 bytes at the study calibration's ~1.2 topics per document, or
 about 64 MB for a 2,202,935-document production. The arrays are
-read-only. :attr:`Corpus.documents` rebuilds per-document tuples for
-tests and small corpora; nothing in the package reads it.
+read-only, and they are the only form a corpus takes in the package.
 
 File format (UTF-8, one JSON object per line):
 
@@ -41,7 +40,6 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, NamedTuple
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -50,7 +48,6 @@ from .prng import derive_key_array, stream_u64, u64_thresholds
 
 __all__ = [
     "TopicDistribution",
-    "Document",
     "Corpus",
     "CorpusFormatError",
     "DegenerateDistributionError",
@@ -113,11 +110,6 @@ class TopicDistribution:
         sum(q) / (1 - prod(1 - q)).
         """
         return math.fsum(self.prevalences) / (1.0 - self.empty_document_probability())
-
-
-class Document(NamedTuple):
-    doc_id: str
-    topics: tuple[int, ...]
 
 
 def _frozen(values, dtype) -> np.ndarray:
@@ -190,21 +182,6 @@ class Corpus:
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
 
-    @classmethod
-    def from_documents(cls, documents: Iterable[Document], topic_count: int) -> Corpus:
-        """Build a corpus from per-document tuples (for tests and small callers)."""
-        documents = tuple(documents)
-        for pos, doc in enumerate(documents):
-            for t in doc.topics:
-                if not isinstance(t, int) or isinstance(t, bool):
-                    raise ValueError(f"document {pos}: topic ids must be integers, got {t!r}")
-        return cls(
-            doc_ids=[doc.doc_id for doc in documents],
-            indptr=np.cumsum([0, *(len(doc.topics) for doc in documents)]),
-            indices=[t for doc in documents for t in doc.topics],
-            topic_count=topic_count,
-        )
-
     def __len__(self) -> int:
         return self.doc_ids.size
 
@@ -220,17 +197,6 @@ class Corpus:
 
     def __repr__(self) -> str:
         return f"Corpus({len(self)} documents, topic_count={self.topic_count})"
-
-    @property
-    def documents(self) -> tuple[Document, ...]:
-        """Per-document tuples, rebuilt on every access: a view for tests
-        and small corpora. The package itself reads only the arrays."""
-        topics = self.indices.tolist()
-        ends = self.indptr.tolist()
-        return tuple(
-            Document(doc_id, tuple(topics[a:b]))
-            for doc_id, a, b in zip(self.doc_ids.tolist(), ends, ends[1:])
-        )
 
     @cached_property
     def sorted_topics_present(self) -> np.ndarray:

@@ -6,20 +6,20 @@ Flatt's ``SplittableRandom`` mixer, as published by Vigna). Python's own
 guaranteed stable across interpreter versions, and byte-identical output
 across runs and machines is a hard requirement here.
 
-The generator is a Weyl sequence passed through an avalanching finalizer:
+SplitMix64 is a Weyl sequence passed through an avalanching finalizer,
+so the t-th output (1-based) of the stream keyed by ``key`` is
 
-    state   <- (state + GAMMA) mod 2**64
-    output  <- mix64(state)
+    mix64(key + t * GAMMA)   (mod 2**64)
 
-Because the state advances by a fixed increment, the t-th output (1-based)
-of a stream seeded with ``s`` is simply ``mix64(s + t * GAMMA)``. That
-counter form means any draw can be computed from (seed, index) alone, in
-any order, with identical results. :func:`stream_u64` is the vectorized
-counter form, and :func:`u64_thresholds` turns probabilities into the
-integer cut-offs a draw is compared against.
-
-Independent streams (one per document, one per trial) are keyed with
-:func:`derive_key`, the package's seed-mixing function.
+This counter form is the generator: :func:`stream_u64` computes any set
+of draws of any set of streams from (key, counter) alone, in one array
+operation, and :func:`mix64_array` is the finalizer. :func:`u64_thresholds`
+turns probabilities into the integer cut-offs a draw is compared
+against, :func:`derive_key_array` keys independent streams (one per
+document, one per trial), and :func:`fisher_yates` reads its swap
+indices in chunks of counters. The sequential form (a state advanced by
+``GAMMA`` per call) is kept only in the tests, as the oracle these are
+checked against.
 """
 
 from __future__ import annotations
@@ -36,36 +36,13 @@ GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 
-
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: scramble a 64-bit value into a 64-bit value."""
-    z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX_MUL_1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX_MUL_2) & MASK64
-    return z ^ (z >> 31)
-
-
-def derive_key(seed: int, index: int) -> int:
-    """Mix a user seed and a stream index into an independent 64-bit key.
-
-    Used to give every document, trial, etc. its own SplitMix64 stream:
-    ``key = mix64(mix64(seed) + (index + 1) * GAMMA)``. The outer mix
-    decorrelates adjacent indices; the inner mix decorrelates adjacent
-    seeds.
-    """
-    if index < 0:
-        raise ValueError(f"stream index must be >= 0, got {index}")
-    s = mix64(seed & MASK64)
-    return mix64((s + (index + 1) * GAMMA) & MASK64)
-
-
-def derive_key_array(seed: int, indices: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`derive_key` over an array of stream indices."""
-    return stream_u64(mix64(seed & MASK64), indices.astype(np.uint64) + np.uint64(1))
+# Positions in fisher_yates's first chunk of draws; later chunks double.
+FIRST_CHUNK = 512
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`mix64` over a ``uint64`` array (wrapping mod 2**64)."""
+    """SplitMix64 finalizer over a ``uint64`` array (wrapping mod 2**64):
+    scrambles each 64-bit value into a 64-bit value."""
     z = np.array(z, dtype=np.uint64)  # 0-d stays an array, so products wrap silently
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX_MUL_1)
@@ -80,8 +57,8 @@ def stream_u64(keys: int | np.ndarray, counters: int | np.ndarray) -> np.ndarray
 
     ``mix64(key + counter * GAMMA)`` broadcast over both arguments, so one
     call can read many draws of one stream or one draw of many streams;
-    each value equals what ``SplitMix64(key).next_u64()`` returns on that
-    call.
+    each value is what a sequential SplitMix64 seeded with that key
+    returns on that call.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
@@ -101,50 +78,58 @@ def u64_thresholds(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:
     )
 
 
-class SplitMix64:
-    """Sequential SplitMix64 stream.
+def derive_key_array(seed: int, indices: np.ndarray) -> np.ndarray:
+    """Mix a user seed and stream indices into independent 64-bit keys.
 
-    Instances are cheap; code that needs per-item reproducibility creates
-    one stream per item, seeded with :func:`derive_key`.
+    Gives every document, trial, etc. its own SplitMix64 stream:
+    ``key = mix64(mix64(seed) + (index + 1) * GAMMA)``, draw ``index + 1``
+    of the stream keyed by ``mix64(seed)``. The outer mix decorrelates
+    adjacent indices; the inner mix decorrelates adjacent seeds.
     """
+    return stream_u64(mix64_array(seed & MASK64), indices.astype(np.uint64) + np.uint64(1))
 
-    __slots__ = ("_state",)
 
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GAMMA) & MASK64
-        return mix64(self._state)
-
-    def next_below(self, n: int) -> int:
-        """Unbiased uniform integer in [0, n).
-
-        Uses rejection sampling on the top of the 64-bit range, so every
-        residue is exactly equally likely. ``n == 1`` consumes no draw.
-        """
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if n == 1:
-            return 0
-        limit = (1 << 64) - ((1 << 64) % n)
-        u = self.next_u64()
-        while u >= limit:
-            u = self.next_u64()
-        return u % n
+def derive_key(seed: int, index: int) -> int:
+    """The :func:`derive_key_array` key of one stream index (>= 0)."""
+    if index < 0:
+        raise ValueError(f"stream index must be >= 0, got {index}")
+    return int(derive_key_array(seed, np.array([index]))[0])
 
 
 def fisher_yates(n: int, key: int) -> Iterator[int]:
     """Uniform random permutation of ``range(n)``, yielded front to back.
 
     Knuth's Algorithm P (TAOCP Vol. 2, 3.4.2) fixing positions from the
-    front: position i swaps in a choice from [i, n) drawn from the stream
-    seeded with ``key``. A caller that stops early draws nothing past the
-    prefix it read, and that prefix is the one a full shuffle produces.
+    front: position i swaps in ``j = i + u % (n - i)`` for the next draw
+    ``u`` of the stream keyed by ``key``, where a draw at or above the
+    largest multiple of ``n - i`` below 2**64 is rejected and the next
+    one taken, so every ``j`` in [i, n) is exactly equally likely.
+
+    Draws are read ``FIRST_CHUNK`` positions at a time, doubling per
+    chunk, with the rejection test on the whole chunk. A chunk ends at
+    its first rejected draw: that counter is skipped and the next chunk
+    starts at the same position, which consumes the stream exactly as
+    drawing one position at a time does. Positions a swap displaced are
+    kept in a dict, so memory grows with the prefix read, not with
+    ``n``. A caller that stops early gets the prefix a full shuffle
+    produces.
     """
-    rng = SplitMix64(key)
-    order = list(range(n))
-    for i in range(n):
-        j = i + rng.next_below(n - i)  # the last position draws nothing
-        order[i], order[j] = order[j], order[i]
-        yield order[i]
+    moved: dict[int, int] = {}  # position -> item, where they differ
+    position = 0
+    counter = 1
+    chunk = FIRST_CHUNK
+    while position < n:
+        positions = np.arange(position, min(position + chunk, n), dtype=np.uint64)
+        remaining = n - positions
+        draws = stream_u64(key, counter + np.arange(positions.size, dtype=np.uint64))
+        excess = (0 - remaining) % remaining  # 2**64 mod (n - i)
+        rejected = np.flatnonzero((excess != 0) & (draws >= 0 - excess))
+        accepted = int(rejected[0]) if rejected.size else positions.size
+        targets = (positions + draws % remaining)[:accepted].tolist()
+        for i, j in enumerate(targets, start=position):
+            picked = moved.get(j, j)
+            moved[j] = moved.pop(i, i)
+            yield picked
+        position += accepted
+        counter += min(accepted + 1, positions.size)  # and the rejected draw, if any
+        chunk *= 2

@@ -11,9 +11,11 @@ level each percentile corresponds to.
 
 Determinism contract: trial i permutes with the Fisher-Yates shuffle
 driven by the SplitMix64 stream keyed by (master_seed, i), so its result
-depends only on the seed and i. A shuffle is generated lazily front to
-back and abandoned at the completion position; the emitted prefix is
-identical to what a full shuffle would have produced.
+depends only on the seed and i; :func:`run_trials` derives every trial's
+key in one array call. A shuffle draws its swap indices a chunk of
+stream counters at a time, yields positions lazily front to back, and is
+abandoned at the completion position; the emitted prefix is identical
+to what a full shuffle would have produced.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 
 from .collector import completion_quantile, expected_draws_unequal_sum
 from .corpus import Corpus
-from .prng import derive_key, fisher_yates
+from .prng import derive_key_array, fisher_yates
 
 __all__ = [
     "CoverageCurve",
@@ -271,9 +273,8 @@ def run_trials(
     """Run independent shuffle trials; trial i is keyed by (master_seed, i)."""
     if trial_count < 1:
         raise ValueError(f"trial_count must be >= 1, got {trial_count}")
-    return tuple(
-        shuffle_trial(corpus, derive_key(master_seed, i)) for i in range(trial_count)
-    )
+    keys = derive_key_array(master_seed, np.arange(trial_count)).tolist()
+    return tuple(shuffle_trial(corpus, key) for key in keys)
 
 
 def _nearest_rank(sorted_values: Sequence[int], q: float) -> int:

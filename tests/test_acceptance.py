@@ -16,6 +16,7 @@ import random
 import time
 
 import pytest
+from corpus_documents import Document, corpus_from_documents, documents_of
 
 from fomo.analytic import RecallScenario, fomo_confidence
 from fomo.cli import main
@@ -29,7 +30,7 @@ from fomo.collector import (
     birthday_first_collision_expected,
     simulate_expected_draws,
 )
-from fomo.corpus import Corpus, Document, generate_corpus, load_corpus, save_corpus, zipf_prevalences
+from fomo.corpus import Corpus, generate_corpus, load_corpus, save_corpus, zipf_prevalences
 from fomo.prng import derive_key
 from fomo.simulation import (
     completion_topics,
@@ -182,7 +183,7 @@ def test_criterion_5a_scalable_form_matches_exact():
 
 def test_criterion_5b_shuffles_match_exhaustive_enumeration():
     topic_sets = [{0}, {0}, {1}, {0, 2}, {0}, {2}, {0}, {1}]
-    corpus = Corpus.from_documents(
+    corpus = corpus_from_documents(
         (Document(f"doc{i}", tuple(sorted(s))) for i, s in enumerate(topic_sets)),
         topic_count=3,
     )
@@ -217,7 +218,7 @@ def test_criterion_5b_shuffles_match_exhaustive_enumeration():
 
 def test_criterion_6_calibration(study_experiment):
     dist, corpus, _, _, _ = study_experiment
-    mean_topics = sum(len(d.topics) for d in corpus.documents) / len(corpus)
+    mean_topics = sum(len(d.topics) for d in documents_of(corpus)) / len(corpus)
     check(
         "6",
         "120k-document corpus calibrates to 1.2-1.6 topics per document",
@@ -356,7 +357,7 @@ def _random_corpus(rng: random.Random) -> Corpus:
         size = rng.randint(1, topic_count)
         topics = tuple(sorted(rng.sample(range(topic_count), size)))
         documents.append(Document(f"doc{i}", topics))
-    return Corpus.from_documents(documents, topic_count)
+    return corpus_from_documents(documents, topic_count)
 
 
 def test_criterion_8_invariant_suites(tmp_path):

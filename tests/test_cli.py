@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -127,6 +128,20 @@ class TestCollector:
         code, _, err = run_cli(capsys, "collector", "--uniform", "365", "--method", "exact")
         assert code == 1
         assert "--method sum" in err or "expected_draws_unequal_sum" in err
+
+    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    def test_uniform_above_the_route_limit_fails_before_allocating(self, capsys, method):
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(
+                capsys, "collector", "--uniform", "3000000", "--method", method
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert peak < 4 * 2**20  # 3,000,000 probabilities would take ~100 MiB
 
     def test_uniform_365_sum_gives_harmonic_answer(self, capsys):
         code, out, _ = run_cli(capsys, "collector", "--uniform", "365", "--method", "sum")

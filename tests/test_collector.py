@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from splitmix64_oracle import SplitMix64
 
 from fomo.collector import (
     CouponDistribution,
@@ -22,7 +23,7 @@ from fomo.collector import (
     expected_draws_unequal_sum,
     simulate_expected_draws,
 )
-from fomo.prng import SplitMix64, derive_key
+from fomo.prng import derive_key
 
 
 def inclusion_exclusion_oracle(probabilities):

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+from corpus_documents import Document, corpus_from_documents, documents_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from fomo.corpus import (
     Corpus,
     CorpusFormatError,
     DegenerateDistributionError,
-    Document,
     TopicDistribution,
     generate_corpus,
     load_corpus,
@@ -87,12 +87,12 @@ class TestGenerateCorpus:
     def test_single_certain_topic(self):
         corpus = generate_corpus(1, TopicDistribution((1.0,)), seed=12345)
         assert len(corpus) == 1
-        assert corpus.documents[0].topics == (0,)
+        assert documents_of(corpus)[0].topics == (0,)
 
     def test_every_document_nonempty(self):
         dist = TopicDistribution((0.05, 0.02))  # empty draws are common
         corpus = generate_corpus(2000, dist, seed=9)
-        assert all(doc.topics for doc in corpus.documents)
+        assert all(doc.topics for doc in documents_of(corpus))
 
     def test_degenerate_distribution_refused(self):
         with pytest.raises(DegenerateDistributionError):
@@ -122,7 +122,7 @@ class TestGenerateCorpus:
         n = 30_000
         dist = zipf_prevalences(16, 0.3, 0.005)
         corpus = generate_corpus(n, dist, seed=7)
-        per_doc = [len(doc.topics) for doc in corpus.documents]
+        per_doc = [len(doc.topics) for doc in documents_of(corpus)]
         mean = sum(per_doc) / n
         spread = math.sqrt(
             sum((x - mean) ** 2 for x in per_doc) / (n - 1)
@@ -145,21 +145,21 @@ class TestGenerateCorpus:
 class TestCorpusInvariants:
     def test_rejects_empty_corpus(self):
         with pytest.raises(ValueError):
-            Corpus.from_documents((), topic_count=3)
+            corpus_from_documents((), topic_count=3)
 
     def test_rejects_document_without_topics(self):
         with pytest.raises(ValueError):
-            Corpus.from_documents((Document("a", ()),), topic_count=3)
+            corpus_from_documents((Document("a", ()),), topic_count=3)
 
     def test_rejects_out_of_range_topic(self):
         with pytest.raises(ValueError):
-            Corpus.from_documents((Document("a", (3,)),), topic_count=3)
+            corpus_from_documents((Document("a", (3,)),), topic_count=3)
 
     def test_rejects_unsorted_or_duplicate_topics(self):
         with pytest.raises(ValueError):
-            Corpus.from_documents((Document("a", (1, 0)),), topic_count=3)
+            corpus_from_documents((Document("a", (1, 0)),), topic_count=3)
         with pytest.raises(ValueError):
-            Corpus.from_documents((Document("a", (1, 1)),), topic_count=3)
+            corpus_from_documents((Document("a", (1, 1)),), topic_count=3)
 
     def test_csr_arrays_are_read_only(self):
         corpus = generate_corpus(20, zipf_prevalences(4, 0.8, 0.2), seed=5)
@@ -171,7 +171,7 @@ class TestCorpusInvariants:
                 column[0] = column[0]
 
     def test_topics_present_and_counts(self):
-        corpus = Corpus.from_documents(
+        corpus = corpus_from_documents(
             (Document("a", (0,)), Document("b", (0, 2))), topic_count=4
         )
         assert corpus.topics_present == frozenset({0, 2})
@@ -192,7 +192,7 @@ class TestSaveLoad:
         corpus = load_corpus(path)
         assert len(corpus) == 3
         assert corpus.topic_count == 2
-        assert corpus.documents[2] == Document("c", (0, 1))
+        assert documents_of(corpus)[2] == Document("c", (0, 1))
 
     def test_round_trip_is_identity(self, tmp_path):
         dist = zipf_prevalences(6, 0.6, 0.05)
@@ -210,7 +210,7 @@ class TestSaveLoad:
         assert first.read_bytes() == second.read_bytes()
 
     def test_unicode_doc_ids_survive(self, tmp_path):
-        corpus = Corpus.from_documents(
+        corpus = corpus_from_documents(
             (Document("ドキュメント-1", (0,)), Document("café", (1,))), topic_count=2
         )
         path = tmp_path / "u.jsonl"
@@ -315,10 +315,10 @@ class TestSaveLoad:
             encoding="utf-8",
         )
         corpus = load_corpus(path)
-        assert corpus.documents == (Document("a", (0, 2)), Document("b", (1,)))
+        assert documents_of(corpus) == (Document("a", (0, 2)), Document("b", (1,)))
 
     def test_header_is_the_documented_literal(self, tmp_path):
-        corpus = Corpus.from_documents((Document("a", (0,)),), topic_count=7)
+        corpus = corpus_from_documents((Document("a", (0,)),), topic_count=7)
         path = tmp_path / "h.jsonl"
         save_corpus(corpus, path)
         first_line = path.read_text(encoding="utf-8").splitlines()[0]

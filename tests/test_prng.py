@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from splitmix64_oracle import SplitMix64, in_place_fisher_yates, mix64
 
+import fomo.prng
 from fomo.prng import (
+    FIRST_CHUNK,
     GAMMA,
     MASK64,
-    SplitMix64,
     derive_key,
     derive_key_array,
     fisher_yates,
-    mix64,
     mix64_array,
     stream_u64,
     u64_thresholds,
@@ -30,6 +31,7 @@ REFERENCE_OUTPUTS = [
 def test_reference_vector():
     rng = SplitMix64(REFERENCE_SEED)
     assert [rng.next_u64() for _ in range(5)] == REFERENCE_OUTPUTS
+    assert stream_u64(REFERENCE_SEED, np.arange(1, 6)).tolist() == REFERENCE_OUTPUTS
 
 
 def test_mix64_matches_inline_reimplementation():
@@ -40,8 +42,11 @@ def test_mix64_matches_inline_reimplementation():
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
         return (z ^ (z >> 31)) % 2**64
 
-    for z in [0, 1, 42, 2**63, MASK64, 0xDEADBEEFCAFEBABE]:
-        assert mix64(z) == reference(z)
+    values = [0, 1, 42, 2**63, MASK64, 0xDEADBEEFCAFEBABE]
+    assert [mix64(z) for z in values] == [reference(z) for z in values]
+    assert mix64_array(np.array(values, dtype=np.uint64)).tolist() == [
+        reference(z) for z in values
+    ]
 
 
 def test_counter_identity():
@@ -72,8 +77,10 @@ def test_mix64_array_matches_scalar():
 
 
 def test_derive_key_array_matches_scalar():
-    keys = derive_key_array(99, np.arange(50, dtype=np.uint64))
-    assert keys.tolist() == [derive_key(99, i) for i in range(50)]
+    for seed in (99, -1, 2**64 + 5):
+        expected = [mix64(mix64(seed) + (i + 1) * GAMMA) for i in range(50)]
+        assert derive_key_array(seed, np.arange(50, dtype=np.uint64)).tolist() == expected
+        assert [derive_key(seed, i) for i in range(50)] == expected
 
 
 def test_derive_key_rejects_negative_index():
@@ -127,21 +134,55 @@ def test_shuffle_frozen_permutation():
     assert list(fisher_yates(8, 2024)) == FROZEN_SHUFFLE_2024
 
 
-def in_place_fisher_yates(items, key):
-    """Reference: the textbook in-place loop, fixing positions front to back."""
-    rng = SplitMix64(key)
-    n = len(items)
-    for i in range(n - 1):
-        j = i + rng.next_below(n - i)
-        items[i], items[j] = items[j], items[i]
-
-
 def test_fisher_yates_matches_in_place_reference():
-    for n in range(101):
+    # Every n up to past the first chunk edge (512), and sizes around the
+    # second (512 + 1024).
+    for n in [*range(1101), 1535, 1536, 1537, 2000]:
         for key in (0, 7, 2**64 - 1):
             items = list(range(n))
-            in_place_fisher_yates(items, key)
+            in_place_fisher_yates(items, SplitMix64(key))
             assert list(fisher_yates(n, key)) == items
+
+
+class PlantedStream(SplitMix64):
+    """The oracle stream with 2**64 - 1 served at the planted counters."""
+
+    def __init__(self, key, planted):
+        super().__init__(key)
+        self.planted = planted
+        self.counter = 0
+
+    def next_u64(self):
+        u = super().next_u64()
+        self.counter += 1
+        return MASK64 if self.counter in self.planted else u
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [
+        {5, 6},  # adjacent: the chunk after the first rejection starts on one
+        {FIRST_CHUNK},  # the last draw of the first chunk
+        # 1248 lands on n - i = 257, where 2**64 - 1 is exactly the limit
+        {1, FIRST_CHUNK + 1, FIRST_CHUNK + 2, 1200, 1248},
+    ],
+)
+def test_planted_rejections_match_the_sequential_loop(planted, monkeypatch):
+    # A real rejection comes below once per 2**64 / n draws, so plant
+    # them: 2**64 - 1 is rejected wherever n - i is not a power of two.
+    def planted_stream_u64(keys, counters):
+        draws = stream_u64(keys, counters)
+        draws[np.isin(counters, list(planted))] = MASK64
+        return draws
+
+    monkeypatch.setattr(fomo.prng, "stream_u64", planted_stream_u64)
+    n = 1500
+    for key in (0, 7, 2**64 - 1):
+        rng = PlantedStream(key, planted)
+        items = list(range(n))
+        in_place_fisher_yates(items, rng)
+        assert rng.counter == n - 1 + len(planted)  # every planted draw rejected
+        assert list(fisher_yates(n, key)) == items
 
 
 # Computed once from the implementation above and frozen; any algorithm

@@ -5,11 +5,12 @@ import math
 import random
 
 import pytest
+from corpus_documents import Document, corpus_from_documents, documents_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from fomo.corpus import Corpus, Document, generate_corpus, zipf_prevalences
+from fomo.corpus import generate_corpus, zipf_prevalences
 import fomo.simulation
 from fomo.prng import derive_key, fisher_yates
 from fomo.simulation import (
@@ -31,7 +32,7 @@ def corpus_from_topic_sets(topic_sets, topic_count=None):
         Document(f"doc{i}", tuple(sorted(topics)))
         for i, topics in enumerate(topic_sets)
     )
-    return Corpus.from_documents(documents, topic_count)
+    return corpus_from_documents(documents, topic_count)
 
 
 def marked_singleton_corpus(n):
@@ -49,7 +50,7 @@ def accession_oracle(corpus):
     """Reference: every document scanned, a point wherever the count grows."""
     seen = set()
     points = []
-    for position, doc in enumerate(corpus.documents, start=1):
+    for position, doc in enumerate(documents_of(corpus), start=1):
         before = len(seen)
         seen.update(doc.topics)
         if len(seen) > before:
@@ -60,7 +61,7 @@ def accession_oracle(corpus):
 def first_sightings_oracle(corpus, order):
     """Reference scan: one document at a time, topics in ascending order,
     stopping once every topic present has been seen."""
-    docs = corpus.documents
+    docs = documents_of(corpus)
     needed = len(corpus.topics_present)
     first_seen = {}
     for position, index in enumerate(order, start=1):
@@ -148,10 +149,11 @@ class TestShuffleTrial:
         )
         for seed in (0, 1, 99, 12345):
             result = shuffle_trial(corpus, seed)
-            order = list(fisher_yates(len(corpus.documents), seed))
+            order = list(fisher_yates(len(corpus), seed))
+            docs = documents_of(corpus)
             first_seen = {}
             for position, doc_index in enumerate(order, start=1):
-                for topic in corpus.documents[doc_index].topics:
+                for topic in docs[doc_index].topics:
                     first_seen.setdefault(topic, position)
             assert dict(result.first_seen) == first_seen
             assert result.completion_position == max(first_seen.values())
@@ -170,7 +172,7 @@ class TestShuffleTrial:
         result = shuffle_trial(corpus, seed)
         assert result.completion_position == max(result.first_seen.values())
         assert set(result.first_seen) == corpus.topics_present
-        assert result.completion_position <= len(corpus.documents)
+        assert result.completion_position <= len(corpus)
 
     def test_marked_singleton_mean_position(self):
         # the unique carrier of topic 1 lands uniformly, so completion
@@ -251,7 +253,7 @@ class TestRunShuffles:
         assert summary.min_completion <= ordered[0]
         assert ordered[-1] <= summary.max_completion
         for q, value in summary.percentiles.items():
-            assert summary.recall_at[q] == value / len(corpus.documents)
+            assert summary.recall_at[q] == value / len(corpus)
 
     def test_single_trial_degenerates_cleanly(self):
         corpus = corpus_from_topic_sets([{0}, {1}, {0, 1}])
