@@ -36,4 +36,4 @@ def test_cli_import_leaves_scipy_unloaded():
     src = str(Path(fomo.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-c", check], check=True, env=env)
+    subprocess.run([sys.executable, "-c", check], check=True, env=env, timeout=60)
