@@ -29,6 +29,7 @@ from typing import Iterable, Sequence
 
 from .analytic import RecallScenario, fomo_table, format_percent, prevalence_upper_bound
 from .collector import (
+    SUM_COUPON_LIMIT,
     CouponDistribution,
     check_coupon_count,
     dice_sum_distribution,
@@ -36,7 +37,7 @@ from .collector import (
     expected_draws_unequal_sum,
     simulate_expected_draws,
 )
-from .corpus import generate_corpus, load_corpus, save_corpus, zipf_prevalences
+from .corpus import MAX_ZIPF_TOPICS, generate_corpus, load_corpus, save_corpus, zipf_prevalences
 from .simulation import (
     DEFAULT_BIN_COUNT,
     DEFAULT_QUANTILES,
@@ -281,7 +282,9 @@ def build_parser() -> argparse.ArgumentParser:
     collector = commands.add_parser("collector", help="expected draws to see every coupon")
     source = collector.add_mutually_exclusive_group(required=True)
     source.add_argument("--dice", action="store_true", help="two-die sums 2..12")
-    source.add_argument("--uniform", type=int, help="m equally likely coupons")
+    source.add_argument(
+        "--uniform", type=int, help=f"m equally likely coupons (at most {SUM_COUPON_LIMIT} for sum)"
+    )
     source.add_argument("--probs", help="JSON file with a probability array")
     collector.add_argument("--method", choices=("exact", "sum", "montecarlo"), default="exact")
     collector.add_argument("--trials", type=int, default=100_000)
@@ -314,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = commands.add_parser("gen-corpus", help="synthesize a power-law corpus")
     gen.add_argument("--docs", type=int, required=True)
-    gen.add_argument("--topics", type=int, required=True)
+    gen.add_argument(
+        "--topics", type=int, required=True, help=f"topic count, 2..{MAX_ZIPF_TOPICS}"
+    )
     gen.add_argument("--max-prev", type=float, required=True)
     gen.add_argument("--min-prev", type=float, required=True)
     gen.add_argument("--seed", type=int, default=0)

@@ -53,6 +53,10 @@ EXACT_COUPON_LIMIT = 25
 # Bitmask width in the Monte Carlo sampler.
 _SAMPLER_COUPON_LIMIT = 64
 
+# Largest N for ``collector --uniform N --method sum`` (a few seconds);
+# the route itself takes any count, as ``compare`` needs.
+SUM_COUPON_LIMIT = 10**6
+
 # A trial needs about 1/p_min draws, so rarer coupons could keep the
 # sampler busy for days; the integral route has no such limit.
 _SAMPLER_RAREST_LIMIT = 10**6
@@ -73,6 +77,8 @@ def check_coupon_count(m: int, method: str) -> None:
         )
     if method == "montecarlo" and m > _SAMPLER_COUPON_LIMIT:
         raise ValueError(f"sampler supports at most {_SAMPLER_COUPON_LIMIT} coupons, got {m}")
+    if method == "sum" and m > SUM_COUPON_LIMIT:
+        raise ValueError(f"the sum route takes at most {SUM_COUPON_LIMIT} coupons, got {m}")
 
 
 @dataclass(frozen=True)
@@ -162,6 +168,15 @@ def expected_draws_equal(m: int) -> float:
     return m * math.fsum(1.0 / i for i in range(1, m + 1))
 
 
+def _subset_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(J) and (-1)**|J| for every subset J of ``p``, by doubling: subset
+    J sits at index sum(2**i for i in J), its sum added up in index order."""
+    sums, signs = np.zeros(1), np.ones(1)
+    for x in p:
+        sums, signs = np.concatenate([sums, sums + x]), np.concatenate([signs, -signs])
+    return sums, signs
+
+
 def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
     """Exact expected draws via inclusion-exclusion over coupon subsets.
 
@@ -179,24 +194,11 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
     m = len(p)
     check_coupon_count(m, "exact")
 
-    # Subset sums over the first k coupons by doubling; remaining coupons
-    # are enumerated as offsets so peak memory stays at 2**k floats.
-    k = min(m, 20)
-    low_sums = np.zeros(1)
-    low_sign = np.ones(1)  # (-1)**|J| per low subset
-    for i in range(k):
-        low_sums = np.concatenate([low_sums, low_sums + p[i]])
-        low_sign = np.concatenate([low_sign, -low_sign])
-
-    high = p[k:]
+    # Subsets of the first 20 coupons are evaluated together, once per
+    # subset of the rest, so peak memory stays at 2**20 floats.
+    low_sums, low_sign = _subset_sums(p[:20])
     total = 0.0
-    for bits in range(1 << len(high)):
-        high_sum = 0.0
-        high_sign = 1.0
-        for j in range(len(high)):
-            if bits >> j & 1:
-                high_sum += high[j]
-                high_sign = -high_sign
+    for bits, (high_sum, high_sign) in enumerate(zip(*_subset_sums(p[20:]))):
         sums = low_sums + high_sum
         signs = low_sign * high_sign
         if bits == 0:

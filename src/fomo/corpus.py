@@ -63,9 +63,14 @@ CORPUS_VERSION = 1
 # The largest topic id the int32 ``indices`` column holds.
 MAX_TOPIC_ID = int(np.iinfo(np.int32).max)
 
-# Documents per block when generating, saving and loading: bounds the
-# working memory beside the corpus itself, and changes no output byte.
+# Documents per block when saving and loading, and draws (about 17 bytes
+# each) per block when generating: they bound the working memory beside
+# the corpus itself, and change no output byte.
 BLOCK_DOCUMENTS = 1 << 12
+BLOCK_DRAWS = 1 << 18
+
+# The most topics zipf_prevalences builds; checked before any allocation.
+MAX_ZIPF_TOPICS = 10**6
 
 
 class CorpusFormatError(ValueError):
@@ -199,16 +204,9 @@ class Corpus:
         return f"Corpus({len(self)} documents, topic_count={self.topic_count})"
 
     @cached_property
-    def sorted_topics_present(self) -> np.ndarray:
-        """Topic ids that occur in some document, ascending."""
-        present = np.unique(self.indices)
-        present.flags.writeable = False
-        return present
-
-    @cached_property
     def topics_present(self) -> frozenset[int]:
         """Topic ids that occur in some document."""
-        return frozenset(self.sorted_topics_present.tolist())
+        return frozenset(np.flatnonzero(self._topic_counts).tolist())
 
     @cached_property
     def _topic_counts(self) -> np.ndarray:
@@ -243,8 +241,8 @@ def zipf_prevalences(
     usually what is known about a collection; the exponent is implied,
     not assumed.
     """
-    if topic_count < 2:
-        raise ValueError(f"topic_count must be >= 2, got {topic_count}")
+    if not 2 <= topic_count <= MAX_ZIPF_TOPICS:
+        raise ValueError(f"topic_count must be in 2..{MAX_ZIPF_TOPICS}, got {topic_count}")
     if not 0.0 < min_prevalence <= max_prevalence <= 1.0:
         raise ValueError(
             f"need 0 < min <= max <= 1, got min={min_prevalence}, max={max_prevalence}"
@@ -266,7 +264,7 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     Document d's draws come from the SplitMix64 stream keyed by
     (seed, d): redraw round r tests topic i with draw number r*m + i + 1.
     Generation is therefore order-independent and reproducible across
-    platforms; documents are drawn in blocks of ``BLOCK_DOCUMENTS``.
+    platforms; blocks of ``max(1, BLOCK_DRAWS // m)`` documents are drawn.
 
     Raises:
         DegenerateDistributionError: if P(empty document) >= 1 - 1e-9,
@@ -286,10 +284,11 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     thresholds = u64_thresholds(q)  # Bernoulli(q) as draw < threshold
     first_round = np.arange(1, m + 1, dtype=np.uint64)
 
+    block = max(1, BLOCK_DRAWS // m)
     lengths = np.empty(doc_count, dtype=np.int64)
     topic_blocks = []
-    for start in range(0, doc_count, BLOCK_DOCUMENTS):
-        stop = min(start + BLOCK_DOCUMENTS, doc_count)
+    for start in range(0, doc_count, block):
+        stop = min(start + block, doc_count)
         keys = derive_key_array(seed, np.arange(start, stop, dtype=np.uint64))
         included = np.zeros((stop - start, m), dtype=bool)
         pending = np.arange(stop - start)

@@ -16,10 +16,10 @@ of draws of any set of streams from (key, counter) alone, in one array
 operation, and :func:`mix64_array` is the finalizer. :func:`u64_thresholds`
 turns probabilities into the integer cut-offs a draw is compared
 against, :func:`derive_key_array` keys independent streams (one per
-document, one per trial), and :func:`fisher_yates` reads its swap
-indices in chunks of counters. The sequential form (a state advanced by
-``GAMMA`` per call) is kept only in the tests, as the oracle these are
-checked against.
+document, one per trial), and :func:`fisher_yates` draws and yields a
+permutation ``CHUNK`` positions at a time. The sequential form (a state
+advanced by ``GAMMA`` per call) is kept only in the tests, as the oracle
+these are checked against.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 
-# Positions in fisher_yates's first chunk of draws; later chunks double.
-FIRST_CHUNK = 512
+# Most positions fisher_yates draws, and yields, per array step.
+CHUNK = 512
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
@@ -96,8 +96,9 @@ def derive_key(seed: int, index: int) -> int:
     return int(derive_key_array(seed, np.array([index]))[0])
 
 
-def fisher_yates(n: int, key: int) -> Iterator[int]:
-    """Uniform random permutation of ``range(n)``, yielded front to back.
+def fisher_yates(n: int, key: int) -> Iterator[np.ndarray]:
+    """Uniform random permutation of ``range(n)``, yielded front to back
+    as nonempty ``int64`` arrays of at most ``CHUNK`` consecutive positions.
 
     Knuth's Algorithm P (TAOCP Vol. 2, 3.4.2) fixing positions from the
     front: position i swaps in ``j = i + u % (n - i)`` for the next draw
@@ -105,31 +106,30 @@ def fisher_yates(n: int, key: int) -> Iterator[int]:
     largest multiple of ``n - i`` below 2**64 is rejected and the next
     one taken, so every ``j`` in [i, n) is exactly equally likely.
 
-    Draws are read ``FIRST_CHUNK`` positions at a time, doubling per
-    chunk, with the rejection test on the whole chunk. A chunk ends at
-    its first rejected draw: that counter is skipped and the next chunk
-    starts at the same position, which consumes the stream exactly as
-    drawing one position at a time does. Positions a swap displaced are
-    kept in a dict, so memory grows with the prefix read, not with
-    ``n``. A caller that stops early gets the prefix a full shuffle
-    produces.
+    Draws are read ``CHUNK`` positions at a time, with the rejection test
+    on the whole chunk. A chunk ends at its first rejected draw: that
+    counter is skipped and the next chunk starts at the same position,
+    which consumes the stream exactly as drawing one position at a time
+    does. Positions a swap displaced are kept in a dict, so memory grows
+    with the prefix read, not with ``n``. A caller that stops early gets
+    the prefix a full shuffle produces.
     """
     moved: dict[int, int] = {}  # position -> item, where they differ
     position = 0
     counter = 1
-    chunk = FIRST_CHUNK
     while position < n:
-        positions = np.arange(position, min(position + chunk, n), dtype=np.uint64)
+        positions = np.arange(position, min(position + CHUNK, n), dtype=np.uint64)
         remaining = n - positions
         draws = stream_u64(key, counter + np.arange(positions.size, dtype=np.uint64))
         excess = (0 - remaining) % remaining  # 2**64 mod (n - i)
         rejected = np.flatnonzero((excess != 0) & (draws >= 0 - excess))
         accepted = int(rejected[0]) if rejected.size else positions.size
         targets = (positions + draws % remaining)[:accepted].tolist()
+        picked = []
         for i, j in enumerate(targets, start=position):
-            picked = moved.get(j, j)
+            picked.append(moved.get(j, j))
             moved[j] = moved.pop(i, i)
-            yield picked
+        if picked:
+            yield np.array(picked, dtype=np.int64)
         position += accepted
         counter += min(accepted + 1, positions.size)  # and the rejected draw, if any
-        chunk *= 2

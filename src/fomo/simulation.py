@@ -12,19 +12,17 @@ level each percentile corresponds to.
 Determinism contract: trial i permutes with the Fisher-Yates shuffle
 driven by the SplitMix64 stream keyed by (master_seed, i), so its result
 depends only on the seed and i; :func:`run_trials` derives every trial's
-key in one array call. A shuffle draws its swap indices a chunk of
-stream counters at a time, yields positions lazily front to back, and is
-abandoned at the completion position; the emitted prefix is identical
-to what a full shuffle would have produced.
+key in one array call. A shuffle hands its positions to the scan as
+arrays of at most :data:`~fomo.prng.CHUNK` documents, front to back, and
+is abandoned after the array holding the completion position; the
+emitted prefix is identical to what a full shuffle would have produced.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import accumulate, islice
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -57,9 +55,6 @@ DEFAULT_BIN_COUNT = 20
 # The histogram's bin limit, the same order as the Monte Carlo collector's
 # 1/p <= 10**6 cap; checked before any trial runs.
 MAX_BIN_COUNT = 10**6
-
-# Document indices the first-sighting scan reads per array step.
-SCAN_CHUNK = 512
 
 
 @dataclass(frozen=True)
@@ -193,60 +188,57 @@ class AnalyticComparison:
     mean_relative_difference: float
 
 
-def _first_sightings(corpus: Corpus, order: Iterable[int]) -> dict[int, int]:
-    """Scan documents by index in ``order``; map each topic to the 1-based
-    position where it first appeared, in order of appearance (by position,
-    then by topic id). Stops once every topic present has been seen.
+def _first_sightings(corpus: Corpus, chunks: Iterable[np.ndarray]) -> dict[int, int]:
+    """Scan documents by index, ``chunks`` being arrays of indices in scan
+    order; map each topic to the 1-based position where it first
+    appeared, in order of appearance (by position, then by topic id).
+    Stops after the array in which every topic present has been seen.
 
-    ``order`` is read ``SCAN_CHUNK`` indices at a time, so up to
-    ``SCAN_CHUNK - 1`` indices past the last new topic are drawn; each
-    chunk is searched with array operations over the CSR rows. ``seen``
-    is indexed by rank among the topics present, not by topic id.
+    Each array is searched at once over the CSR rows; ``seen`` is indexed
+    by topic id.
     """
     indptr, indices = corpus.indptr, corpus.indices
-    present = corpus.sorted_topics_present
-    seen = np.zeros(present.size, dtype=bool)
+    seen = np.zeros(corpus.topic_count, dtype=bool)
+    needed = len(corpus.topics_present)
     first_seen: dict[int, int] = {}
-    order = iter(order)
     scanned = 0
-    while len(first_seen) < present.size:
-        docs = np.fromiter(islice(order, SCAN_CHUNK), dtype=np.int64)
-        if not docs.size:
-            break
+    for docs in chunks:
         starts = indptr[docs]
         lengths = indptr[docs + 1] - starts
         row_ends = np.cumsum(lengths)
         # Positions in ``indices`` of the chunk's topics, document by document.
         flat = np.arange(row_ends[-1]) + np.repeat(starts - row_ends + lengths, lengths)
-        ranks = np.searchsorted(present, indices[flat])
-        unseen = np.flatnonzero(~seen[ranks])
+        topics = indices[flat]
+        unseen = np.flatnonzero(~seen[topics])
         if unseen.size:
-            found, first = np.unique(ranks[unseen], return_index=True)
+            found, first = np.unique(topics[unseen], return_index=True)
             seen[found] = True
             hits = unseen[first]
             appearance = np.argsort(hits)
             rows = np.searchsorted(row_ends, hits[appearance], side="right")
-            topics = present[found[appearance]].tolist()
-            first_seen.update(zip(topics, (scanned + rows + 1).tolist()))
+            first_seen.update(zip(found[appearance].tolist(), (scanned + rows + 1).tolist()))
+            if len(first_seen) == needed:
+                break
         scanned += docs.size
     return first_seen
 
 
 def scan_accession(corpus: Corpus) -> CoverageCurve:
     """Coverage curve for the corpus's own document order."""
-    n = len(corpus)
-    new_topics = Counter(_first_sightings(corpus, range(n)).values())
+    first = np.unique(corpus.indices, return_index=True)[1]  # each topic's first entry
+    documents = np.searchsorted(corpus.indptr, first, side="right")  # 1-based
+    positions, new_topics = np.unique(documents, return_counts=True)
     return CoverageCurve(
-        points=tuple(zip(new_topics, accumulate(new_topics.values()))),
-        total_documents=n,
-        total_topics_present=len(corpus.topics_present),
+        points=tuple(zip(positions.tolist(), np.cumsum(new_topics).tolist())),
+        total_documents=len(corpus),
+        total_topics_present=first.size,
     )
 
 
 def shuffle_trial(corpus: Corpus, trial_seed: int) -> TrialResult:
     """Scan the corpus in the uniformly random :func:`~fomo.prng.fisher_yates`
-    order keyed by ``trial_seed``, drawn lazily and abandoned once every
-    topic present has been seen."""
+    order keyed by ``trial_seed``, drawn a chunk at a time and abandoned
+    once every topic present has been seen."""
     first_seen = _first_sightings(corpus, fisher_yates(len(corpus), trial_seed))
     return TrialResult(
         completion_position=max(first_seen.values()),

@@ -129,7 +129,7 @@ class TestCollector:
         assert code == 1
         assert "--method sum" in err or "expected_draws_unequal_sum" in err
 
-    @pytest.mark.parametrize("method", ["exact", "montecarlo"])
+    @pytest.mark.parametrize("method", ["exact", "sum", "montecarlo"])
     def test_uniform_above_the_route_limit_fails_before_allocating(self, capsys, method):
         tracemalloc.start()
         try:
@@ -357,6 +357,11 @@ MALFORMED_INPUTS = {
     "gen-corpus-huge-docs": (
         "",
         ["gen-corpus", "--docs", TOO_LARGE, "--topics", "4", "--max-prev", "0.5",
+         "--min-prev", "0.1", "--out", "{file}"],
+    ),
+    "gen-corpus-huge-topics": (
+        "",
+        ["gen-corpus", "--docs", "3", "--topics", TOO_LARGE, "--max-prev", "0.5",
          "--min-prev", "0.1", "--out", "{file}"],
     ),
     "compare-huge-topic-count": (

@@ -1,7 +1,9 @@
 """Prevalence models, synthetic generation, and the corpus file format."""
 
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -129,6 +131,27 @@ class TestGenerateCorpus:
         )
         std_error = spread / math.sqrt(n)
         assert abs(mean - dist.expected_topics_per_document()) <= 2 * std_error
+
+    def test_working_memory_is_bounded_for_many_topics(self):
+        # One block of 4096 documents x 2000 topics would take ~133 MiB.
+        dist = zipf_prevalences(2000, 0.3, 1e-4)
+        tracemalloc.start()
+        try:
+            generate_corpus(4096, dist, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    def test_many_topic_corpus_bytes_are_pinned(self, tmp_path):
+        # Spans several generation blocks; recorded before blocks were
+        # sized by draws, so block size is shown to change no byte.
+        corpus = generate_corpus(300, zipf_prevalences(3000, 0.4, 0.0002), seed=5)
+        path = tmp_path / "many.jsonl"
+        save_corpus(corpus, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "f958b677ac8163e9a23babf639b3046c2a4a369fb2452aa396f400c779456bc2"
+        )
 
     def test_most_common_topic_frequency_at_scale(self):
         # 120k documents, 64 topics spanning 0.36 down to about 1/8571

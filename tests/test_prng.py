@@ -6,7 +6,7 @@ from splitmix64_oracle import SplitMix64, in_place_fisher_yates, mix64
 
 import fomo.prng
 from fomo.prng import (
-    FIRST_CHUNK,
+    CHUNK,
     GAMMA,
     MASK64,
     derive_key,
@@ -118,27 +118,35 @@ def test_next_below_rejects_nonpositive():
         SplitMix64(1).next_below(0)
 
 
+def permutation(n, key):
+    """fisher_yates's arrays joined, each checked to be a nonempty int64
+    array of at most CHUNK positions."""
+    chunks = list(fisher_yates(n, key))
+    assert all(c.dtype == np.int64 and 0 < c.size <= CHUNK for c in chunks)
+    return [i for c in chunks for i in c.tolist()]
+
+
 def test_shuffle_is_a_permutation_and_deterministic():
-    items = list(fisher_yates(100, 123))
+    items = permutation(100, 123)
     assert sorted(items) == list(range(100))
-    assert items == list(fisher_yates(100, 123))
-    assert items != list(fisher_yates(100, 124))
+    assert items == permutation(100, 123)
+    assert items != permutation(100, 124)
 
 
 def test_shuffle_frozen_permutation():
     # Change detector: this exact permutation is part of the
     # reproducibility contract.
-    assert list(fisher_yates(8, 2024)) == FROZEN_SHUFFLE_2024
+    assert permutation(8, 2024) == FROZEN_SHUFFLE_2024
 
 
 def test_fisher_yates_matches_in_place_reference():
-    # Every n up to past the first chunk edge (512), and sizes around the
-    # second (512 + 1024).
+    # Every n up to past the second chunk edge (1024), and sizes around
+    # the third (1536).
     for n in [*range(1101), 1535, 1536, 1537, 2000]:
         for key in (0, 7, 2**64 - 1):
             items = list(range(n))
             in_place_fisher_yates(items, SplitMix64(key))
-            assert list(fisher_yates(n, key)) == items
+            assert permutation(n, key) == items
 
 
 class PlantedStream(SplitMix64):
@@ -159,9 +167,9 @@ class PlantedStream(SplitMix64):
     "planted",
     [
         {5, 6},  # adjacent: the chunk after the first rejection starts on one
-        {FIRST_CHUNK},  # the last draw of the first chunk
+        {CHUNK, 2 * CHUNK},  # the last draw of the first chunk, then of the next
         # 1248 lands on n - i = 257, where 2**64 - 1 is exactly the limit
-        {1, FIRST_CHUNK + 1, FIRST_CHUNK + 2, 1200, 1248},
+        {1, CHUNK + 1, CHUNK + 2, 1200, 1248},
     ],
 )
 def test_planted_rejections_match_the_sequential_loop(planted, monkeypatch):
@@ -179,7 +187,7 @@ def test_planted_rejections_match_the_sequential_loop(planted, monkeypatch):
         items = list(range(n))
         in_place_fisher_yates(items, rng)
         assert rng.counter == n - 1 + len(planted)  # every planted draw rejected
-        assert list(fisher_yates(n, key)) == items
+        assert permutation(n, key) == items
 
 
 # Computed once from the implementation above and frozen; any algorithm

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from corpus_documents import Document, corpus_from_documents, documents_of
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from scipy import stats
 
 from fomo.corpus import generate_corpus, zipf_prevalences
 import fomo.simulation
-from fomo.prng import derive_key, fisher_yates
+from fomo.prng import CHUNK, derive_key, fisher_yates
 from fomo.simulation import (
     completion_topics,
     completion_vs_analytic,
@@ -33,6 +34,11 @@ def corpus_from_topic_sets(topic_sets, topic_count=None):
         for i, topics in enumerate(topic_sets)
     )
     return corpus_from_documents(documents, topic_count)
+
+
+def chunked(n):
+    """range(n) as the scan reads it: arrays of CHUNK indices."""
+    return np.split(np.arange(n), range(CHUNK, n, CHUNK))
 
 
 def marked_singleton_corpus(n):
@@ -92,18 +98,17 @@ class TestFirstSightings:
     def test_matches_per_document_oracle(self, topic_sets, seed, shuffled):
         corpus = corpus_from_topic_sets(topic_sets, topic_count=41)
         n = len(corpus)
-        order = list(fisher_yates(n, seed)) if shuffled else range(n)
-        scanned = fomo.simulation._first_sightings(corpus, iter(order))
-        expected = first_sightings_oracle(corpus, order)
+        chunks = list(fisher_yates(n, seed)) if shuffled else chunked(n)
+        scanned = fomo.simulation._first_sightings(corpus, iter(chunks))
+        expected = first_sightings_oracle(corpus, np.concatenate(chunks).tolist())
         assert list(scanned.items()) == list(expected.items())
 
     def test_rare_topic_past_several_chunks(self):
-        chunk = fomo.simulation.SCAN_CHUNK
-        sets = [{0}] * (3 * chunk + 5) + [{1, 2}, {0, 3}]
+        sets = [{0}] * (3 * CHUNK + 5) + [{1, 2}, {0, 3}]
         corpus = corpus_from_topic_sets(sets, topic_count=5)
-        scanned = fomo.simulation._first_sightings(corpus, range(len(corpus)))
+        scanned = fomo.simulation._first_sightings(corpus, chunked(len(corpus)))
         assert list(scanned.items()) == [
-            (0, 1), (1, 3 * chunk + 6), (2, 3 * chunk + 6), (3, 3 * chunk + 7)
+            (0, 1), (1, 3 * CHUNK + 6), (2, 3 * CHUNK + 6), (3, 3 * CHUNK + 7)
         ]
 
 
@@ -149,7 +154,7 @@ class TestShuffleTrial:
         )
         for seed in (0, 1, 99, 12345):
             result = shuffle_trial(corpus, seed)
-            order = list(fisher_yates(len(corpus), seed))
+            order = np.concatenate(list(fisher_yates(len(corpus), seed))).tolist()
             docs = documents_of(corpus)
             first_seen = {}
             for position, doc_index in enumerate(order, start=1):
