@@ -144,8 +144,8 @@ class TestGenerateCorpus:
         assert peak < 16 * 2**20
 
     def test_many_topic_corpus_bytes_are_pinned(self, tmp_path):
-        # Spans several generation blocks; recorded before blocks were
-        # sized by draws, so block size is shown to change no byte.
+        # 87 documents per block at 3000 topics: the bytes must not depend
+        # on how generation is blocked.
         corpus = generate_corpus(300, zipf_prevalences(3000, 0.4, 0.0002), seed=5)
         path = tmp_path / "many.jsonl"
         save_corpus(corpus, path)
