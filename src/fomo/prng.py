@@ -110,11 +110,13 @@ def fisher_yates(n: int, key: int) -> Iterator[np.ndarray]:
     on the whole chunk. A chunk ends at its first rejected draw: that
     counter is skipped and the next chunk starts at the same position,
     which consumes the stream exactly as drawing one position at a time
-    does. Positions a swap displaced are kept in a dict, so memory grows
-    with the prefix read, not with ``n``. A caller that stops early gets
-    the prefix a full shuffle produces.
+    does. A chunk's swaps act on an array of the ``n`` items at once, each
+    reading both items as they stood before the chunk; the few swaps that
+    share an index with another swap of the chunk are then replayed one
+    by one. A caller that stops early gets the prefix a full shuffle
+    produces.
     """
-    moved: dict[int, int] = {}  # position -> item, where they differ
+    items = np.arange(n, dtype=np.int64)  # items[i], i >= position: the item now at i
     position = 0
     counter = 1
     while position < n:
@@ -124,12 +126,21 @@ def fisher_yates(n: int, key: int) -> Iterator[np.ndarray]:
         excess = (0 - remaining) % remaining  # 2**64 mod (n - i)
         rejected = np.flatnonzero((excess != 0) & (draws >= 0 - excess))
         accepted = int(rejected[0]) if rejected.size else positions.size
-        targets = (positions + draws % remaining)[:accepted].tolist()
-        picked = []
-        for i, j in enumerate(targets, start=position):
-            picked.append(moved.get(j, j))
-            moved[j] = moved.pop(i, i)
-        if picked:
-            yield np.array(picked, dtype=np.int64)
-        position += accepted
+        end = position + accepted
+        targets = (positions + draws % remaining)[:accepted].astype(np.int64)
+        picked, carried = items[targets], items[position:end].copy()
+        items[targets] = carried
+        # Replay in order the swaps with a target inside the chunk, the swaps
+        # at the positions those name, and the swaps sharing a target.
+        ranked = np.argsort(targets)
+        shared = np.flatnonzero(targets[ranked[1:]] == targets[ranked[:-1]])
+        inside = np.flatnonzero(targets < end)
+        steps = [inside, targets[inside] - position, ranked[shared], ranked[shared + 1]]
+        replay = np.unique(np.concatenate(steps))
+        items[targets[replay]], items[position + replay] = picked[replay], carried[replay]
+        for t in replay.tolist():
+            picked[t], items[targets[t]] = items[targets[t]], items[position + t]
+        if accepted:
+            yield picked
+        position = end
         counter += min(accepted + 1, positions.size)  # and the rejected draw, if any
