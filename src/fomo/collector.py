@@ -16,7 +16,11 @@ Three routes to the same expectation:
   term by term into the subset sum but costs only O(m) per integrand
   evaluation. Scales to any number of coupons.
 * :func:`simulate_expected_draws` - seeded Monte Carlo, the empirical
-  check on both.
+  check on both. Trials run in batches of ``_SAMPLER_BATCH`` (2**16),
+  each batch's trials drawing in lockstep, and each draw's coupon comes
+  from a guide table over the draw's top 16 bits, with a binary search
+  only for draws whose bucket holds a threshold. A run holds 8 bytes
+  per trial plus one batch.
 
 :func:`completion_quantile` inverts the independent-sightings coverage
 curve prod(1 - (1-p_i)^t) instead, the cheap stand-in for percentiles of
@@ -56,6 +60,13 @@ _SAMPLER_COUPON_LIMIT = 64
 # Largest N for ``collector --uniform N --method sum`` (a few seconds);
 # the route itself takes any count, as ``compare`` needs.
 SUM_COUPON_LIMIT = 10**6
+
+# Trials per lockstep batch: its working arrays stay cache-sized.
+_SAMPLER_BATCH = 2**16
+
+# A draw's top bits name its guide-table bucket (see _CouponLookup).
+_GUIDE_BITS = 16
+_GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
 
 # A trial needs about 1/p_min draws, so rarer coupons could keep the
 # sampler busy for days; the integral route has no such limit.
@@ -324,15 +335,53 @@ def _coupon_thresholds(p: np.ndarray) -> np.ndarray:
     return u64_thresholds(cum)
 
 
+class _CouponLookup:
+    """The coupon bit of each ``uint64`` draw: ``1 << k`` for coupon k, 0
+    for a draw at or above the last threshold (no coupon).
+
+    Equal to ``bit[np.searchsorted(thresholds, draws, side="right")]``,
+    read through a guide table (Chen & Asau, AIIE Trans. 6(2), 1974;
+    Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4): the
+    top ``_GUIDE_BITS`` bits of a draw name its bucket, and a bucket that
+    holds no threshold yields one coupon for every draw in it, so
+    ``guide`` gives its bit outright. Only the draws in ``marked``
+    buckets, the at most m that hold a threshold, are searched.
+    """
+
+    def __init__(self, thresholds: np.ndarray):
+        m = thresholds.size
+        self.thresholds = thresholds
+        self.bit = np.zeros(m + 1, dtype=np.uint64)
+        self.bit[:m] = np.uint64(1) << np.arange(m, dtype=np.uint64)
+        starts = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
+        self.guide = self.bit[np.searchsorted(thresholds, starts, side="right")]
+        self.marked = np.zeros(1 << _GUIDE_BITS, dtype=bool)
+        self.marked[thresholds >> _GUIDE_SHIFT] = True
+
+    def bits(self, draws: np.ndarray) -> np.ndarray:
+        buckets = draws >> _GUIDE_SHIFT
+        bits = self.guide[buckets]
+        edge = np.flatnonzero(self.marked[buckets])
+        if edge.size:
+            found = np.searchsorted(self.thresholds, draws[edge], side="right")
+            bits[edge] = self.bit[found]
+        return bits
+
+
 def simulate_expected_draws(
     probabilities: ProbabilityVector, trials: int, seed: int
 ) -> MonteCarloDraws:
     """Monte Carlo estimate of the expected draws to collect every coupon.
 
-    Trial i consumes the SplitMix64 stream keyed by (seed, i); the whole
-    batch advances in lockstep so the run vectorizes, but each trial's
-    draw sequence is exactly what a one-at-a-time simulation would use.
-    Deterministic for a given seed.
+    Trial i consumes the SplitMix64 stream keyed by (seed, i), so each
+    trial's draw sequence is exactly what a one-at-a-time simulation
+    would use; deterministic for a given seed. Trials run in batches of
+    ``_SAMPLER_BATCH``, one after another, and the trials of a batch
+    advance in lockstep, one draw each per step, with finished trials
+    dropped as they complete. Each draw's coupon is read from a guide
+    table (see :class:`_CouponLookup`). A run holds 8 bytes per trial,
+    for the completion counts, plus one batch's working arrays (a few
+    MB) and the 576 KiB of guide tables, whatever the trial count.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -346,29 +395,25 @@ def simulate_expected_draws(
             f"rarest coupon probability {p_min!r} needs over {_SAMPLER_RAREST_LIMIT}"
             " draws per trial; use expected_draws_unequal_sum (--method sum)"
         )
-    thresholds = _coupon_thresholds(p)
+    completions = np.zeros(trials, dtype=np.int64)
+    lookup = _CouponLookup(_coupon_thresholds(p))
     full = np.uint64((1 << m) - 1)
 
-    keys = derive_key_array(seed, np.arange(trials, dtype=np.uint64))
-    seen = np.zeros(trials, dtype=np.uint64)
-    index = np.arange(trials)
-    completions = np.zeros(trials, dtype=np.int64)
-
-    t = 0
-    while index.size:
-        t += 1
-        draws = stream_u64(keys, t)
-        coupon = np.searchsorted(thresholds, draws, side="right")
-        got = coupon < m
-        if got.any():
-            seen[got] |= np.uint64(1) << coupon[got].astype(np.uint64)
-        done = seen == full
-        if done.any():
-            completions[index[done]] = t
-            keep = ~done
-            keys = keys[keep]
-            seen = seen[keep]
-            index = index[keep]
+    for start in range(0, trials, _SAMPLER_BATCH):
+        index = np.arange(start, min(start + _SAMPLER_BATCH, trials))
+        keys = derive_key_array(seed, index)
+        seen = np.zeros(index.size, dtype=np.uint64)
+        t = 0
+        while index.size:
+            t += 1
+            seen |= lookup.bits(stream_u64(keys, t))
+            done = seen == full
+            if done.any():
+                completions[index[done]] = t
+                keep = ~done
+                keys = keys[keep]
+                seen = seen[keep]
+                index = index[keep]
 
     mean = float(completions.mean())
     if trials > 1:

@@ -70,12 +70,17 @@ def u64_thresholds(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:
 
     A uniform draw ``u`` falls below the threshold of ``p`` with chance
     ``p`` (up to 2**-64), so integer compares stand in for float ones and
-    stay bit-identical on every platform.
+    stay bit-identical on every platform. Scaling by 2**64 is exact, and
+    the cast truncates; ``p * 2**64`` at 2**64 (p = 1) is set after the
+    cast, since casting it would overflow.
     """
-    return np.array(
-        [min(int(p * 2.0**64), MASK64) for p in np.asarray(probabilities, dtype=float)],
-        dtype=np.uint64,
-    )
+    scaled = np.array(probabilities, dtype=float)
+    scaled *= 2.0**64
+    top = scaled >= 2.0**64
+    scaled[top] = 0.0
+    thresholds = scaled.astype(np.uint64)
+    thresholds[top] = MASK64
+    return thresholds
 
 
 def derive_key_array(seed: int, indices: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -12,9 +13,11 @@ from hypothesis import strategies as st
 from splitmix64_oracle import SplitMix64
 
 from fomo.collector import (
+    _SAMPLER_BATCH,
     CouponDistribution,
     SubsetLimitError,
     _coupon_thresholds,
+    _CouponLookup,
     birthday_first_collision_expected,
     completion_quantile,
     dice_sum_distribution,
@@ -23,7 +26,7 @@ from fomo.collector import (
     expected_draws_unequal_sum,
     simulate_expected_draws,
 )
-from fomo.prng import derive_key
+from fomo.prng import MASK64, derive_key
 
 
 def inclusion_exclusion_oracle(probabilities):
@@ -306,6 +309,93 @@ class TestMonteCarlo:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             simulate_expected_draws(dice_sum_distribution(), 0, seed=1)
+
+
+def power_law(count, exponent=1.0):
+    """Probabilities proportional to (i+1)**-exponent, summing to 0.999."""
+    weights = [(i + 1) ** -exponent for i in range(count)]
+    scale = 0.999 / math.fsum(weights)
+    return CouponDistribution(tuple(w * scale for w in weights))
+
+
+class TestPinnedMonteCarlo:
+    """Exact results recorded before the guide table and the trial
+    batches went in; the sampler must keep reproducing them."""
+
+    @pytest.mark.parametrize(
+        "dist, trials, seed, mean, std_error, minimum, maximum",
+        [
+            (dice_sum_distribution(), 1_000_000, 2024,
+             "0x1.e9b17df19d66bp+5", "0x1.2634817940466p-5", 11, 509),
+            (power_law(25), 100_000, 2025,
+             "0x1.e2e421c044285p+7", "0x1.3bd0bb08aa951p-2", 54, 1114),
+            (dice_sum_distribution(), _SAMPLER_BATCH + 3, 2026,
+             "0x1.e9a3231696bc4p+5", "0x1.1fda8bd4de97fp-3", 11, 440),
+        ],
+        ids=["dice", "power-law-25", "one-batch-boundary"],
+    )
+    def test_recorded_results(self, dist, trials, seed, mean, std_error, minimum, maximum):
+        sample = simulate_expected_draws(dist, trials, seed)
+        assert sample.mean.hex() == mean
+        assert sample.std_error.hex() == std_error
+        assert (sample.minimum, sample.maximum) == (minimum, maximum)
+
+
+class TestGuideLookup:
+    # 56 common coupons, then 8 rarer than 2**-16 each, so the last
+    # buckets below the no-coupon mass hold several thresholds apiece.
+    RARE = tuple(2.0**-19 * (k + 1) for k in range(8))
+    PROBABILITIES = tuple(0.9 / 56 for _ in range(56)) + RARE
+
+    def reference_bits(self, thresholds, draws):
+        m = thresholds.size
+        bit = np.array([1 << k for k in range(m)] + [0], dtype=np.uint64)
+        return bit[np.searchsorted(thresholds, draws, side="right")]
+
+    def test_buckets_hold_several_thresholds(self):
+        thresholds = _coupon_thresholds(np.asarray(self.PROBABILITIES))
+        buckets = (thresholds >> np.uint64(48)).tolist()
+        assert max(buckets.count(b) for b in set(buckets)) > 1
+
+    @pytest.mark.parametrize("total", ["below-one", "one"])
+    def test_equals_searchsorted(self, total):
+        p = np.asarray(self.PROBABILITIES)
+        if total == "one":
+            p = p / p.sum()
+        thresholds = _coupon_thresholds(p)
+        lookup = _CouponLookup(thresholds)
+        edges = np.arange(1 << 16, dtype=np.uint64) << np.uint64(48)
+        draws = np.concatenate([
+            thresholds, thresholds - np.uint64(1), thresholds + np.uint64(1),
+            edges, edges - np.uint64(1), np.array([0, MASK64], dtype=np.uint64),
+            np.random.default_rng(7).integers(0, MASK64, 10**5, dtype=np.uint64, endpoint=True),
+        ])
+        assert np.array_equal(lookup.bits(draws), self.reference_bits(thresholds, draws))
+
+    def test_rare_coupon_trials_equal_sequential_reference(self):
+        dist = CouponDistribution(
+            (0.5, 0.3, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 3e-4, 1e-4)
+        )
+        batch = simulate_expected_draws(dist, 10, seed=77)
+        sequential = [single_trial_draws(dist, derive_key(77, i)) for i in range(10)]
+        assert batch.mean == sum(sequential) / len(sequential)
+        assert batch.minimum == min(sequential)
+        assert batch.maximum == max(sequential)
+
+
+@pytest.mark.parametrize("batches", [2, 32])
+def test_memory_is_the_completions_plus_one_batch(batches):
+    # 8 bytes per trial for the completion counts; keys, masks and draws
+    # exist for one batch at a time. At 32 batches a per-trial key array
+    # alone would take the peak past the bound.
+    trials = _SAMPLER_BATCH * batches + 1
+    tracemalloc.start()
+    try:
+        simulate_expected_draws(CouponDistribution((0.5, 0.5)), trials, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * trials + 16 * 2**20
 
 
 class TestCouponDistributionValidation:

@@ -1,5 +1,7 @@
 """The PRNG is the reproducibility contract; pin it down hard."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from splitmix64_oracle import SplitMix64, in_place_fisher_yates, mix64
@@ -66,6 +68,28 @@ def test_bulk_matches_sequential():
 
 def test_u64_thresholds_edges():
     assert u64_thresholds([1.0, 0.5]).tolist() == [MASK64, 2**63]
+
+
+def int_thresholds(probabilities):
+    return [min(int(p * 2.0**64), MASK64) for p in probabilities]
+
+
+def test_u64_thresholds_equal_the_int_formula():
+    edges = [0.5, 1.0, np.nextafter(1.0, 0.0), 2.0**-64, 5e-324]
+    assert u64_thresholds(edges).tolist() == int_thresholds(edges)
+    values = np.random.default_rng(64).random(10**5)
+    assert u64_thresholds(values).tolist() == int_thresholds(values)
+
+
+def test_u64_thresholds_memory_is_a_few_arrays():
+    probabilities = np.random.default_rng(65).random(10**6)
+    tracemalloc.start()
+    try:
+        u64_thresholds(probabilities)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
 
 
 def test_mix64_array_matches_scalar():
