@@ -59,6 +59,14 @@ def single_trial_draws(dist, trial_key):
     return t
 
 
+def assert_matches_sequential(dist, trials, seed):
+    batch = simulate_expected_draws(dist, trials, seed)
+    sequential = [single_trial_draws(dist, derive_key(seed, i)) for i in range(trials)]
+    assert batch.mean == sum(sequential) / len(sequential)
+    assert batch.minimum == min(sequential)
+    assert batch.maximum == max(sequential)
+
+
 @st.composite
 def small_distributions(draw, max_size=8):
     size = draw(st.integers(2, max_size))
@@ -299,12 +307,7 @@ class TestMonteCarlo:
         assert first != simulate_expected_draws(dist, 2000, seed=9)
 
     def test_lockstep_equals_sequential_reference(self):
-        dist = CouponDistribution((0.4, 0.35, 0.2))
-        batch = simulate_expected_draws(dist, 64, seed=31)
-        sequential = [single_trial_draws(dist, derive_key(31, i)) for i in range(64)]
-        assert batch.mean == sum(sequential) / len(sequential)
-        assert batch.minimum == min(sequential)
-        assert batch.maximum == max(sequential)
+        assert_matches_sequential(CouponDistribution((0.4, 0.35, 0.2)), 64, seed=31)
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -352,17 +355,13 @@ class TestGuideLookup:
         bit = np.array([1 << k for k in range(m)] + [0], dtype=np.uint64)
         return bit[np.searchsorted(thresholds, draws, side="right")]
 
-    def test_buckets_hold_several_thresholds(self):
-        thresholds = _coupon_thresholds(np.asarray(self.PROBABILITIES))
-        buckets = (thresholds >> np.uint64(48)).tolist()
-        assert max(buckets.count(b) for b in set(buckets)) > 1
-
     @pytest.mark.parametrize("total", ["below-one", "one"])
     def test_equals_searchsorted(self, total):
         p = np.asarray(self.PROBABILITIES)
         if total == "one":
             p = p / p.sum()
         thresholds = _coupon_thresholds(p)
+        assert np.bincount((thresholds >> np.uint64(48)).astype(np.int64)).max() > 1
         lookup = _CouponLookup(thresholds)
         edges = np.arange(1 << 16, dtype=np.uint64) << np.uint64(48)
         draws = np.concatenate([
@@ -376,11 +375,7 @@ class TestGuideLookup:
         dist = CouponDistribution(
             (0.5, 0.3, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 3e-4, 1e-4)
         )
-        batch = simulate_expected_draws(dist, 10, seed=77)
-        sequential = [single_trial_draws(dist, derive_key(77, i)) for i in range(10)]
-        assert batch.mean == sum(sequential) / len(sequential)
-        assert batch.minimum == min(sequential)
-        assert batch.maximum == max(sequential)
+        assert_matches_sequential(dist, 10, seed=77)
 
 
 @pytest.mark.parametrize("batches", [2, 32])
