@@ -37,7 +37,9 @@ from .collector import (
     expected_draws_unequal_sum,
     simulate_expected_draws,
 )
-from .corpus import MAX_ZIPF_TOPICS, generate_corpus, load_corpus, save_corpus, zipf_prevalences
+from .corpus import (
+    MAX_DOCUMENTS, MAX_ZIPF_TOPICS, generate_corpus, load_corpus, save_corpus, zipf_prevalences
+)
 from .simulation import (
     DEFAULT_BIN_COUNT,
     DEFAULT_QUANTILES,
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     curve.set_defaults(handler=_cmd_curve)
 
     gen = commands.add_parser("gen-corpus", help="synthesize a power-law corpus")
-    gen.add_argument("--docs", type=int, required=True)
+    gen.add_argument("--docs", type=int, required=True, help=f"document count, 1..{MAX_DOCUMENTS}")
     gen.add_argument(
         "--topics", type=int, required=True, help=f"topic count, 2..{MAX_ZIPF_TOPICS}"
     )

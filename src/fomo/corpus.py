@@ -69,8 +69,11 @@ MAX_TOPIC_ID = int(np.iinfo(np.int32).max)
 BLOCK_DOCUMENTS = 1 << 12
 BLOCK_DRAWS = 1 << 18
 
-# The most topics zipf_prevalences builds; checked before any allocation.
+# The most topics zipf_prevalences builds and documents generate_corpus
+# draws (4.5 times the paper's 2,202,935-document production, about 1 GiB
+# to generate), each checked before any allocation.
 MAX_ZIPF_TOPICS = 10**6
+MAX_DOCUMENTS = 10**7
 
 
 class CorpusFormatError(ValueError):
@@ -124,18 +127,15 @@ def _frozen(values, dtype) -> np.ndarray:
     return frozen
 
 
-def _row_of(indptr: np.ndarray, position: int) -> int:
-    """The document whose topics include ``indices[position]``."""
-    return int(np.searchsorted(indptr, position, side="right")) - 1
-
-
-def _within_row_steps(indices: np.ndarray, indptr: np.ndarray) -> np.ndarray:
-    """``indices[i + 1] - indices[i]``, with the step from one document's
-    last topic to the next document's first read as 1. Every document
-    must be nonempty."""
-    steps = np.diff(indices)
-    steps[indptr[1:-1] - 1] = 1
-    return steps
+def _first_disordered(indices: np.ndarray, indptr: np.ndarray, limit: int) -> int | None:
+    """The first document whose topic ids are not strictly increasing
+    within ``0..limit-1``, or None. Every document must be nonempty."""
+    bad = (indices < 0) | (indices >= limit)
+    falls = indices[1:] <= indices[:-1]
+    falls[indptr[1:-1] - 1] = False  # a document may start below the last one's end
+    bad[1:] |= falls
+    first = np.flatnonzero(bad)[:1]
+    return int(np.searchsorted(indptr, first[0], side="right")) - 1 if first.size else None
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -171,18 +171,14 @@ class Corpus:
             d = int(empty[0])
             raise ValueError(f"document {d} ({doc_ids[d]!r}) has no topics")
         limit = min(self.topic_count, MAX_TOPIC_ID + 1)
-        outside = np.flatnonzero((indices < 0) | (indices >= limit))
-        if outside.size:
-            i = int(outside[0])
+        d = _first_disordered(indices, indptr, limit)
+        if d is not None:
+            topics = tuple(indices[indptr[d] : indptr[d + 1]].tolist())
             raise ValueError(
-                f"document {_row_of(indptr, i)}: topic id {indices[i]} outside 0..{limit - 1}"
+                f"document {d}: topic ids must be strictly increasing within "
+                f"0..{limit - 1}, got {topics}"
             )
         indices = _frozen(indices, np.int32)
-        unsorted = np.flatnonzero(_within_row_steps(indices, indptr) <= 0)
-        if unsorted.size:
-            d = _row_of(indptr, int(unsorted[0]))
-            topics = tuple(indices[indptr[d] : indptr[d + 1]].tolist())
-            raise ValueError(f"document {d}: topics must be sorted unique, got {topics}")
         object.__setattr__(self, "doc_ids", doc_ids)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
@@ -270,8 +266,8 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
         DegenerateDistributionError: if P(empty document) >= 1 - 1e-9,
             where redrawing would effectively never terminate.
     """
-    if doc_count < 1:
-        raise ValueError(f"doc_count must be >= 1, got {doc_count}")
+    if not 1 <= doc_count <= MAX_DOCUMENTS:
+        raise ValueError(f"doc_count must be in 1..{MAX_DOCUMENTS}, got {doc_count}")
     empty_prob = dist.empty_document_probability()
     if empty_prob >= 1.0 - 1e-9:
         raise DegenerateDistributionError(
@@ -342,14 +338,26 @@ def _format_error(line_number: int, message: str) -> CorpusFormatError:
     return CorpusFormatError(f"line {line_number}: {message}")
 
 
-# A document line as save_corpus writes it: an id without escapes and at
-# least one topic id written without sign or leading zeros, below 10**9.
-# It parses to the id and the topic ids as written; any other line takes
-# the general JSON path of _parse_record.
+# A document line as save_corpus writes it: an id without escapes or
+# surrogates and at least one topic id written without sign or leading
+# zeros, below 10**9. It parses to the id and the topic ids as written;
+# any other line takes the general JSON path of _parse_record.
 _TOPIC = r"(?:0|[1-9][0-9]{0,8})"
 _SAVED_LINE = re.compile(
-    r'\{"doc_id":"([^"\\\x00-\x1f]*)","topics":\[(%s(?:,%s)*)\]\}\n?' % (_TOPIC, _TOPIC)
+    r'\{"doc_id":"([^"\\\x00-\x1f\ud800-\udfff]*)","topics":\[(%s(?:,%s)*)\]\}\n?'
+    % (_TOPIC, _TOPIC)
 )
+
+# Files are read with errors="surrogateescape", so a byte that is not
+# UTF-8 reads as a lone surrogate; a JSON escape can spell one too.
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _check_bytes(number: int, line: str) -> None:
+    """Raise the error of a line as read that holds a byte that is not UTF-8."""
+    escaped = _SURROGATE.search(line)
+    if escaped:
+        raise _format_error(number, f"invalid UTF-8 byte 0x{ord(escaped[0]) - 0xDC00:02x}")
 
 
 def _topics_problem(topics: list[int], topic_count: int) -> str | None:
@@ -366,6 +374,7 @@ def _topics_problem(topics: list[int], topic_count: int) -> str | None:
 
 def _parse_record(number: int, raw: str, topic_count: int) -> tuple[str, list[int]]:
     """Parse and check one document line of any valid JSON spelling."""
+    _check_bytes(number, raw)
     if not raw.strip():
         raise _format_error(number, "blank line")
     try:
@@ -375,7 +384,7 @@ def _parse_record(number: int, raw: str, topic_count: int) -> tuple[str, list[in
     if not isinstance(record, dict):
         raise _format_error(number, "expected an object")
     doc_id = record.get("doc_id")
-    if not isinstance(doc_id, str):
+    if not isinstance(doc_id, str) or _SURROGATE.search(doc_id):
         raise _format_error(number, f"bad doc_id {doc_id!r}")
     topics = record.get("topics")
     if not isinstance(topics, list) or not all(
@@ -395,30 +404,26 @@ def _sorted_topics(topics: array, ends: array, topic_count: int) -> np.ndarray:
     (flat, with document d's ending at ``ends[d + 1]``), and return them
     sorted within each document. Raises the error of the first line with
     a repeated or out-of-range id."""
-    indices = np.frombuffer(topics, np.intc)
     indptr = np.frombuffer(ends, np.int64)
-    bad = np.flatnonzero(indices >= topic_count)[:1].tolist()
-    unsorted = np.flatnonzero(_within_row_steps(indices, indptr) <= 0)
-    ordered = indices
-    if unsorted.size:
-        lengths = np.diff(indptr)
-        document = np.repeat(np.arange(lengths.size), lengths)
-        ordered = indices[np.lexsort((indices, document))]
-        bad += np.flatnonzero(_within_row_steps(ordered, indptr) == 0)[:1].tolist()
-    if bad:
-        d = _row_of(indptr, min(bad))
-        listed = indices[indptr[d] : indptr[d + 1]].tolist()
-        raise _format_error(d + 2, _topics_problem(listed, topic_count))
-    return ordered
+    indices = np.frombuffer(topics, np.intc)
+    if _first_disordered(indices, indptr, topic_count) is None:
+        return indices
+    lengths = np.diff(indptr)
+    ordered = indices[np.lexsort((indices, np.repeat(np.arange(lengths.size), lengths)))]
+    d = _first_disordered(ordered, indptr, topic_count)
+    if d is None:
+        return ordered
+    listed = indices[indptr[d] : indptr[d + 1]].tolist()
+    raise _format_error(d + 2, _topics_problem(listed, topic_count))
 
 
 def load_corpus(path: str | os.PathLike) -> Corpus:
     """Read a JSON-lines corpus, preserving line order as accession order.
 
     Raises CorpusFormatError naming the first offending line for anything
-    malformed: bad JSON, a missing or wrong header, out-of-range or
-    duplicate topic ids, or a document with no topics. Topic ids may be
-    listed in any order; they are stored sorted.
+    malformed: bytes that are not UTF-8, bad JSON, a missing or wrong
+    header, out-of-range or duplicate topic ids, or a document with no
+    topics. Topic ids may be listed in any order; they are stored sorted.
 
     The file is streamed: only the ids, one flat array of topic ids and
     the document ends are kept. Repeated and out-of-range ids on lines in
@@ -426,10 +431,11 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
     lines are read, or when a later line fails, so errors still come in
     line order.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header_line = fh.readline()
         if not header_line.strip():
             raise _format_error(1, "missing header")
+        _check_bytes(1, header_line)
         try:
             header = json.loads(header_line)
         except json.JSONDecodeError as exc:

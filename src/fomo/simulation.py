@@ -77,13 +77,12 @@ class TrialResult:
 
     ``first_seen`` maps each topic that occurs in the corpus to the
     1-based position where it first appeared; ``completion_position`` is
-    the maximum of those. Topic ids below the corpus's declared count
-    that never occur at all are listed in ``absent_topics``.
+    the maximum of those. Topics that occur nowhere are a fact of the
+    corpus, not of a trial: see :attr:`~fomo.corpus.Corpus.absent_topics`.
     """
 
     completion_position: int
     first_seen: Mapping[int, int]
-    absent_topics: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -240,11 +239,7 @@ def shuffle_trial(corpus: Corpus, trial_seed: int) -> TrialResult:
     order keyed by ``trial_seed``, drawn a chunk at a time and abandoned
     once every topic present has been seen."""
     first_seen = _first_sightings(corpus, fisher_yates(len(corpus), trial_seed))
-    return TrialResult(
-        completion_position=max(first_seen.values()),
-        first_seen=first_seen,
-        absent_topics=corpus.absent_topics,
-    )
+    return TrialResult(completion_position=max(first_seen.values()), first_seen=first_seen)
 
 
 def completion_topics(result: TrialResult) -> tuple[int, ...]:
@@ -359,9 +354,7 @@ def completion_vs_analytic(
     """
     if 0.5 not in summary.percentiles:
         raise ValueError("summary must include the 0.5 quantile for comparison")
-    prevalences = [
-        fraction for _, fraction in sorted(corpus.empirical_prevalences().items())
-    ]
+    prevalences = corpus.empirical_prevalences().values()  # in topic order
     analytic_median = completion_quantile(prevalences, 0.5)
     analytic_mean = expected_draws_unequal_sum(prevalences)
     empirical_median = summary.percentiles[0.5]

@@ -9,7 +9,7 @@ import pytest
 
 from fomo.analytic import RecallScenario, fomo_table
 from fomo.cli import main
-from fomo.corpus import load_corpus
+from fomo.corpus import MAX_DOCUMENTS, load_corpus
 
 TINY_CORPUS = (
     '{"format":"fomo-corpus","version":1,"topic_count":2}\n'
@@ -359,6 +359,11 @@ MALFORMED_INPUTS = {
         ["gen-corpus", "--docs", TOO_LARGE, "--topics", "4", "--max-prev", "0.5",
          "--min-prev", "0.1", "--out", "{file}"],
     ),
+    "gen-corpus-docs-above-cap": (
+        "",
+        ["gen-corpus", "--docs", "1000000000", "--topics", "4", "--max-prev", "0.5",
+         "--min-prev", "0.1", "--out", "{file}"],
+    ),
     "gen-corpus-huge-topics": (
         "",
         ["gen-corpus", "--docs", "3", "--topics", TOO_LARGE, "--max-prev", "0.5",
@@ -375,6 +380,12 @@ MALFORMED_INPUTS = {
         ["simulate", "--corpus", "{file}", "--trials", "1"],
     ),
 }
+
+
+def test_gen_corpus_help_names_the_docs_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["gen-corpus", "--help"])
+    assert f"1..{MAX_DOCUMENTS}" in capsys.readouterr().out
 
 
 def test_valid_summary_compares(capsys, tiny_corpus, tmp_path):

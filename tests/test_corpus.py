@@ -12,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fomo.corpus import (
+    MAX_DOCUMENTS,
+    MAX_TOPIC_ID,
     Corpus,
     CorpusFormatError,
     DegenerateDistributionError,
@@ -95,6 +97,17 @@ class TestGenerateCorpus:
         dist = TopicDistribution((0.05, 0.02))  # empty draws are common
         corpus = generate_corpus(2000, dist, seed=9)
         assert all(doc.topics for doc in documents_of(corpus))
+
+    def test_document_count_above_the_cap_fails_before_allocating(self):
+        dist = zipf_prevalences(4, 0.5, 0.1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"1..{MAX_DOCUMENTS}"):
+                generate_corpus(MAX_DOCUMENTS + 1, dist, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_degenerate_distribution_refused(self):
         with pytest.raises(DegenerateDistributionError):
@@ -183,6 +196,36 @@ class TestCorpusInvariants:
             corpus_from_documents((Document("a", (1, 0)),), topic_count=3)
         with pytest.raises(ValueError):
             corpus_from_documents((Document("a", (1, 1)),), topic_count=3)
+
+    @given(
+        st.integers(1, 5) | st.just(MAX_TOPIC_ID + 2),
+        st.lists(
+            st.lists(st.integers(0, 5), min_size=1, max_size=4, unique=True).map(sorted)
+            | st.lists(
+                st.integers(-2, 6) | st.sampled_from([MAX_TOPIC_ID, MAX_TOPIC_ID + 1, 2**40]),
+                min_size=1,
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+    )
+    @settings(max_examples=200)
+    def test_names_the_first_document_with_bad_topic_ids(self, topic_count, rows):
+        limit = min(topic_count, MAX_TOPIC_ID + 1)
+        bad = [
+            d
+            for d, row in enumerate(rows)
+            if not all(0 <= t < limit for t in row)
+            or any(a >= b for a, b in zip(row, row[1:]))
+        ]
+        documents = tuple(Document(f"d{d}", tuple(row)) for d, row in enumerate(rows))
+        if bad:
+            with pytest.raises(ValueError) as info:
+                corpus_from_documents(documents, topic_count)
+            assert str(info.value).startswith(f"document {bad[0]}: ")
+        else:
+            assert documents_of(corpus_from_documents(documents, topic_count)) == documents
 
     def test_csr_arrays_are_read_only(self):
         corpus = generate_corpus(20, zipf_prevalences(4, 0.8, 0.2), seed=5)
@@ -315,6 +358,12 @@ class TestSaveLoad:
             ('{"doc_id":"b","topics":[1,1]}\n{"doc_id":"c","topics":[0', 3, "duplicate"),
             ('{"doc_id":"b","topics":[0]}\n{"doc_id":"c","topics":[9]}', 4, "topic id 9"),
             ('{"doc_id":"b","topics":[0]}\n{"doc_id":"c","topics":[5,5]}', 4, "duplicate"),
+            # "\udcXX" writes the byte 0xXX, which is not UTF-8 on its own.
+            ('{"doc_id":"b","topics":[0]}\n' * 199 + '{"doc_id":"c\udcff","topics":[0]}', 202,
+             "invalid UTF-8 byte 0xff"),
+            ('{"doc_id":"b","topics":[0]} \udcfe', 3, "invalid UTF-8 byte 0xfe"),
+            ('{"doc_id":"b","topics":[1,1]}\n{"doc_id":"c\udcff","topics":[0]}', 3, "duplicate"),
+            ('{"doc_id":"\\ud800","topics":[0]}', 3, "bad doc_id '\\ud800'"),
         ],
     )
     def test_every_loader_error_names_its_line(self, tmp_path, record, line, message):
@@ -323,11 +372,21 @@ class TestSaveLoad:
             '{"format":"fomo-corpus","version":1,"topic_count":3}\n'
             '{"doc_id":"a","topics":[0]}\n' + record + "\n",
             encoding="utf-8",
+            errors="surrogateescape",
         )
         with pytest.raises(CorpusFormatError) as info:
             load_corpus(path)
         assert str(info.value).startswith(f"line {line}: ")
         assert message in str(info.value)
+
+    def test_header_bytes_must_be_utf8(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(
+            b'{"format":"fomo-corpus","version":1,"topic_count":3,"note":"\xc3"}\n'
+            b'{"doc_id":"a","topics":[0]}\n'
+        )
+        with pytest.raises(CorpusFormatError, match="^line 1: invalid UTF-8 byte 0xc3$"):
+            load_corpus(path)
 
     def test_unsorted_topics_load_sorted(self, tmp_path):
         path = tmp_path / "unsorted.jsonl"
@@ -347,3 +406,81 @@ class TestSaveLoad:
         first_line = path.read_text(encoding="utf-8").splitlines()[0]
         assert first_line == '{"format":"fomo-corpus","version":1,"topic_count":7}'
         assert json.loads(first_line)["topic_count"] == 7
+
+
+def spelled(doc_id, topics, compact, ascii_only):
+    """A document line: canonical (compact) or spaced, with its keys reversed."""
+    if compact:
+        record = {"doc_id": doc_id, "topics": topics}
+        return json.dumps(record, separators=(",", ":"), ensure_ascii=ascii_only)
+    return json.dumps({"topics": topics, "doc_id": doc_id}, ensure_ascii=ascii_only)
+
+
+@st.composite
+def document_line(draw, topic_count):
+    """One line of a corpus file as bytes: a good document or a broken one."""
+    doc_id = draw(st.text(st.characters(codec="utf-8"), max_size=6))
+    topics = draw(st.lists(st.integers(0, topic_count - 1), min_size=1, max_size=5, unique=True))
+    compact, ascii_only = draw(st.booleans()), draw(st.booleans())
+    kind = draw(st.sampled_from(
+        ["good", "good", "good", "blank", "cut", "bad_id", "duplicate", "empty", "byte", "surrogate"]
+    ))
+    if kind == "good":
+        return spelled(doc_id, sorted(topics) if compact else topics, compact, ascii_only).encode()
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b"  \t"]))
+    if kind == "cut":
+        return spelled(doc_id, topics, compact, ascii_only)[: -draw(st.integers(1, 5))].encode()
+    if kind == "bad_id":
+        bad = draw(st.sampled_from([True, 1.0, -1, 2**31, 10**9 - 1, topic_count]))
+        topics.insert(draw(st.integers(0, len(topics))), bad)
+    elif kind == "duplicate":
+        topics = sorted(topics + topics[:1])
+    elif kind == "empty":
+        topics = []
+    elif kind == "surrogate":
+        return b'{"doc_id":"\\u%04x","topics":[0]}' % draw(st.integers(0xD800, 0xDFFF))
+    line = spelled(doc_id, topics, compact, ascii_only).encode()
+    if kind == "byte":
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + b"\xff" + line[at:]
+    return line
+
+
+def loaded_by_oracle(lines, topic_count):
+    """Check each line on its own: the documents before the first bad
+    line, and that line's number (None when every line is good)."""
+    documents = []
+    for number, line in enumerate(lines, start=2):
+        try:
+            record = json.loads(line.decode("utf-8"))
+            doc_id, topics = record["doc_id"], record["topics"]
+            doc_id.encode("utf-8")
+            good = (
+                isinstance(topics, list)
+                and len(topics) > 0
+                and all(type(t) is int and 0 <= t < topic_count for t in topics)
+                and len(set(topics)) == len(topics)
+            )
+        except (ValueError, TypeError, KeyError, AttributeError):
+            good = False
+        if not good:
+            return documents, number
+        documents.append(Document(doc_id, tuple(sorted(topics))))
+    return documents, None
+
+
+@given(st.data(), st.integers(1, 5))
+@settings(max_examples=300, deadline=None)
+def test_loader_agrees_with_a_per_line_oracle(tmp_path_factory, data, topic_count):
+    lines = data.draw(st.lists(document_line(topic_count), min_size=1, max_size=30))
+    header = b'{"format":"fomo-corpus","version":1,"topic_count":%d}' % topic_count
+    path = tmp_path_factory.getbasetemp() / "fuzzed.jsonl"
+    path.write_bytes(b"\n".join([header, *lines]) + b"\n")
+    documents, bad_line = loaded_by_oracle(lines, topic_count)
+    if bad_line is None:
+        assert load_corpus(path) == corpus_from_documents(documents, topic_count)
+    else:
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value).startswith(f"line {bad_line}: ")

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -232,7 +233,7 @@ class TestShuffleTrial:
     def test_absent_topics_reported(self):
         corpus = corpus_from_topic_sets([{0}, {2}], topic_count=4)
         result = shuffle_trial(corpus, 1)
-        assert result.absent_topics == (1, 3)
+        assert corpus.absent_topics == (1, 3)
         assert set(result.first_seen) == {0, 2}
 
     def test_completion_topics_helper(self):
@@ -305,6 +306,18 @@ class TestRunShuffles:
         corpus = corpus_from_topic_sets([{0}])
         with pytest.raises(ValueError, match=str(fomo.simulation.MAX_BIN_COUNT)):
             run_shuffles(corpus, 5, 1, bin_count=10**6 + 1)
+
+    def test_memory_does_not_grow_with_absent_topics(self):
+        # A trial holds a seen-mask of topic_count bytes; listing the
+        # 999,998 absent topics would take tens of MiB.
+        corpus = corpus_from_topic_sets([{0}, {5}], topic_count=10**6)
+        tracemalloc.start()
+        try:
+            run_shuffles(corpus, 20, master_seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_summary_json_round_trip(self):
         corpus = corpus_from_topic_sets([{0}, {1}, {0, 1}, {2}])
