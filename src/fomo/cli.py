@@ -15,8 +15,9 @@ Subcommands:
     gen-corpus  synthesize a power-law multi-label corpus
     compare     simulated completion versus the analytic scan model
 
-Validation failures, and inputs too large to allocate, exit with status
-1 and a one-line ``error: ...`` diagnostic on stderr.
+Validation failures, a malformed command line included, and inputs too
+large to allocate exit with status 1 and a one-line ``error: ...``
+diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Iterable, Sequence
+from typing import Iterable, NoReturn, Sequence
 
 from .analytic import RecallScenario, fomo_table, format_percent, prevalence_upper_bound
 from .collector import (
@@ -256,13 +257,21 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A parser whose usage errors reach ``main`` as ValueError, so a bad
+    command line ends like any other bad input."""
+
+    def error(self, message: str) -> NoReturn:
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def _add_output_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--output", default=None, help="write report here instead of stdout")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="fomo",
         description="How likely is it that an incomplete search missed a novel topic?",
     )
@@ -338,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,16 +27,20 @@ File format (UTF-8, one JSON object per line):
 
 Topics are written sorted ascending without duplicates, and line order
 is the corpus's accession order. ``load_corpus(save_corpus(c)) == c``
-bit for bit.
+bit for bit. The loader reads blocks of whole lines: a block whose lines
+are all in the form save_corpus writes is checked and parsed with array
+operations, and any other block line by line as JSON.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import math
 import os
 import re
 from array import array
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from json.encoder import encode_basestring_ascii
@@ -63,11 +67,13 @@ CORPUS_VERSION = 1
 # The largest topic id the int32 ``indices`` column holds.
 MAX_TOPIC_ID = int(np.iinfo(np.int32).max)
 
-# Documents per block when saving and loading, and draws (about 17 bytes
-# each) per block when generating: they bound the working memory beside
-# the corpus itself, and change no output byte.
+# Documents per block when saving, draws (about 17 bytes each) per block
+# when generating, and characters (bytes, in an ASCII file) read per block
+# when loading: they bound the working memory beside the corpus itself,
+# and change no output byte.
 BLOCK_DOCUMENTS = 1 << 12
 BLOCK_DRAWS = 1 << 18
+BLOCK_BYTES = 1 << 17
 
 # The most topics zipf_prevalences builds and documents generate_corpus
 # draws (4.5 times the paper's 2,202,935-document production, about 1 GiB
@@ -338,16 +344,6 @@ def _format_error(line_number: int, message: str) -> CorpusFormatError:
     return CorpusFormatError(f"line {line_number}: {message}")
 
 
-# A document line as save_corpus writes it: an id without escapes or
-# surrogates and at least one topic id written without sign or leading
-# zeros, below 10**9. It parses to the id and the topic ids as written;
-# any other line takes the general JSON path of _parse_record.
-_TOPIC = r"(?:0|[1-9][0-9]{0,8})"
-_SAVED_LINE = re.compile(
-    r'\{"doc_id":"([^"\\\x00-\x1f\ud800-\udfff]*)","topics":\[(%s(?:,%s)*)\]\}\n?'
-    % (_TOPIC, _TOPIC)
-)
-
 # Files are read with errors="surrogateescape", so a byte that is not
 # UTF-8 reads as a lone surrogate; a JSON escape can spell one too.
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -417,6 +413,110 @@ def _sorted_topics(topics: array, ends: array, topic_count: int) -> np.ndarray:
     raise _format_error(d + 2, _topics_problem(listed, topic_count))
 
 
+# A document line as save_corpus writes it is _HEAD, an id without
+# quote, backslash, control character or surrogate, _MIDDLE, one or more
+# topic ids of 1 to 9 digits without leading zeros joined by commas, and
+# "]}". The fixed parts are compared as 8-byte words read at any byte.
+_HEAD = b'{"doc_id":"'
+_MIDDLE = b'","topics":['
+_POW10 = 10 ** np.arange(9, dtype=np.intc)
+# What each byte of a topic list may be: 1 a digit, 2 a comma, 3 the "]".
+_TOPIC_BYTE = np.zeros(256, np.uint8)
+_TOPIC_BYTE[list(b"0123456789")] = 1
+_TOPIC_BYTE[list(b",]")] = 2, 3
+
+
+def _words(data: bytes) -> np.ndarray:
+    """The 8-byte word, in native order, starting at each byte of ``data``."""
+    return np.ndarray((len(data) - 7,), np.uint64, data, 0, (1,))
+
+
+_HEAD_WORDS = _words(_HEAD)[[0, 3]]
+_MIDDLE_WORDS = _words(_MIDDLE)[[0, 4]]
+
+
+def _spans(size: int, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """A mask of ``size`` entries, true on each ``[starts[i], stops[i])``;
+    the spans are in order and do not overlap."""
+    bounds = np.empty(2 * starts.size + 2, np.int64)
+    bounds[0], bounds[-1] = 0, size
+    bounds[1:-1:2], bounds[2:-1:2] = starts, stops
+    inside = np.zeros(bounds.size - 1, bool)
+    inside[1::2] = True
+    return np.repeat(inside, np.diff(bounds))
+
+
+def _saved_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The ids, the flat topic ids as written and the running topic count
+    at each line's end, for whole lines all in the form save_corpus
+    writes; None if any line is in another form."""
+    if not text.isascii() and _SURROGATE.search(text):
+        return None
+    data = (text if text.endswith("\n") else text + "\n").encode()
+    buf = np.frombuffer(data, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    quotes = np.flatnonzero(buf == ord('"'))
+    n = ends.size
+    if quotes.size != 6 * n or np.count_nonzero(buf < 0x20) != n or b"\\" in data:
+        return None
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    middles = quotes[3::6]
+    closes = ends - 2
+    # Row i of six quotes must start at line i's first quote; the fixed
+    # parts and topic bytes checked below then leave no other quote in the
+    # line. The second test keeps the words read below in bounds.
+    if not ((quotes[::6] == starts + 1) & (middles + len(_MIDDLE) < closes)).all():
+        return None
+    words = _words(data)
+    if not (
+        (words[starts] == _HEAD_WORDS[0])
+        & (words[starts + 3] == _HEAD_WORDS[1])
+        & (words[middles] == _MIDDLE_WORDS[0])
+        & (words[middles + 4] == _MIDDLE_WORDS[1])
+        & (buf[closes] == ord("]"))
+        & (buf[closes + 1] == ord("}"))
+    ).all():
+        return None
+
+    # Each line's topic ids and its closing "]", back to back.
+    listed = buf[_spans(buf.size, middles + len(_MIDDLE), closes + 1)]
+    kind = _TOPIC_BYTE[listed]
+    separators = np.flatnonzero(kind > 1)
+    digits = np.diff(separators, prepend=-1) - 1
+    if (
+        np.count_nonzero(kind == 0)
+        or np.count_nonzero(kind == 3) != n
+        or not ((digits >= 1) & (digits <= 9)).all()
+        or ((listed[separators - digits] == ord("0")) & (digits > 1)).any()
+    ):
+        return None
+    # Each digit times ten to the power of the digits after it in its id.
+    values = listed.astype(np.intc) - ord("0")
+    values[separators] = 0
+    values *= _POW10[np.repeat(separators, digits + 1) - np.arange(1, listed.size + 1)]
+    topics = np.add.reduceat(values, np.concatenate(([0], separators[:-1] + 1)), dtype=np.intc)
+    line_ends = np.flatnonzero(kind[separators] == 3) + 1
+
+    # The ids, each followed by its closing quote.
+    quoted = buf[_spans(buf.size, starts + len(_HEAD), middles + 1)].tobytes()
+    ids = np.array(quoted.decode().split('"')[:-1], dtype=StringDType())
+    return ids, topics, line_ends
+
+
+def _line_blocks(fh) -> Iterator[str]:
+    """The rest of the open file as blocks of whole lines, about
+    BLOCK_BYTES characters each; the last may lack its line end."""
+    pending = []
+    while chunk := fh.read(BLOCK_BYTES):
+        cut = chunk.rfind("\n") + 1
+        if cut:
+            yield "".join([*pending, chunk[:cut]])
+            pending = []
+        pending.append(chunk[cut:])
+    if any(pending):
+        yield "".join(pending)
+
+
 def load_corpus(path: str | os.PathLike) -> Corpus:
     """Read a JSON-lines corpus, preserving line order as accession order.
 
@@ -425,11 +525,13 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
     header, out-of-range or duplicate topic ids, or a document with no
     topics. Topic ids may be listed in any order; they are stored sorted.
 
-    The file is streamed: only the ids, one flat array of topic ids and
-    the document ends are kept. Repeated and out-of-range ids on lines in
-    the form save_corpus writes are found with array checks once the
-    lines are read, or when a later line fails, so errors still come in
-    line order.
+    The file is read in blocks of whole lines, about BLOCK_BYTES each, and
+    only the ids, one flat array of topic ids and the document ends are
+    kept. A block whose lines are all in the form save_corpus writes is
+    checked and parsed with array operations; any other block is parsed
+    line by line as JSON. Repeated and out-of-range ids on saved-form
+    lines are found with array checks once the lines are read, or when a
+    later line fails, so errors still come in line order.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header_line = fh.readline()
@@ -449,34 +551,36 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
             raise _format_error(1, f"bad topic_count {topic_count!r}")
 
         id_blocks = []
-        ids: list[str] = []
         topics = array("i")
         ends = array("q", [0])
         try:
-            for number, raw in enumerate(fh, start=2):
-                saved = _SAVED_LINE.fullmatch(raw)
-                if saved:
-                    doc_id = saved[1]
-                    topics.extend(map(int, saved[2].split(",")))
-                else:
+            for text in _line_blocks(fh):
+                saved = _saved_lines(text)
+                if saved is not None:
+                    ids, saved_topics, line_ends = saved
+                    ends.frombytes((line_ends + len(topics)).tobytes())
+                    topics.frombytes(saved_topics.tobytes())
+                    id_blocks.append(ids)
+                    continue
+                ids = []
+                for number, raw in enumerate(io.StringIO(text), start=len(ends) + 1):
                     doc_id, listed = _parse_record(number, raw, topic_count)
+                    ids.append(doc_id)
                     topics.extend(listed)
-                ids.append(doc_id)
-                ends.append(len(topics))
-                if len(ids) == BLOCK_DOCUMENTS:
-                    id_blocks.append(np.array(ids, dtype=StringDType()))
-                    ids = []
+                    ends.append(len(topics))
+                id_blocks.append(np.array(ids, dtype=StringDType()))
         except ValueError:
             # An earlier line's repeated or out-of-range topic id comes first.
             _sorted_topics(topics, ends, topic_count)
             raise
-    if ids:
-        id_blocks.append(np.array(ids, dtype=StringDType()))
-    if not id_blocks:
+    if len(ends) == 1:
         raise CorpusFormatError("corpus file contains a header but no documents")
-    return Corpus(
-        doc_ids=np.concatenate(id_blocks),
-        indptr=np.frombuffer(ends, np.int64),
-        indices=_sorted_topics(topics, ends, topic_count),
-        topic_count=topic_count,
-    )
+    doc_ids = np.concatenate(id_blocks)
+    del id_blocks  # freed before Corpus's checks allocate their own arrays
+    indptr = np.frombuffer(ends, np.int64)
+    try:
+        return Corpus(doc_ids, indptr, np.frombuffer(topics, np.intc), topic_count)
+    except ValueError:
+        # Topic ids listed out of order, or repeated or out of range: sort
+        # them, or raise the error of the first line with a bad one.
+        return Corpus(doc_ids, indptr, _sorted_topics(topics, ends, topic_count), topic_count)

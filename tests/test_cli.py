@@ -1,11 +1,14 @@
 """CLI surface: reports, exit codes, reproducible bytes."""
 
+import contextlib
 import csv
 import io
 import json
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fomo.analytic import RecallScenario, fomo_table
 from fomo.cli import main
@@ -418,3 +421,126 @@ def test_malformed_input_is_a_one_line_error(case, capsys, tiny_corpus, tmp_path
     assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+# Malformed values for the option kinds the commands take. Sizes drawn as
+# valid stay far below every cap (MAX_DOCUMENTS, MAX_ZIPF_TOPICS,
+# SUM_COUPON_LIMIT, MAX_BIN_COUNT), so each drawn command runs in
+# milliseconds; malformed sizes are zero or negative, never huge.
+NOT_A_NUMBER = st.sampled_from(["", "abc", "1.5.2", "0x10", "--1", "1e", "half"])
+NOT_A_COUNT = st.one_of(
+    NOT_A_NUMBER, st.sampled_from(["1.5", "1e3"]), st.integers(-10**6, 0).map(str)
+)
+NOT_A_PROBABILITY = st.one_of(
+    NOT_A_NUMBER, st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "1.5", "1e300"])
+)
+NOT_A_CHOICE = st.sampled_from(["", "xml", "CSV", "exact ", "monte-carlo"])
+
+
+def counts(high):
+    return st.integers(1, high).map(str)
+
+
+def fractions(low=0.01, high=0.99):
+    return st.floats(low, high).map(repr)
+
+
+def joined(values):
+    return st.lists(values, min_size=1, max_size=3).map(",".join)
+
+
+def bad_file(*extra):
+    return st.sampled_from(["{missing}", "{directory}", *extra])
+
+
+BAD_OUTPUT = st.sampled_from(["{missing}/out", "{directory}"])
+
+
+# Per command, each option's valid values and malformed ones; "{name}"
+# stands for a path made by the cli_files fixture.
+COMMANDS = {
+    "table": {
+        "--produced": (joined(counts(10**7)), st.one_of(NOT_A_COUNT, st.just(","))),
+        "--recall": (joined(fractions(high=1.0)), NOT_A_PROBABILITY),
+        "--confidence": (fractions(), st.one_of(NOT_A_PROBABILITY, st.just("1"))),
+        "--format": (st.sampled_from(["csv", "json"]), NOT_A_CHOICE),
+        "--output": (st.just("{out}"), BAD_OUTPUT),
+    },
+    "bound": {
+        "--produced": (counts(10**9), NOT_A_COUNT),
+        "--confidence": (fractions(), st.one_of(NOT_A_PROBABILITY, st.just("1"))),
+    },
+    "collector": {
+        "--uniform": (counts(12), NOT_A_COUNT),
+        "--method": (st.sampled_from(["exact", "sum", "montecarlo"]), NOT_A_CHOICE),
+        "--seed": (st.integers(-10**20, 10**20).map(str), NOT_A_NUMBER),
+    },
+    "collector-montecarlo": {
+        "--probs": (st.just("{probs}"), bad_file("{bad_probs}")),
+        "--method": (st.just("montecarlo"), NOT_A_CHOICE),
+        "--trials": (counts(200), NOT_A_COUNT),
+    },
+    "simulate": {
+        "--corpus": (st.just("{corpus}"), bad_file("{bad_corpus}")),
+        "--trials": (counts(20), NOT_A_COUNT),
+        "--quantiles": (joined(fractions()), st.one_of(NOT_A_PROBABILITY, st.just("1"))),
+        "--bins": (counts(1000), NOT_A_COUNT),
+        "--summary-json": (st.just("{out}"), BAD_OUTPUT),
+    },
+    "curve": {
+        "--corpus": (st.just("{corpus}"), bad_file("{bad_corpus}")),
+        "--format": (st.sampled_from(["csv", "json"]), NOT_A_CHOICE),
+    },
+    "gen-corpus": {
+        "--docs": (counts(200), NOT_A_COUNT),
+        "--topics": (st.integers(2, 20).map(str), st.one_of(NOT_A_COUNT, st.just("1"))),
+        "--max-prev": (fractions(0.3, 1.0), NOT_A_PROBABILITY),
+        "--min-prev": (fractions(0.01, 0.3), NOT_A_PROBABILITY),
+        "--out": (st.just("{out}"), BAD_OUTPUT),
+    },
+    "compare": {
+        "--corpus": (st.just("{corpus}"), bad_file("{bad_corpus}")),
+        "--summary": (st.just("{summary}"), bad_file("{bad_summary}", "{corpus}")),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    base = tmp_path_factory.mktemp("argv")
+    contents = {
+        "corpus": TINY_CORPUS,
+        "summary": json.dumps(VALID_SUMMARY),
+        "probs": "[0.25, 0.75]",
+        "bad_corpus": TINY_CORPUS.replace('"topics":[1]', '"topics":[2]'),
+        "bad_summary": json.dumps({**VALID_SUMMARY, "trial_count": "4"}),
+        "bad_probs": "[0.5, 0.6]",
+    }
+    for name, text in contents.items():
+        (base / name).write_text(text, encoding="utf-8")
+    (base / "directory").mkdir()
+    names = {**contents, "directory": None, "out": None, "missing": None}
+    return {name: str(base / name) for name in names}
+
+
+@st.composite
+def malformed_command_line(draw):
+    """A command line with every option valid but one."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    options = COMMANDS[command]
+    spoiled = draw(st.sampled_from(sorted(options)))
+    argv = [command.removesuffix("-montecarlo")]
+    for option, (valid, malformed) in options.items():
+        argv += [option, draw(malformed if option == spoiled else valid)]
+    return argv
+
+
+@given(malformed_command_line())
+@settings(max_examples=300, deadline=None)
+def test_a_malformed_command_line_is_a_one_line_error(cli_files, argv):
+    argv = [arg.format(**cli_files) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fomo.corpus import (
+    BLOCK_BYTES,
     MAX_DOCUMENTS,
     MAX_TOPIC_ID,
     Corpus,
@@ -23,6 +25,12 @@ from fomo.corpus import (
     save_corpus,
     zipf_prevalences,
 )
+
+# The loader's own block size, and one so small that lines straddle
+# blocks, a block mixes saved-form and spaced lines, and a bad line can
+# fail in a later block than an earlier line with a bad topic id.
+BLOCK_SIZES = (BLOCK_BYTES, 64)
+HEADER_3 = '{"format":"fomo-corpus","version":1,"topic_count":3}'
 
 
 class TestZipfPrevalences:
@@ -366,7 +374,7 @@ class TestSaveLoad:
             ('{"doc_id":"\\ud800","topics":[0]}', 3, "bad doc_id '\\ud800'"),
         ],
     )
-    def test_every_loader_error_names_its_line(self, tmp_path, record, line, message):
+    def test_every_loader_error_names_its_line(self, tmp_path, monkeypatch, record, line, message):
         path = tmp_path / "bad.jsonl"
         path.write_text(
             '{"format":"fomo-corpus","version":1,"topic_count":3}\n'
@@ -374,10 +382,142 @@ class TestSaveLoad:
             encoding="utf-8",
             errors="surrogateescape",
         )
-        with pytest.raises(CorpusFormatError) as info:
+        for block_bytes in BLOCK_SIZES:
+            monkeypatch.setattr("fomo.corpus.BLOCK_BYTES", block_bytes)
+            with pytest.raises(CorpusFormatError) as info:
+                load_corpus(path)
+            assert str(info.value).startswith(f"line {line}: ")
+            assert message in str(info.value)
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"doc_id":"b","topics":[01]}', "invalid JSON"),
+            ('{"doc_id":"b","topics":[00]}', "invalid JSON"),
+            ('{"doc_id":"b","topics":[9999999999]}', "topic id 9999999999 outside 0..2"),
+            ('{"doc_id":"b","topics":[0,,1]}', "invalid JSON"),
+            ('{"doc_id":"b","topics":[,1]}', "invalid JSON"),
+            ('{"doc_id":"b","topics":[1,]}', "invalid JSON"),
+            ('{"doc_id":"b\x01","topics":[0]}', "invalid JSON"),
+            ('{"doc_id","b","topics":[0]}', "invalid JSON"),
+            ('{"doc_id":"b","topics",[0]}', "invalid JSON"),
+            ('{"doc_id":"b","topics":[0]]', "invalid JSON"),
+            ('{"doc_id":"b","topics":[0]1]}', "invalid JSON"),
+            # Twelve quotes over two lines, in rows of six that straddle them.
+            ('1d":""d":"{"doc_id":"1""doc_id"\n]"doc_i', "invalid JSON"),
+            ('{"doc_id":"b","topics":[0 ]}', None),
+            ('{"doc_id":"b\\u00e9","topics":[0]}', None),
+        ],
+    )
+    def test_lines_near_the_saved_form_parse_as_json(
+        self, tmp_path, monkeypatch, block_bytes, record, message
+    ):
+        # Each differs from the form save_corpus writes in one place, so
+        # it must load, or fail, exactly as the JSON parser says.
+        monkeypatch.setattr("fomo.corpus.BLOCK_BYTES", block_bytes)
+        path = tmp_path / "near.jsonl"
+        path.write_text(
+            "\n".join([HEADER_3, '{"doc_id":"a","topics":[0]}', record, ""]), encoding="utf-8"
+        )
+        if message is None:
+            doc_id = json.loads(record)["doc_id"]
+            assert documents_of(load_corpus(path))[1] == Document(doc_id, (0,))
+        else:
+            with pytest.raises(CorpusFormatError, match=f"^line 3: {message}"):
+                load_corpus(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    def test_line_ends_are_universal(self, tmp_path, monkeypatch, newline):
+        # Every block size from 8 to 80 characters puts a block boundary
+        # at each place in the first lines, between a "\r" and its "\n" too.
+        lines = ['{"doc_id":"a","topics":[0]}', '{"doc_id":"b","topics":[1,2]}']
+        good = tmp_path / "good.jsonl"
+        good.write_bytes(newline.join([HEADER_3, *lines, ""]).encode())
+        bad = tmp_path / "bad.jsonl"
+        lines.append('{"doc_id":"c","topics":[5]}')
+        bad.write_bytes(newline.join([HEADER_3, *lines, ""]).encode())
+        expected = corpus_from_documents([Document("a", (0,)), Document("b", (1, 2))], 3)
+        for block_bytes in range(8, 81):
+            monkeypatch.setattr("fomo.corpus.BLOCK_BYTES", block_bytes)
+            assert load_corpus(good) == expected
+            with pytest.raises(CorpusFormatError, match=r"^line 4: topic id 5 outside 0\.\.2$"):
+                load_corpus(bad)
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+    def test_only_line_feeds_and_carriage_returns_end_lines(
+        self, tmp_path, monkeypatch, block_bytes
+    ):
+        # str.splitlines would also end a line at each of these, raw in an id.
+        monkeypatch.setattr("fomo.corpus.BLOCK_BYTES", block_bytes)
+        ids = ["a\u2028b", "c\u2029d", "e\x85f"]
+        saved = ['{"doc_id":"%s","topics":[0]}' % doc_id for doc_id in ids]
+        spaced = ['{"doc_id": "%s", "topics": [0]}' % doc_id for doc_id in ids]
+        path = tmp_path / "ids.jsonl"
+        path.write_text("\n".join([HEADER_3, *saved, ""]), encoding="utf-8")
+        assert load_corpus(path).doc_ids.tolist() == ids
+        path.write_text("\n".join([HEADER_3, *saved, *spaced, ""]), encoding="utf-8")
+        assert load_corpus(path).doc_ids.tolist() == ids + ids
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+    @pytest.mark.parametrize(
+        "last, error",
+        [
+            ('{"doc_id":"c","topics":[2,0]}', None),
+            ('{"doc_id": "c", "topics": [2, 0]}', None),
+            ('{"doc_id":"c","topics":[3]}', "line 4: topic id 3 outside 0..2"),
+            ('{"doc_id":"c","topics":[2,0', "line 4: invalid JSON"),
+        ],
+    )
+    def test_last_line_without_line_end(self, tmp_path, monkeypatch, block_bytes, last, error):
+        monkeypatch.setattr("fomo.corpus.BLOCK_BYTES", block_bytes)
+        lines = ['{"doc_id":"a","topics":[0]}', '{"doc_id":"b","topics":[1]}', last]
+        path = tmp_path / "open.jsonl"
+        path.write_text("\n".join([HEADER_3, *lines]), encoding="utf-8")
+        if error is None:
+            assert documents_of(load_corpus(path))[2] == Document("c", (0, 2))
+        else:
+            with pytest.raises(CorpusFormatError, match=f"^{error}"):
+                load_corpus(path)
+
+    @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+    def test_line_longer_than_a_block(self, tmp_path, monkeypatch, block_bytes):
+        monkeypatch.setattr("fomo.corpus.BLOCK_BYTES", block_bytes)
+        long_id = "x" * (BLOCK_BYTES + 1000)
+        corpus = corpus_from_documents(
+            [Document("a", (0,)), Document(long_id, tuple(range(300))), Document("c", (7,))],
+            topic_count=300,
+        )
+        path = tmp_path / "long.jsonl"
+        save_corpus(corpus, path)
+        assert load_corpus(path) == corpus
+
+    def test_loading_the_study_corpus_keeps_memory_bounded(self, tmp_path):
+        # The loaded arrays take 3.3 MiB; blocks bound the rest.
+        path = tmp_path / "study.jsonl"
+        save_corpus(generate_corpus(120_000, zipf_prevalences(64, 0.36, 1 / 8571), seed=7), path)
+        tracemalloc.start()
+        try:
             load_corpus(path)
-        assert str(info.value).startswith(f"line {line}: ")
-        assert message in str(info.value)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_a_long_id_costs_only_its_own_bytes(self, tmp_path):
+        # No array as wide as the longest id for every line of its block.
+        lines = ['{"doc_id":"d%d","topics":[0]}' % d for d in range(10_000)]
+        lines.insert(5_000, '{"doc_id":"%s","topics":[1]}' % ("x" * 2**20))
+        path = tmp_path / "long.jsonl"
+        path.write_text("\n".join([HEADER_3, *lines, ""]), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            corpus = load_corpus(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(corpus) == 10_001 and len(corpus.doc_ids[5_000]) == 2**20
+        assert peak < 16 * 2**20
 
     def test_header_bytes_must_be_utf8(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -422,11 +562,22 @@ def document_line(draw, topic_count):
     doc_id = draw(st.text(st.characters(codec="utf-8"), max_size=6))
     topics = draw(st.lists(st.integers(0, topic_count - 1), min_size=1, max_size=5, unique=True))
     compact, ascii_only = draw(st.booleans()), draw(st.booleans())
-    kind = draw(st.sampled_from(
-        ["good", "good", "good", "blank", "cut", "bad_id", "duplicate", "empty", "byte", "surrogate"]
-    ))
+    kind = draw(st.sampled_from([
+        "good", "good", "good", "blank", "cut", "bad_id", "duplicate", "empty", "byte", "surrogate",
+        "mangled", "listed",
+    ]))
     if kind == "good":
         return spelled(doc_id, sorted(topics) if compact else topics, compact, ascii_only).encode()
+    if kind == "mangled":
+        # One byte of a saved-form line replaced or removed.
+        line = spelled(doc_id, sorted(topics), True, True).encode()
+        at = draw(st.integers(0, len(line) - 1))
+        put = draw(st.sampled_from([b"", *(bytes([c]) for c in b'"\\,09]}{ :\x1f')]))
+        return line[:at] + put + line[at + 1 :]
+    if kind == "listed":
+        # A saved-form line whose topic list is any digits and commas.
+        listed = draw(st.text("0123456789,", max_size=12))
+        return b'{"doc_id":"%s","topics":[%s]}' % (doc_id.encode(), listed.encode())
     if kind == "blank":
         return draw(st.sampled_from([b"", b"  \t"]))
     if kind == "cut":
@@ -478,9 +629,11 @@ def test_loader_agrees_with_a_per_line_oracle(tmp_path_factory, data, topic_coun
     path = tmp_path_factory.getbasetemp() / "fuzzed.jsonl"
     path.write_bytes(b"\n".join([header, *lines]) + b"\n")
     documents, bad_line = loaded_by_oracle(lines, topic_count)
-    if bad_line is None:
-        assert load_corpus(path) == corpus_from_documents(documents, topic_count)
-    else:
-        with pytest.raises(CorpusFormatError) as info:
-            load_corpus(path)
-        assert str(info.value).startswith(f"line {bad_line}: ")
+    for block_bytes in BLOCK_SIZES:
+        with mock.patch("fomo.corpus.BLOCK_BYTES", block_bytes):
+            if bad_line is None:
+                assert load_corpus(path) == corpus_from_documents(documents, topic_count)
+            else:
+                with pytest.raises(CorpusFormatError) as info:
+                    load_corpus(path)
+                assert str(info.value).startswith(f"line {bad_line}: ")
