@@ -21,6 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
+from .prng import check_probabilities
+
 __all__ = [
     "RecallScenario",
     "FomoRow",
@@ -89,8 +91,7 @@ def first_discovery_pmf(prevalence: float, k: int) -> float:
     Geometric law: miss it k-1 times, then hit it once,
     ``(1 - prevalence)**(k-1) * prevalence``.
     """
-    if not 0.0 < prevalence <= 1.0:
-        raise ValueError(f"prevalence must be in (0, 1], got {prevalence}")
+    check_probabilities((prevalence,), "prevalence")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return (1.0 - prevalence) ** (k - 1) * prevalence

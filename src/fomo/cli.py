@@ -46,6 +46,7 @@ from .simulation import (
     DEFAULT_QUANTILES,
     MAX_BIN_COUNT,
     completion_vs_analytic,
+    read_json,
     run_shuffles,
     scan_accession,
     summary_from_json,
@@ -140,7 +141,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
 
 def _load_probabilities(path: str) -> CouponDistribution:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = read_json(fh.read())
     if not isinstance(data, list) or not all(type(p) in (int, float) for p in data):
         raise ValueError(f"{path}: expected a JSON array of probabilities")
     return CouponDistribution(tuple(float(p) for p in data))

@@ -35,7 +35,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .prng import derive_key_array, stream_u64, u64_thresholds
+from .prng import check_probabilities, derive_key_array, stream_u64, u64_thresholds
 
 __all__ = [
     "CouponDistribution",
@@ -105,9 +105,7 @@ class CouponDistribution:
     def __post_init__(self) -> None:
         if not self.probabilities:
             raise ValueError("a coupon distribution needs at least one coupon")
-        for i, p in enumerate(self.probabilities):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"coupon probability {i} must be in (0, 1], got {p}")
+        check_probabilities(self.probabilities, "coupon probability {}")
         total = math.fsum(self.probabilities)
         if total > 1.0 + 1e-9:
             raise ValueError(f"coupon probabilities sum to {total}, more than 1")
@@ -140,20 +138,16 @@ ProbabilityVector = Union[CouponDistribution, Sequence[float]]
 def _probability_array(probabilities: ProbabilityVector) -> np.ndarray:
     """Validate and return probabilities as a float array.
 
-    Accepts a CouponDistribution or any plain sequence; the plain form is
-    not required to sum below 1, which lets multi-label document
-    prevalences (more than one topic per document) reuse the scan
-    approximations here.
+    Accepts a CouponDistribution or any plain sequence; the plain form need
+    not sum below 1, so multi-label document prevalences (more than one
+    topic per document) can reuse the scan approximations here.
     """
     if isinstance(probabilities, CouponDistribution):
-        values = probabilities.probabilities
-    else:
-        values = tuple(float(p) for p in probabilities)
-        if not values:
-            raise ValueError("need at least one probability")
-        for i, p in enumerate(values):
-            if not 0.0 < p <= 1.0:
-                raise ValueError(f"probability {i} must be in (0, 1], got {p}")
+        return np.asarray(probabilities.probabilities, dtype=float)
+    values = tuple(float(p) for p in probabilities)
+    if not values:
+        raise ValueError("need at least one probability")
+    check_probabilities(values, "probability {}")
     return np.asarray(values, dtype=float)
 
 
@@ -209,13 +203,16 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
     # subset of the rest, so peak memory stays at 2**20 floats.
     low_sums, low_sign = _subset_sums(p[:20])
     total = 0.0
-    for bits, (high_sum, high_sign) in enumerate(zip(*_subset_sums(p[20:]))):
-        sums = low_sums + high_sum
-        signs = low_sign * high_sign
-        if bits == 0:
-            sums = sums[1:]  # drop the empty subset
-            signs = signs[1:]
-        total += float(np.sum(signs / sums))
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+        for bits, (high_sum, high_sign) in enumerate(zip(*_subset_sums(p[20:]))):
+            sums = low_sums + high_sum
+            signs = low_sign * high_sign
+            if bits == 0:
+                sums = sums[1:]  # drop the empty subset
+                signs = signs[1:]
+            total += float(np.sum(signs / sums))
+    if not math.isfinite(total):
+        raise ValueError("the subset sum leaves float range: a probability is too small")
     # signs carry (-1)**|J|; the expectation wants (-1)**(|J|+1).
     return -total
 
@@ -326,8 +323,9 @@ def _coupon_thresholds(p: np.ndarray) -> np.ndarray:
 
     A draw u (uniform uint64) yields coupon k when thr[k-1] <= u < thr[k];
     u at or above thr[-1] yields nothing. Integer thresholds keep the
-    scalar and vectorized samplers bit-for-bit identical. Every coupon
-    gets a nonempty range because callers cap 1/p at _SAMPLER_RAREST_LIMIT.
+    sampler bit-for-bit identical to the one-draw-at-a-time oracle in the
+    tests (``assert_matches_sequential`` in tests/test_collector.py). Every
+    coupon gets a nonempty range because callers cap 1/p at _SAMPLER_RAREST_LIMIT.
     """
     cum = np.cumsum(p)
     if abs(float(cum[-1]) - 1.0) <= 1e-9:

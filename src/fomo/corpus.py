@@ -48,7 +48,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 from numpy.dtypes import StringDType
 
-from .prng import derive_key_array, stream_u64, u64_thresholds
+from .prng import check_probabilities, derive_key_array, stream_u64, u64_thresholds
 
 __all__ = [
     "TopicDistribution",
@@ -103,9 +103,7 @@ class TopicDistribution:
     def __post_init__(self) -> None:
         if not self.prevalences:
             raise ValueError("a topic distribution needs at least one topic")
-        for i, q in enumerate(self.prevalences):
-            if not 0.0 < q <= 1.0:
-                raise ValueError(f"prevalence of topic {i} must be in (0, 1], got {q}")
+        check_probabilities(self.prevalences, "prevalence of topic {}")
 
     def __len__(self) -> int:
         return len(self.prevalences)
@@ -344,6 +342,16 @@ def _format_error(line_number: int, message: str) -> CorpusFormatError:
     return CorpusFormatError(f"line {line_number}: {message}")
 
 
+def _decoded(number: int, raw: str):
+    """The JSON value of line ``number``; any failure is a ``line N:`` error."""
+    try:
+        return json.loads(raw)
+    except json.JSONDecodeError as exc:
+        raise _format_error(number, f"invalid JSON ({exc.msg})") from exc
+    except RecursionError:
+        raise _format_error(number, "invalid JSON (nested too deeply)") from None
+
+
 # Files are read with errors="surrogateescape", so a byte that is not
 # UTF-8 reads as a lone surrogate; a JSON escape can spell one too.
 _SURROGATE = re.compile("[\ud800-\udfff]")
@@ -373,10 +381,7 @@ def _parse_record(number: int, raw: str, topic_count: int) -> tuple[str, list[in
     _check_bytes(number, raw)
     if not raw.strip():
         raise _format_error(number, "blank line")
-    try:
-        record = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise _format_error(number, f"invalid JSON ({exc.msg})") from exc
+    record = _decoded(number, raw)
     if not isinstance(record, dict):
         raise _format_error(number, "expected an object")
     doc_id = record.get("doc_id")
@@ -538,10 +543,7 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
         if not header_line.strip():
             raise _format_error(1, "missing header")
         _check_bytes(1, header_line)
-        try:
-            header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
-            raise _format_error(1, f"invalid JSON ({exc.msg})") from exc
+        header = _decoded(1, header_line)
         if not isinstance(header, dict) or header.get("format") != CORPUS_FORMAT:
             raise _format_error(1, f"not a {CORPUS_FORMAT} header")
         if header.get("version") != CORPUS_VERSION:

@@ -13,13 +13,13 @@ so the t-th output (1-based) of the stream keyed by ``key`` is
 
 This counter form is the generator: :func:`stream_u64` computes any set
 of draws of any set of streams from (key, counter) alone, in one array
-operation, and :func:`mix64_array` is the finalizer. :func:`u64_thresholds`
-turns probabilities into the integer cut-offs a draw is compared
-against, :func:`derive_key_array` keys independent streams (one per
-document, one per trial), and :func:`fisher_yates` draws and yields a
-permutation ``CHUNK`` positions at a time. The sequential form (a state
-advanced by ``GAMMA`` per call) is kept only in the tests, as the oracle
-these are checked against.
+operation, and :func:`mix64_array` is the finalizer. :func:`check_probabilities`
+states the rule every probability meets, :func:`u64_thresholds` turns them
+into the integer cut-offs a draw is compared against, :func:`derive_key_array`
+keys independent streams (one per document, one per trial), and
+:func:`fisher_yates` draws and yields a permutation ``CHUNK`` positions at
+a time. The sequential form (a state advanced by ``GAMMA`` per call) is
+kept only in the tests, as the oracle these are checked against.
 """
 
 from __future__ import annotations
@@ -63,6 +63,15 @@ def stream_u64(keys: int | np.ndarray, counters: int | np.ndarray) -> np.ndarray
     keys = np.asarray(keys, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
     return mix64_array(keys + counters * np.uint64(GAMMA))
+
+
+def check_probabilities(values: Sequence[float], noun: str) -> None:
+    """Raise ValueError for the first entry not in (0, 1], named ``noun.format(index)``."""
+    p = np.asarray(values)  # no float cast: nan, -0.0, bools and big ints compare as given
+    with np.errstate(invalid="ignore"):  # an object array compares nan in Python, flagging it
+        bad = np.flatnonzero(~((p > 0) & (p <= 1)))[:1]
+    if bad.size:
+        raise ValueError(f"{noun.format(bad[0])} must be in (0, 1], got {values[bad[0]]}")
 
 
 def u64_thresholds(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:

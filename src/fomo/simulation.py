@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -131,10 +132,26 @@ class SimulationSummary:
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
+def _float_sized_int(digits: str) -> int:
+    value = int(digits)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"an integer of {len(digits.lstrip('-'))} digits is beyond float range")
+    return value
+
+
+def read_json(text: str):
+    """The value of a JSON input file. Nesting too deep to parse, and an
+    integer no float can hold, raise ValueError like any other bad input."""
+    try:
+        return json.loads(text, parse_int=_float_sized_int)
+    except RecursionError:
+        raise ValueError("invalid JSON (nested too deeply)") from None
+
+
 def summary_from_json(text: str) -> SimulationSummary:
     """Parse a summary produced by :meth:`SimulationSummary.to_json`;
     anything else raises ValueError."""
-    payload = json.loads(text)
+    payload = read_json(text)
     if not isinstance(payload, dict) or payload.get("format") != SUMMARY_FORMAT:
         raise ValueError(f"not a {SUMMARY_FORMAT} document")
     if payload.get("version") != SUMMARY_VERSION:

@@ -330,6 +330,8 @@ VALID_SUMMARY = {
 }
 
 TOO_LARGE = "1000000000000"
+DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
+HUGE_INTEGER = 10**400  # 401 digits, beyond float range
 
 # name -> (file contents, argv with {file}, {corpus} and {summary} placeholders)
 MALFORMED_INPUTS = {
@@ -382,6 +384,25 @@ MALFORMED_INPUTS = {
         '{"doc_id":"a","topics":[0]}\n' % TOO_LARGE,
         ["simulate", "--corpus", "{file}", "--trials", "1"],
     ),
+    "corpus-deeply-nested-topics": (
+        TINY_CORPUS + '{"doc_id":"d","topics":%s}\n' % DEEPLY_NESTED,
+        ["curve", "--corpus", "{file}"],
+    ),
+    "corpus-deeply-nested-header": (DEEPLY_NESTED + "\n", ["curve", "--corpus", "{file}"]),
+    "probs-deeply-nested": (DEEPLY_NESTED, ["collector", "--probs", "{file}"]),
+    "summary-deeply-nested": (
+        DEEPLY_NESTED, ["compare", "--corpus", "{corpus}", "--summary", "{file}"]
+    ),
+    "probs-huge-integer": (f"[{HUGE_INTEGER}]", ["collector", "--probs", "{file}"]),
+    "summary-huge-mean": (
+        json.dumps({**VALID_SUMMARY, "mean_completion": HUGE_INTEGER}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-huge-percentile": (
+        json.dumps({**VALID_SUMMARY, "percentiles": {"0.5": HUGE_INTEGER}}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "probs-subnormal-exact": ("[5e-324]", ["collector", "--probs", "{file}"]),
 }
 
 
@@ -544,3 +565,72 @@ def test_a_malformed_command_line_is_a_one_line_error(cli_files, argv):
         code = main(argv)
     assert (code, out.getvalue()) == (1, "")
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+
+
+# Any JSON value Python's json module writes, NaN and Infinity included.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner),
+    max_leaves=10,
+)
+PROBABILITY_LISTS = st.lists(
+    st.floats(0.0, 1.0) | st.integers(-1, 2) | st.sampled_from([5e-324, 1e-300, 1.0]),
+    min_size=1,
+    max_size=6,
+)
+
+
+@st.composite
+def summaries(draw):
+    """VALID_SUMMARY with one field, percentile or histogram bin redrawn."""
+    summary = json.loads(json.dumps(VALID_SUMMARY))
+    where = draw(st.sampled_from([summary, summary["percentiles"], summary["histogram"][0]]))
+    where[draw(st.sampled_from(sorted(where)))] = draw(JSON_VALUES)
+    return summary
+
+
+@st.composite
+def one_byte_changed(draw, text):
+    """``text`` as UTF-8 with one byte inserted, replaced or deleted."""
+    valid = text.encode()
+    at = draw(st.integers(0, len(valid) - 1))
+    byte = bytes([draw(st.integers(0, 255))])
+    inserted, replaced = valid[:at] + byte + valid[at:], valid[:at] + byte + valid[at + 1 :]
+    return draw(st.sampled_from([inserted, replaced, valid[:at] + valid[at + 1 :]]))
+
+
+def as_bytes(values):
+    return values.map(json.dumps).map(str.encode)
+
+
+INPUT_FILES = {
+    "--probs": st.one_of(
+        as_bytes(JSON_VALUES), as_bytes(PROBABILITY_LISTS), one_byte_changed("[0.25, 0.75]")
+    ),
+    "--summary": st.one_of(
+        as_bytes(JSON_VALUES), as_bytes(summaries()), one_byte_changed(json.dumps(VALID_SUMMARY))
+    ),
+}
+
+
+@pytest.mark.parametrize("option", sorted(INPUT_FILES))
+@given(data=st.data())
+@settings(max_examples=250, deadline=None)
+def test_a_drawn_input_file_gives_output_or_a_one_line_error(
+    cli_files, tmp_path_factory, option, data
+):
+    path = tmp_path_factory.getbasetemp() / "drawn_input"
+    path.write_bytes(data.draw(INPUT_FILES[option]))
+    if option == "--probs":  # the default route, exact
+        argv = ["collector", "--probs", str(path)]
+    else:
+        argv = ["compare", "--corpus", cli_files["corpus"], "--summary", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        assert err.getvalue() == ""
+        assert len(parse_csv(out.getvalue())) == (1 if option == "--probs" else 2)
+    else:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

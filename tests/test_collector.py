@@ -133,6 +133,11 @@ class TestExactCollector:
         with pytest.raises(SubsetLimitError, match="expected_draws_unequal_sum"):
             expected_draws_unequal_exact(CouponDistribution.uniform(26))
 
+    @pytest.mark.parametrize("probabilities", [(5e-324, 0.5), (1e-308, 1e-308, 0.5)])
+    def test_a_subset_sum_beyond_float_range_is_an_error(self, probabilities):
+        with pytest.raises(ValueError, match="leaves float range"):
+            expected_draws_unequal_exact(probabilities)
+
     def test_blocked_enumeration_crosses_block_boundary(self):
         # m=22 exercises the low-block/high-offset split
         dist = CouponDistribution.uniform(22)

@@ -312,6 +312,20 @@ class TestSaveLoad:
         with pytest.raises(CorpusFormatError, match="line 2"):
             load_corpus(path)
 
+    @pytest.mark.parametrize("number", [1, 3])
+    def test_deep_nesting_names_the_line(self, tmp_path, number):
+        nested = "[" * 100_000 + "]" * 100_000
+        lines = [
+            '{"format":"fomo-corpus","version":1,"topic_count":2}',
+            '{"doc_id":"a","topics":[0]}',
+            '{"doc_id":"b","topics":%s}' % nested,
+        ]
+        path = tmp_path / "nested.jsonl"
+        path.write_text("\n".join([nested] if number == 1 else lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"line {number}: invalid JSON (nested too deeply)"
+
     def test_topic_id_beyond_declared_count(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(
