@@ -234,7 +234,8 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     The relative error of the result is at most 1e-9: the budget is
     anchored at the 1/p_min lower bound of the expectation, because
     absolute control cannot beat that once expectations reach 1e6 in
-    double precision.
+    double precision. A probability so small that 1/p_min or a panel
+    edge leaves float range is refused with ValueError.
 
     Also accepts probability vectors summing above 1 (multi-label
     prevalences); the result is then the independent-sightings
@@ -258,14 +259,17 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     edges = [0.0, 1.0 / p_max]
     while tail_bound(edges[-1]) > budget / 2.0:
         edges.append(edges[-1] * 2.0)
+    if math.isinf(budget) or math.isinf(edges[-1]):
+        raise ValueError("the integral leaves float range: a probability is too small")
 
     panel_abs = budget / (4.0 * len(edges))
     total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        value, _ = integrate.quad(
-            integrand, a, b, epsabs=panel_abs, epsrel=1e-13, limit=200
-        )
-        total += value
+    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives the integrand 1.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            value, _ = integrate.quad(
+                integrand, a, b, epsabs=panel_abs, epsrel=1e-13, limit=200
+            )
+            total += value
     return total
 
 

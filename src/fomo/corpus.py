@@ -29,7 +29,8 @@ Topics are written sorted ascending without duplicates, and line order
 is the corpus's accession order. ``load_corpus(save_corpus(c)) == c``
 bit for bit. The loader reads blocks of whole lines: a block whose lines
 are all in the form save_corpus writes is checked and parsed with array
-operations, and any other block line by line as JSON.
+operations, any other block line by line as JSON, and each block's topic
+ids are checked as it is read.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from array import array
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring
 
 import numpy as np
 from numpy.dtypes import StringDType
@@ -316,7 +317,10 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
     """Write the JSON-lines corpus format; the exact inverse of load_corpus.
 
     Each line is what ``json.dumps({"doc_id": ..., "topics": [...]},
-    separators=(",", ":"))`` gives, built a block of documents at a time.
+    separators=(",", ":"), ensure_ascii=False)`` gives, built a block of
+    documents at a time. Ids are UTF-8, escaped only for quote, backslash
+    and control characters, so a line whose id holds none of these is in
+    the form the loader parses with array operations.
     """
     header = {
         "format": CORPUS_FORMAT,
@@ -330,7 +334,7 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
             stop = min(start + BLOCK_DOCUMENTS, len(corpus))
             ends = (indptr[start : stop + 1] - indptr[start]).tolist()
             topics = list(map(str, corpus.indices[indptr[start] : indptr[stop]].tolist()))
-            ids = map(encode_basestring_ascii, corpus.doc_ids[start:stop].tolist())
+            ids = map(encode_basestring, corpus.doc_ids[start:stop].tolist())
             lines = [
                 '{"doc_id":%s,"topics":[%s]}\n' % (doc_id, ",".join(topics[a:b]))
                 for doc_id, a, b in zip(ids, ends, ends[1:])
@@ -400,22 +404,23 @@ def _parse_record(number: int, raw: str, topic_count: int) -> tuple[str, list[in
     return doc_id, topics
 
 
-def _sorted_topics(topics: array, ends: array, topic_count: int) -> np.ndarray:
-    """Check the topic ids of the documents on lines 2, 3, ... as written
-    (flat, with document d's ending at ``ends[d + 1]``), and return them
-    sorted within each document. Raises the error of the first line with
-    a repeated or out-of-range id."""
-    indptr = np.frombuffer(ends, np.int64)
-    indices = np.frombuffer(topics, np.intc)
-    if _first_disordered(indices, indptr, topic_count) is None:
-        return indices
+def _sorted_topics(
+    topics: np.ndarray, line_ends: np.ndarray, first_line: int, topic_count: int
+) -> np.ndarray:
+    """Check the topic ids of a block of document lines, numbered from
+    ``first_line``, as written (flat, with line i's ending at
+    ``line_ends[i]``), and return them sorted within each document.
+    Raises the error of the first line with a repeated or out-of-range id."""
+    indptr = np.concatenate(([0], line_ends))
+    if _first_disordered(topics, indptr, topic_count) is None:
+        return topics
     lengths = np.diff(indptr)
-    ordered = indices[np.lexsort((indices, np.repeat(np.arange(lengths.size), lengths)))]
+    ordered = topics[np.lexsort((topics, np.repeat(np.arange(lengths.size), lengths)))]
     d = _first_disordered(ordered, indptr, topic_count)
     if d is None:
         return ordered
-    listed = indices[indptr[d] : indptr[d + 1]].tolist()
-    raise _format_error(d + 2, _topics_problem(listed, topic_count))
+    listed = topics[indptr[d] : indptr[d + 1]].tolist()
+    raise _format_error(first_line + d, _topics_problem(listed, topic_count))
 
 
 # A document line as save_corpus writes it is _HEAD, an id without
@@ -508,6 +513,19 @@ def _saved_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     return ids, topics, line_ends
 
 
+def _parsed_lines(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ...]:
+    """What _saved_lines returns, for whole lines of any valid JSON
+    spelling numbered from ``first_line``; raises the error of the first
+    bad line."""
+    ids, topics, ends = [], [], []
+    for number, raw in enumerate(io.StringIO(text), start=first_line):
+        doc_id, listed = _parse_record(number, raw, topic_count)
+        ids.append(doc_id)
+        topics.extend(listed)
+        ends.append(len(topics))
+    return np.array(ids, dtype=StringDType()), np.array(topics, np.intc), np.array(ends, np.int64)
+
+
 def _line_blocks(fh) -> Iterator[str]:
     """The rest of the open file as blocks of whole lines, about
     BLOCK_BYTES characters each; the last may lack its line end."""
@@ -534,9 +552,8 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
     only the ids, one flat array of topic ids and the document ends are
     kept. A block whose lines are all in the form save_corpus writes is
     checked and parsed with array operations; any other block is parsed
-    line by line as JSON. Repeated and out-of-range ids on saved-form
-    lines are found with array checks once the lines are read, or when a
-    later line fails, so errors still come in line order.
+    line by line as JSON. Each block's topic ids are checked and sorted
+    before the next block is read, so errors come in line order.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header_line = fh.readline()
@@ -555,34 +572,16 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
         id_blocks = []
         topics = array("i")
         ends = array("q", [0])
-        try:
-            for text in _line_blocks(fh):
-                saved = _saved_lines(text)
-                if saved is not None:
-                    ids, saved_topics, line_ends = saved
-                    ends.frombytes((line_ends + len(topics)).tobytes())
-                    topics.frombytes(saved_topics.tobytes())
-                    id_blocks.append(ids)
-                    continue
-                ids = []
-                for number, raw in enumerate(io.StringIO(text), start=len(ends) + 1):
-                    doc_id, listed = _parse_record(number, raw, topic_count)
-                    ids.append(doc_id)
-                    topics.extend(listed)
-                    ends.append(len(topics))
-                id_blocks.append(np.array(ids, dtype=StringDType()))
-        except ValueError:
-            # An earlier line's repeated or out-of-range topic id comes first.
-            _sorted_topics(topics, ends, topic_count)
-            raise
+        for text in _line_blocks(fh):
+            first = len(ends) + 1  # the block's first line number
+            ids, listed, line_ends = _saved_lines(text) or _parsed_lines(text, first, topic_count)
+            listed = _sorted_topics(listed, line_ends, first, topic_count)
+            ends.frombytes((line_ends + len(topics)).tobytes())
+            topics.frombytes(listed.tobytes())
+            id_blocks.append(ids)
     if len(ends) == 1:
         raise CorpusFormatError("corpus file contains a header but no documents")
     doc_ids = np.concatenate(id_blocks)
     del id_blocks  # freed before Corpus's checks allocate their own arrays
     indptr = np.frombuffer(ends, np.int64)
-    try:
-        return Corpus(doc_ids, indptr, np.frombuffer(topics, np.intc), topic_count)
-    except ValueError:
-        # Topic ids listed out of order, or repeated or out of range: sort
-        # them, or raise the error of the first line with a bad one.
-        return Corpus(doc_ids, indptr, _sorted_topics(topics, ends, topic_count), topic_count)
+    return Corpus(doc_ids, indptr, np.frombuffer(topics, np.intc), topic_count)

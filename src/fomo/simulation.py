@@ -178,8 +178,14 @@ def summary_from_json(text: str) -> SimulationSummary:
     numbers = [summary.trial_count, summary.seed, summary.max_completion, *positions]
     numbers += summary.recall_at.values()
     numbers += [x for b in summary.histogram for x in (b.lower, b.upper, b.count)]
-    if not all(type(v) in (int, float) for v in numbers) or min(positions) < 1:
-        raise ValueError("summary values must be numbers, completion positions >= 1")
+    if (
+        not all(type(v) in (int, float) and math.isfinite(v) for v in numbers)
+        or min(positions) < 1
+        or summary.trial_count < 1
+    ):
+        raise ValueError(
+            "summary values must be finite numbers, completion positions and trial_count >= 1"
+        )
     return summary
 
 

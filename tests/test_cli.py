@@ -4,6 +4,7 @@ import contextlib
 import csv
 import io
 import json
+import math
 import tracemalloc
 
 import pytest
@@ -403,6 +404,22 @@ MALFORMED_INPUTS = {
         ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
     ),
     "probs-subnormal-exact": ("[5e-324]", ["collector", "--probs", "{file}"]),
+    # 1/p_min, or the last panel edge of the sum route, leaves float range.
+    "probs-subnormal-sum": (
+        "[1e-320, 0.5]", ["collector", "--probs", "{file}", "--method", "sum"]
+    ),
+    "probs-smallest-normal-sum": (
+        "[2.2250738585072014e-308, 2.2250738585072014e-308, 0.5]",
+        ["collector", "--probs", "{file}", "--method", "sum"],
+    ),
+    "summary-nan-mean": (
+        json.dumps({**VALID_SUMMARY, "mean_completion": math.nan}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-negative-trial-count": (
+        json.dumps({**VALID_SUMMARY, "trial_count": -3, "histogram": []}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
 }
 
 
@@ -578,6 +595,10 @@ PROBABILITY_LISTS = st.lists(
     min_size=1,
     max_size=6,
 )
+# Coupon vectors (five coupons of at most 0.2 sum to at most 1) down to
+# the smallest subnormal, where a collector route may refuse as out of
+# float range.
+COUPON_VECTORS = st.lists(st.floats(5e-324, 0.2), min_size=1, max_size=5)
 
 
 @st.composite
@@ -605,12 +626,31 @@ def as_bytes(values):
 
 INPUT_FILES = {
     "--probs": st.one_of(
-        as_bytes(JSON_VALUES), as_bytes(PROBABILITY_LISTS), one_byte_changed("[0.25, 0.75]")
+        as_bytes(JSON_VALUES),
+        as_bytes(PROBABILITY_LISTS),
+        as_bytes(COUPON_VECTORS),
+        one_byte_changed("[0.25, 0.75]"),
     ),
     "--summary": st.one_of(
         as_bytes(JSON_VALUES), as_bytes(summaries()), one_byte_changed(json.dumps(VALID_SUMMARY))
     ),
 }
+
+
+def output_or_one_line_error(argv, rows):
+    """Run the CLI: its CSV table, which must have ``rows`` rows, or None
+    when it ends with exit 1 and one ``error:`` line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code != 0:
+        assert (code, out.getvalue()) == (1, "")
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return None
+    assert err.getvalue() == ""
+    table = parse_csv(out.getvalue())
+    assert len(table) == rows
+    return table
 
 
 @pytest.mark.parametrize("option", sorted(INPUT_FILES))
@@ -621,16 +661,16 @@ def test_a_drawn_input_file_gives_output_or_a_one_line_error(
 ):
     path = tmp_path_factory.getbasetemp() / "drawn_input"
     path.write_bytes(data.draw(INPUT_FILES[option]))
-    if option == "--probs":  # the default route, exact
-        argv = ["collector", "--probs", str(path)]
-    else:
+    if option == "--summary":
         argv = ["compare", "--corpus", cli_files["corpus"], "--summary", str(path)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
-    if code == 0:
-        assert err.getvalue() == ""
-        assert len(parse_csv(out.getvalue())) == (1 if option == "--probs" else 2)
-    else:
-        assert (code, out.getvalue()) == (1, "")
-        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        output_or_one_line_error(argv, rows=2)
+        return
+    # Both routes to the expectation: each answers or refuses, and where
+    # both answer they agree within the sum route's 1e-9 relative error.
+    exact = output_or_one_line_error(["collector", "--probs", str(path)], rows=1)
+    summed = output_or_one_line_error(
+        ["collector", "--probs", str(path), "--method", "sum"], rows=1
+    )
+    if exact and summed:
+        expected = float(exact[0]["expected_draws"])
+        assert float(summed[0]["expected_draws"]) == pytest.approx(expected, rel=1e-9)

@@ -20,6 +20,7 @@ from fomo.corpus import (
     CorpusFormatError,
     DegenerateDistributionError,
     TopicDistribution,
+    _parse_record,
     generate_corpus,
     load_corpus,
     save_corpus,
@@ -651,3 +652,71 @@ def test_loader_agrees_with_a_per_line_oracle(tmp_path_factory, data, topic_coun
                 with pytest.raises(CorpusFormatError) as info:
                     load_corpus(path)
                 assert str(info.value).startswith(f"line {bad_line}: ")
+
+
+# Ids save_corpus writes without any escape: every character StringDType
+# holds but quote, backslash and control characters below U+0020, with
+# the ones JSON writers often escape anyway drawn on purpose.
+UNESCAPED_IDS = st.text(
+    st.one_of(
+        st.sampled_from(["\u2028", "\u2029", "\x85", "\x7f", "\U0001f600", "é", "ド"]),
+        st.characters(codec="utf-8", min_codepoint=0x20, exclude_characters='"\\'),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def corpora(draw, doc_ids):
+    topic_count = draw(st.integers(1, 40))
+    documents = draw(st.lists(
+        st.builds(
+            Document,
+            doc_ids,
+            st.sets(st.integers(0, topic_count - 1), min_size=1, max_size=4).map(sorted),
+        ),
+        min_size=1,
+        max_size=20,
+    ))
+    return corpus_from_documents(documents, topic_count)
+
+
+def refuse_per_line_parse(number, raw, topic_count):
+    raise AssertionError(f"line {number} took the per-line path: {raw!r}")
+
+
+@given(corpora(UNESCAPED_IDS))
+@settings(max_examples=200, deadline=None)
+def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus):
+    path = tmp_path_factory.getbasetemp() / "unescaped.jsonl"
+    save_corpus(corpus, path)
+    for block_bytes in BLOCK_SIZES:
+        with mock.patch("fomo.corpus.BLOCK_BYTES", block_bytes), mock.patch(
+            "fomo.corpus._parse_record", refuse_per_line_parse
+        ):
+            assert load_corpus(path) == corpus
+
+
+@pytest.mark.parametrize("doc_id", ['say "hi"', "a\\b", "tab\there", "\x00", "line\nbreak"])
+def test_escaped_ids_round_trip_line_by_line(tmp_path, doc_id):
+    corpus = corpus_from_documents((Document("plain", (0,)), Document(doc_id, (1,))), 2)
+    path = tmp_path / "escaped.jsonl"
+    save_corpus(corpus, path)
+    with mock.patch("fomo.corpus._parse_record", wraps=_parse_record) as parse:
+        assert load_corpus(path) == corpus
+    assert parse.called
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+def test_a_saved_form_error_comes_before_a_later_blocks_error(tmp_path, monkeypatch, block_bytes):
+    # Line 2 repeats a topic id in a block of saved-form lines; a line of
+    # invalid JSON follows more than a block later.
+    monkeypatch.setattr("fomo.corpus.BLOCK_BYTES", block_bytes)
+    good = '{"doc_id":"b","topics":[0]}\n' * (BLOCK_BYTES // 20)
+    path = tmp_path / "two_errors.jsonl"
+    path.write_text(
+        HEADER_3 + '\n{"doc_id":"a","topics":[1,1]}\n' + good + '{"doc_id":"c","topics":[0\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(CorpusFormatError, match=r"^line 2: duplicate topic ids in \[1, 1\]$"):
+        load_corpus(path)

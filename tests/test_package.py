@@ -30,10 +30,27 @@ def test_every_name_resolves():
     assert isinstance(fomo.__version__, str)
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    # scipy is most of the import time, and only the integral route needs it.
-    check = "import sys, fomo.cli; assert 'scipy' not in sys.modules"
+def run_python(code, cwd=None):
+    """Run ``code`` in a fresh interpreter that imports this fomo."""
     src = str(Path(fomo.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-c", check], check=True, env=env, timeout=60)
+    subprocess.run([sys.executable, "-c", code], check=True, env=env, cwd=cwd, timeout=60)
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is most of the import time, and only the integral route needs it.
+    run_python("import sys, fomo.cli; assert 'scipy' not in sys.modules")
+
+
+def test_every_benchmark_hook_resolves():
+    # perfbench/child.py imports names from fomo and rebinds the layer
+    # entry points that layer_targets lists; a name gone from fomo would
+    # make every traced benchmark run fail.
+    check = (
+        "import sys; sys.path.insert(0, '.'); import child\n"
+        "targets = child.layer_targets({})\n"
+        "missing = [f'{m.__name__}.{n}' for m, n, *_ in targets if not hasattr(m, n)]\n"
+        "assert targets and not missing, missing"
+    )
+    run_python(check, cwd=Path(__file__).parents[1] / "perfbench")
