@@ -234,8 +234,8 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     The relative error of the result is at most 1e-9: the budget is
     anchored at the 1/p_min lower bound of the expectation, because
     absolute control cannot beat that once expectations reach 1e6 in
-    double precision. A probability so small that 1/p_min or a panel
-    edge leaves float range is refused with ValueError.
+    double precision. A probability so small that 1/p_min, or the sum of
+    the last panel's ends, leaves float range is refused with ValueError.
 
     Also accepts probability vectors summing above 1 (multi-label
     prevalences); the result is then the independent-sightings
@@ -259,7 +259,8 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     edges = [0.0, 1.0 / p_max]
     while tail_bound(edges[-1]) > budget / 2.0:
         edges.append(edges[-1] * 2.0)
-    if math.isinf(budget) or math.isinf(edges[-1]):
+    # quad evaluates a panel at (a + b) / 2, so the last a + b must be finite.
+    if math.isinf(budget) or math.isinf(edges[-2] + edges[-1]):
         raise ValueError("the integral leaves float range: a probability is too small")
 
     panel_abs = budget / (4.0 * len(edges))

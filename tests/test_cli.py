@@ -404,12 +404,17 @@ MALFORMED_INPUTS = {
         ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
     ),
     "probs-subnormal-exact": ("[5e-324]", ["collector", "--probs", "{file}"]),
-    # 1/p_min, or the last panel edge of the sum route, leaves float range.
+    # 1/p_min, a panel edge of the sum route, or only the sum of the last
+    # panel's ends, leaves float range.
     "probs-subnormal-sum": (
         "[1e-320, 0.5]", ["collector", "--probs", "{file}", "--method", "sum"]
     ),
     "probs-smallest-normal-sum": (
         "[2.2250738585072014e-308, 2.2250738585072014e-308, 0.5]",
+        ["collector", "--probs", "{file}", "--method", "sum"],
+    ),
+    "probs-last-panel-sum": (
+        "[0.078125, 1.7793782522367785e-307]",
         ["collector", "--probs", "{file}", "--method", "sum"],
     ),
     "summary-nan-mean": (
