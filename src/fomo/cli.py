@@ -26,7 +26,7 @@ import argparse
 import csv
 import json
 import sys
-from typing import Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, NoReturn, Sequence
 
 from .analytic import RecallScenario, fomo_table, format_percent, prevalence_upper_bound
 from .collector import (
@@ -53,18 +53,11 @@ from .simulation import (
 )
 
 
-def _parse_ints(text: str) -> list[int]:
+def _parse_list(text: str, convert: Callable[[str], Any], noun: str) -> list:
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        return [convert(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-
-
-def _parse_floats(text: str) -> list[float]:
-    try:
-        return [float(part) for part in text.split(",") if part != ""]
-    except ValueError:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
+        raise ValueError(f"expected comma-separated {noun}, got {text!r}") from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -99,8 +92,8 @@ def _emit(args: argparse.Namespace, kind: str, fieldnames: Sequence[str], rows: 
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    produced = _parse_ints(args.produced)
-    recalls = _parse_floats(args.recall)
+    produced = _parse_list(args.produced, int, "integers")
+    recalls = _parse_list(args.recall, float, "numbers")
     if not produced or not recalls:
         raise ValueError("need at least one production size and one recall level")
     scenarios = [
@@ -183,7 +176,7 @@ def _cmd_collector(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.corpus)
-    quantiles = _parse_floats(args.quantiles)
+    quantiles = _parse_list(args.quantiles, float, "numbers")
     summary = run_shuffles(
         corpus,
         trial_count=args.trials,

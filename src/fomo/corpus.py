@@ -354,6 +354,8 @@ def _decoded(number: int, raw: str):
         raise _format_error(number, f"invalid JSON ({exc.msg})") from exc
     except RecursionError:
         raise _format_error(number, "invalid JSON (nested too deeply)") from None
+    except ValueError:  # an integer of more digits than int() converts
+        raise _format_error(number, "invalid JSON (an integer with too many digits)") from None
 
 
 # Files are read with errors="surrogateescape", so a byte that is not

@@ -101,6 +101,9 @@ class SimulationSummary:
     positions; ``recall_at[q]`` divides it by the corpus size: the share
     of documents a review would need before all topics are covered in a
     fraction q of cases.
+
+    Every rule of a summary is stated in ``__post_init__`` and holds however
+    the summary is made; a broken rule raises ValueError.
     """
 
     trial_count: int
@@ -111,6 +114,26 @@ class SimulationSummary:
     max_completion: int
     mean_completion: float
     recall_at: dict[float, float]
+
+    def __post_init__(self) -> None:
+        counts = [b.count for b in self.histogram]
+        inner = [self.mean_completion, *self.percentiles.values()]  # within min..max
+        ints = [self.trial_count, self.seed, self.min_completion, self.max_completion, *counts]
+        reals = [*self.recall_at.values(), *(x for b in self.histogram for x in (b.lower, b.upper))]
+        finite = all(type(v) in (int, float) and abs(v) < math.inf for v in [*ints, *inner, *reals])
+        if not finite or min(self.min_completion, *inner, self.trial_count) < 1:
+            raise ValueError(
+                "summary values must be finite numbers, completion positions and trial_count >= 1"
+            )
+        if not all(type(v) is int for v in [*ints, *self.percentiles.values()]):
+            raise ValueError("summary counts, seed and completion positions must be integers")
+        if not self.min_completion <= min(inner) <= max(inner) <= self.max_completion:
+            raise ValueError("summary mean and percentiles must lie in min..max_completion")
+        if self.percentiles.keys() != self.recall_at.keys():
+            raise ValueError("summary percentiles and recall_at must have the same quantiles")
+        _checked_quantiles(self.percentiles, len(self.histogram))
+        if min(counts) < 0 or sum(counts) != self.trial_count:
+            raise ValueError("summary histogram counts must be >= 0 and sum to trial_count")
 
     def to_json(self) -> str:
         """Canonical single-line JSON; byte-identical for identical runs."""
@@ -133,9 +156,11 @@ class SimulationSummary:
 
 
 def _float_sized_int(digits: str) -> int:
-    value = int(digits)
-    if abs(value) > sys.float_info.max:
-        raise ValueError(f"an integer of {len(digits.lstrip('-'))} digits is beyond float range")
+    # A JSON integer of over 309 digits is beyond float range, and int()
+    # refuses one of over 4,300 with advice meant for programmers.
+    length = len(digits.lstrip("-"))
+    if length > 309 or abs(value := int(digits)) > sys.float_info.max:
+        raise ValueError(f"an integer of {length} digits is beyond float range")
     return value
 
 
@@ -149,15 +174,15 @@ def read_json(text: str):
 
 
 def summary_from_json(text: str) -> SimulationSummary:
-    """Parse a summary produced by :meth:`SimulationSummary.to_json`;
-    anything else raises ValueError."""
+    """Parse a summary produced by :meth:`SimulationSummary.to_json`. A
+    wrong format, field or JSON type, or a broken summary rule, raises ValueError."""
     payload = read_json(text)
     if not isinstance(payload, dict) or payload.get("format") != SUMMARY_FORMAT:
         raise ValueError(f"not a {SUMMARY_FORMAT} document")
     if payload.get("version") != SUMMARY_VERSION:
         raise ValueError(f"unsupported summary version {payload.get('version')!r}")
     try:
-        summary = SimulationSummary(
+        return SimulationSummary(
             trial_count=payload["trial_count"],
             seed=payload["seed"],
             histogram=tuple(
@@ -174,19 +199,6 @@ def summary_from_json(text: str) -> SimulationSummary:
         raise ValueError(f"summary lacks field {exc}") from None
     except (AttributeError, TypeError):
         raise ValueError("summary fields have the wrong JSON types") from None
-    positions = [summary.min_completion, summary.mean_completion, *summary.percentiles.values()]
-    numbers = [summary.trial_count, summary.seed, summary.max_completion, *positions]
-    numbers += summary.recall_at.values()
-    numbers += [x for b in summary.histogram for x in (b.lower, b.upper, b.count)]
-    if (
-        not all(type(v) in (int, float) and math.isfinite(v) for v in numbers)
-        or min(positions) < 1
-        or summary.trial_count < 1
-    ):
-        raise ValueError(
-            "summary values must be finite numbers, completion positions and trial_count >= 1"
-        )
-    return summary
 
 
 @dataclass(frozen=True)
@@ -295,16 +307,10 @@ def _nearest_rank(sorted_values: Sequence[int], q: float) -> int:
 def _equal_width_histogram(
     completions: Sequence[int], bin_count: int
 ) -> tuple[HistogramBin, ...]:
-    lo = float(min(completions))
-    hi = float(max(completions))
-    width = (hi - lo) / bin_count
-    counts = [0] * bin_count
-    for value in completions:
-        if width == 0.0:
-            index = 0
-        else:
-            index = min(int((value - lo) / width), bin_count - 1)
-        counts[index] += 1
+    lo, hi = float(min(completions)), float(max(completions))
+    width = (hi - lo) / bin_count  # 0 when every value is equal: all go to bin 0
+    index = np.minimum((np.asarray(completions) - lo) / (width or 1.0), bin_count - 1)
+    counts = np.bincount(index.astype(np.intp), minlength=bin_count).tolist()
     return tuple(
         HistogramBin(lower=lo + k * width, upper=lo + (k + 1) * width, count=counts[k])
         for k in range(bin_count)

@@ -333,6 +333,7 @@ VALID_SUMMARY = {
 TOO_LARGE = "1000000000000"
 DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
 HUGE_INTEGER = 10**400  # 401 digits, beyond float range
+LONG_INTEGER = "9" * 5000  # more digits than int() converts
 
 # name -> (file contents, argv with {file}, {corpus} and {summary} placeholders)
 MALFORMED_INPUTS = {
@@ -423,6 +424,51 @@ MALFORMED_INPUTS = {
     ),
     "summary-negative-trial-count": (
         json.dumps({**VALID_SUMMARY, "trial_count": -3, "histogram": []}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    # Summaries simulate cannot write: each breaks a SimulationSummary rule.
+    "summary-three-faults": (
+        json.dumps({**VALID_SUMMARY, "trial_count": 2.5, "max_completion": 1}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-fractional-trial-count": (
+        json.dumps({**VALID_SUMMARY, "trial_count": 2.5}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-max-below-min": (
+        json.dumps({**VALID_SUMMARY, "min_completion": 3, "max_completion": 1}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-histogram-counts-five-of-four": (
+        json.dumps({**VALID_SUMMARY, "histogram": [{"lower": 3.0, "upper": 3.0, "count": 5}]}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-empty-histogram": (
+        json.dumps({**VALID_SUMMARY, "histogram": []}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-quantile-seven": (
+        json.dumps({**VALID_SUMMARY, "percentiles": {"7": 3}, "recall_at": {"7": 1.0}}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-recall-keys-differ": (
+        json.dumps({**VALID_SUMMARY, "recall_at": {"0.25": 1.0}}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "corpus-long-integer-topic": (
+        '{"format":"fomo-corpus","version":1,"topic_count":2}\n'
+        '{"doc_id":"a","topics":[0]}\n'
+        '{"doc_id":"b","topics":[%s]}\n' % LONG_INTEGER,
+        ["curve", "--corpus", "{file}"],
+    ),
+    "corpus-long-integer-header": (
+        '{"format":"fomo-corpus","version":1,"topic_count":%s}\n'
+        '{"doc_id":"a","topics":[0]}\n' % LONG_INTEGER,
+        ["curve", "--corpus", "{file}"],
+    ),
+    "probs-long-integer": (f"[{LONG_INTEGER}]", ["collector", "--probs", "{file}"]),
+    "summary-long-integer": (
+        json.dumps(VALID_SUMMARY).replace('"seed": 1', f'"seed": {LONG_INTEGER}'),
         ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
     ),
 }

@@ -327,6 +327,20 @@ class TestSaveLoad:
             load_corpus(path)
         assert str(info.value) == f"line {number}: invalid JSON (nested too deeply)"
 
+    @pytest.mark.parametrize("number", [1, 3])
+    def test_an_integer_too_long_to_convert_names_the_line(self, tmp_path, number):
+        digits = "9" * 5000  # int() converts at most 4,300
+        lines = [
+            '{"format":"fomo-corpus","version":1,"topic_count":%s}' % (digits if number == 1 else 2),
+            '{"doc_id":"a","topics":[0]}',
+            '{"doc_id":"b","topics":[%s]}' % digits,
+        ]
+        path = tmp_path / "long.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CorpusFormatError) as info:
+            load_corpus(path)
+        assert str(info.value) == f"line {number}: invalid JSON (an integer with too many digits)"
+
     def test_topic_id_beyond_declared_count(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text(

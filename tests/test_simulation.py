@@ -16,10 +16,13 @@ from fomo.corpus import generate_corpus, zipf_prevalences
 import fomo.simulation
 from fomo.prng import CHUNK, derive_key, fisher_yates
 from fomo.simulation import (
+    HistogramBin,
+    _equal_width_histogram,
     completion_topics,
     completion_vs_analytic,
     run_shuffles,
     run_trials,
+    read_json,
     scan_accession,
     shuffle_trial,
     summarize,
@@ -319,9 +322,17 @@ class TestRunShuffles:
             tracemalloc.stop()
         assert peak < 16 * 2**20
 
-    def test_summary_json_round_trip(self):
-        corpus = corpus_from_topic_sets([{0}, {1}, {0, 1}, {2}])
-        summary = run_shuffles(corpus, 50, master_seed=77)
+    @given(
+        ACCESSION_TOPIC_SETS,
+        st.integers(1, 40),
+        st.integers(0, 2**64 - 1),
+        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=5),
+        st.integers(1, 200),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_summary_json_round_trip(self, topic_sets, trials, seed, quantiles, bins):
+        corpus = corpus_from_topic_sets(topic_sets)
+        summary = run_shuffles(corpus, trials, seed, quantiles, bins)
         assert summary_from_json(summary.to_json()) == summary
 
     @pytest.mark.parametrize("bad_quantile", [0.0, 1.0, -0.3])
@@ -336,6 +347,52 @@ class TestRunShuffles:
             run_shuffles(corpus, 0, 1)
         with pytest.raises(ValueError):
             run_shuffles(corpus, 5, 1, bin_count=0)
+
+
+def equal_width_histogram_oracle(completions, bin_count):
+    """Reference histogram: each value counted into its bin one at a time."""
+    lo = float(min(completions))
+    hi = float(max(completions))
+    width = (hi - lo) / bin_count
+    counts = [0] * bin_count
+    for value in completions:
+        if width == 0.0:
+            index = 0
+        else:
+            index = min(int((value - lo) / width), bin_count - 1)
+        counts[index] += 1
+    return tuple(
+        HistogramBin(lower=lo + k * width, upper=lo + (k + 1) * width, count=counts[k])
+        for k in range(bin_count)
+    )
+
+
+@st.composite
+def completions_and_bins(draw):
+    """1 to 60 completions up to 2**40, all equal in some draws, with the
+    bin count; values also fall on the top edge and near inner edges."""
+    bins = draw(st.integers(1, 1000))
+    lo = draw(st.integers(1, 2**40))
+    hi = draw(st.just(lo) | st.integers(lo, 2**40))
+    edges = st.integers(0, bins).map(lambda k: lo + k * (hi - lo) // bins)
+    values = draw(st.lists(st.integers(lo, hi) | edges | st.just(hi), min_size=1, max_size=60))
+    return values, bins
+
+
+@given(completions_and_bins())
+@settings(max_examples=300, deadline=None)
+def test_histogram_matches_the_per_value_oracle(drawn):
+    completions, bins = drawn
+    assert _equal_width_histogram(completions, bins) == equal_width_histogram_oracle(
+        completions, bins
+    )
+
+
+@pytest.mark.parametrize("digits", [310, 5000])
+def test_read_json_refuses_integers_beyond_float_range(digits):
+    assert read_json("1" + "0" * 308) == 10**308  # 309 digits, within float range
+    with pytest.raises(ValueError, match=f"^an integer of {digits} digits is beyond float range$"):
+        read_json("-" + "1" * digits)
 
 
 class TestCompletionVsAnalytic:
