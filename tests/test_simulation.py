@@ -20,9 +20,9 @@ from fomo.simulation import (
     _equal_width_histogram,
     completion_topics,
     completion_vs_analytic,
+    read_json,
     run_shuffles,
     run_trials,
-    read_json,
     scan_accession,
     shuffle_trial,
     summarize,
