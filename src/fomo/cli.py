@@ -41,6 +41,7 @@ from .collector import (
 from .corpus import (
     MAX_DOCUMENTS, MAX_ZIPF_TOPICS, generate_corpus, load_corpus, save_corpus, zipf_prevalences
 )
+from .prng import MAX_TRIALS, check_seed
 from .simulation import (
     DEFAULT_BIN_COUNT,
     DEFAULT_QUANTILES,
@@ -58,6 +59,19 @@ def _parse_list(text: str, convert: Callable[[str], Any], noun: str) -> list:
         return [convert(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ValueError(f"expected comma-separated {noun}, got {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    """A ``--seed`` value: an integer in the range :func:`~fomo.prng.check_seed`
+    states, checked as the command line is parsed."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    try:
+        return check_seed(seed)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -292,15 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     source.add_argument("--probs", help="JSON file with a probability array")
     collector.add_argument("--method", choices=("exact", "sum", "montecarlo"), default="exact")
-    collector.add_argument("--trials", type=int, default=100_000)
-    collector.add_argument("--seed", type=int, default=0)
+    collector.add_argument(
+        "--trials", type=int, default=100_000, help=f"Monte Carlo trials, 1..{MAX_TRIALS} (default 100000)"
+    )
+    collector.add_argument("--seed", type=_seed, default=0, help="0..2**64-1 (default 0)")
     _add_output_options(collector)
     collector.set_defaults(handler=_cmd_collector)
 
     simulate = commands.add_parser("simulate", help="shuffle-and-scan a corpus")
     simulate.add_argument("--corpus", required=True)
-    simulate.add_argument("--trials", type=int, default=2000)
-    simulate.add_argument("--seed", type=int, default=0)
+    simulate.add_argument(
+        "--trials", type=int, default=2000, help=f"shuffle trials, 1..{MAX_TRIALS} (default 2000)"
+    )
+    simulate.add_argument("--seed", type=_seed, default=0, help="0..2**64-1 (default 0)")
     simulate.add_argument(
         "--quantiles", default=",".join(repr(q) for q in DEFAULT_QUANTILES)
     )
@@ -327,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     gen.add_argument("--max-prev", type=float, required=True)
     gen.add_argument("--min-prev", type=float, required=True)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_seed, default=0, help="0..2**64-1 (default 0)")
     gen.add_argument("--out", required=True)
     gen.set_defaults(handler=_cmd_gen_corpus)
 

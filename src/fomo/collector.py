@@ -35,7 +35,9 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .prng import check_probabilities, derive_key_array, stream_u64, u64_thresholds
+from .prng import (
+    check_probabilities, check_trial_count, derive_key_array, stream_u64, u64_thresholds
+)
 
 __all__ = [
     "CouponDistribution",
@@ -386,8 +388,7 @@ def simulate_expected_draws(
     for the completion counts, plus one batch's working arrays (a few
     MB) and the 576 KiB of guide tables, whatever the trial count.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_trial_count(trials)
     dist = _coerce_distribution(probabilities)
     p = np.asarray(dist.probabilities, dtype=float)
     m = len(p)

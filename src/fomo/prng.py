@@ -15,8 +15,10 @@ This counter form is the generator: :func:`stream_u64` computes any set
 of draws of any set of streams from (key, counter) alone, in one array
 operation, and :func:`mix64_array` is the finalizer. :func:`check_probabilities`
 states the rule every probability meets, :func:`u64_thresholds` turns them
-into the integer cut-offs a draw is compared against, :func:`derive_key_array`
-keys independent streams (one per document, one per trial), and
+into the integer cut-offs a draw is compared against, :func:`check_seed` and
+:func:`check_trial_count` state the range of a seed and of a trial count,
+:func:`derive_key_array` keys independent streams (one per document, one per
+trial), and
 :func:`fisher_yates` draws and yields a permutation ``CHUNK`` positions at
 a time. The sequential form (a state advanced by ``GAMMA`` per call) is
 kept only in the tests, as the oracle these are checked against.
@@ -38,6 +40,11 @@ _MIX_MUL_2 = 0x94D049BB133111EB
 
 # Most positions fisher_yates draws, and yields, per array step.
 CHUNK = 512
+
+# Most trials one run takes, shuffle or Monte Carlo: ten times the largest
+# count in use, and checked before the run's keys or counts (8 bytes a
+# trial each) are built.
+MAX_TRIALS = 10**7
 
 
 def mix64_array(z: np.ndarray) -> np.ndarray:
@@ -92,15 +99,30 @@ def u64_thresholds(probabilities: Sequence[float] | np.ndarray) -> np.ndarray:
     return thresholds
 
 
+def check_seed(seed: int) -> int:
+    """``seed``, or ValueError if it is not in 0..2**64-1, the seeds that
+    key distinct streams and that a summary stores as given."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in 0..2**64-1, got {seed}")
+    return seed
+
+
+def check_trial_count(trials: int) -> None:
+    """Raise ValueError unless ``trials`` is in 1..MAX_TRIALS."""
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trial count must be in 1..{MAX_TRIALS}, got {trials}")
+
+
 def derive_key_array(seed: int, indices: np.ndarray) -> np.ndarray:
     """Mix a user seed and stream indices into independent 64-bit keys.
 
     Gives every document, trial, etc. its own SplitMix64 stream:
     ``key = mix64(mix64(seed) + (index + 1) * GAMMA)``, draw ``index + 1``
     of the stream keyed by ``mix64(seed)``. The outer mix decorrelates
-    adjacent indices; the inner mix decorrelates adjacent seeds.
+    adjacent indices; the inner mix decorrelates adjacent seeds. A seed
+    outside 0..2**64-1 raises ValueError (:func:`check_seed`).
     """
-    return stream_u64(mix64_array(seed & MASK64), indices.astype(np.uint64) + np.uint64(1))
+    return stream_u64(mix64_array(check_seed(seed)), indices.astype(np.uint64) + np.uint64(1))
 
 
 def derive_key(seed: int, index: int) -> int:

@@ -24,13 +24,13 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .collector import completion_quantile, expected_draws_unequal_sum
 from .corpus import Corpus
-from .prng import derive_key_array, fisher_yates
+from .prng import check_trial_count, derive_key_array, fisher_yates
 
 __all__ = [
     "CoverageCurve",
@@ -173,9 +173,18 @@ def read_json(text: str):
         raise ValueError("invalid JSON (nested too deeply)") from None
 
 
+def _quantile_key(key: str) -> float:
+    # One spelling per quantile, the one to_json writes: "0.50" beside
+    # "0.5" would fold two entries into one.
+    if repr(q := float(key)) != key:
+        raise ValueError(f"summary quantile key {key!r} must be written {repr(q)!r}")
+    return q
+
+
 def summary_from_json(text: str) -> SimulationSummary:
     """Parse a summary produced by :meth:`SimulationSummary.to_json`. A
-    wrong format, field or JSON type, or a broken summary rule, raises ValueError."""
+    wrong format, field or JSON type, a quantile key spelled otherwise,
+    or a broken summary rule, raises ValueError."""
     payload = read_json(text)
     if not isinstance(payload, dict) or payload.get("format") != SUMMARY_FORMAT:
         raise ValueError(f"not a {SUMMARY_FORMAT} document")
@@ -189,11 +198,11 @@ def summary_from_json(text: str) -> SimulationSummary:
                 HistogramBin(b["lower"], b["upper"], b["count"])
                 for b in payload["histogram"]
             ),
-            percentiles={float(q): v for q, v in payload["percentiles"].items()},
+            percentiles={_quantile_key(q): v for q, v in payload["percentiles"].items()},
             min_completion=payload["min_completion"],
             max_completion=payload["max_completion"],
             mean_completion=payload["mean_completion"],
-            recall_at={float(q): v for q, v in payload["recall_at"].items()},
+            recall_at={_quantile_key(q): v for q, v in payload["recall_at"].items()},
         )
     except KeyError as exc:
         raise ValueError(f"summary lacks field {exc}") from None
@@ -289,14 +298,13 @@ def completion_topics(result: TrialResult) -> tuple[int, ...]:
     )
 
 
-def run_trials(
-    corpus: Corpus, trial_count: int, master_seed: int
-) -> tuple[TrialResult, ...]:
-    """Run independent shuffle trials; trial i is keyed by (master_seed, i)."""
-    if trial_count < 1:
-        raise ValueError(f"trial_count must be >= 1, got {trial_count}")
-    keys = derive_key_array(master_seed, np.arange(trial_count)).tolist()
-    return tuple(shuffle_trial(corpus, key) for key in keys)
+def run_trials(corpus: Corpus, trial_count: int, master_seed: int) -> Iterator[TrialResult]:
+    """Independent shuffle trials, trial i keyed by (master_seed, i). The
+    count and seed are checked, and the keys derived, at the call; each
+    trial runs when the returned iterator reaches it."""
+    check_trial_count(trial_count)
+    keys = derive_key_array(master_seed, np.arange(trial_count))
+    return (shuffle_trial(corpus, int(key)) for key in keys)
 
 
 def _nearest_rank(sorted_values: Sequence[int], q: float) -> int:
@@ -330,7 +338,7 @@ def _checked_quantiles(quantiles: Sequence[float], bin_count: int) -> tuple[floa
 
 
 def summarize(
-    results: Sequence[TrialResult],
+    results: Iterable[TrialResult],
     n_docs: int,
     master_seed: int,
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
@@ -340,19 +348,22 @@ def summarize(
 
     Builds an equal-width histogram of the completion positions over
     [min, max], nearest-rank percentiles for the requested quantiles,
-    and the corresponding recall fractions.
+    and the corresponding recall fractions. Reads ``results`` once, after
+    checking the options, and keeps only the completion positions.
     """
     quantiles = _checked_quantiles(quantiles, bin_count)
     completions = sorted(r.completion_position for r in results)
+    if not completions:
+        raise ValueError("need at least one trial")
     percentiles = {q: _nearest_rank(completions, q) for q in quantiles}
     return SimulationSummary(
-        trial_count=len(results),
+        trial_count=len(completions),
         seed=master_seed,
         histogram=_equal_width_histogram(completions, bin_count),
         percentiles=percentiles,
         min_completion=completions[0],
         max_completion=completions[-1],
-        mean_completion=sum(completions) / len(results),
+        mean_completion=sum(completions) / len(completions),
         recall_at={q: percentiles[q] / n_docs for q in quantiles},
     )
 
@@ -364,11 +375,10 @@ def run_shuffles(
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
     bin_count: int = DEFAULT_BIN_COUNT,
 ) -> SimulationSummary:
-    """Shuffle, scan, and :func:`summarize`; bad quantiles or bin counts
-    fail before any trial runs."""
-    quantiles = _checked_quantiles(quantiles, bin_count)
-    results = run_trials(corpus, trial_count, master_seed)
-    return summarize(results, len(corpus), master_seed, quantiles, bin_count)
+    """:func:`summarize` of :func:`run_trials`; bad options fail before
+    any trial runs."""
+    trials = run_trials(corpus, trial_count, master_seed)
+    return summarize(trials, len(corpus), master_seed, quantiles, bin_count)
 
 
 def completion_vs_analytic(

@@ -66,7 +66,8 @@ def study_experiment():
     started = time.perf_counter()
     dist = zipf_prevalences(STUDY_TOPICS, STUDY_MAX_PREV, STUDY_MIN_PREV)
     corpus = generate_corpus(STUDY_DOCS, dist, seed=STUDY_GEN_SEED)
-    results = run_trials(corpus, STUDY_TRIALS, master_seed=STUDY_TRIAL_SEED)
+    # kept as a tuple: criteria 6a and 6c each read every trial
+    results = tuple(run_trials(corpus, STUDY_TRIALS, master_seed=STUDY_TRIAL_SEED))
     summary = summarize(results, len(corpus), STUDY_TRIAL_SEED)
     elapsed = time.perf_counter() - started
     return dist, corpus, results, summary, elapsed

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fomo.analytic import RecallScenario, fomo_table
 from fomo.cli import main
 from fomo.corpus import MAX_DOCUMENTS, load_corpus
+from fomo.prng import MAX_TRIALS
 
 TINY_CORPUS = (
     '{"format":"fomo-corpus","version":1,"topic_count":2}\n'
@@ -471,6 +472,26 @@ MALFORMED_INPUTS = {
         json.dumps(VALID_SUMMARY).replace('"seed": 1', f'"seed": {LONG_INTEGER}'),
         ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
     ),
+    # Seeds outside 0..2**64-1, refused as the command line is parsed.
+    "simulate-negative-seed": ("", ["simulate", "--corpus", "{corpus}", "--seed", "-1"]),
+    "simulate-401-digit-seed": (
+        "", ["simulate", "--corpus", "{corpus}", "--seed", str(HUGE_INTEGER)]
+    ),
+    "collector-seed-above-range": ("", ["collector", "--dice", "--seed", str(2**64)]),
+    # One above MAX_TRIALS: a much larger count would not be refused sooner.
+    "simulate-trials-above-cap": (
+        "", ["simulate", "--corpus", "{corpus}", "--trials", str(MAX_TRIALS + 1)]
+    ),
+    "collector-trials-above-cap": (
+        "", ["collector", "--dice", "--method", "montecarlo", "--trials", str(MAX_TRIALS + 1)]
+    ),
+    "summary-two-spellings-of-one-quantile": (
+        json.dumps(
+            {**VALID_SUMMARY, "percentiles": {"0.5": 3, "0.50": 3},
+             "recall_at": {"0.5": 1.0, "0.50": 1.0}}
+        ),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
 }
 
 
@@ -478,6 +499,13 @@ def test_gen_corpus_help_names_the_docs_cap(capsys):
     with pytest.raises(SystemExit):
         main(["gen-corpus", "--help"])
     assert f"1..{MAX_DOCUMENTS}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["simulate", "collector"])
+def test_trials_help_names_the_cap(command, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"1..{MAX_TRIALS}" in capsys.readouterr().out
 
 
 def test_valid_summary_compares(capsys, tiny_corpus, tmp_path):
@@ -562,7 +590,14 @@ COMMANDS = {
     "collector": {
         "--uniform": (counts(12), NOT_A_COUNT),
         "--method": (st.sampled_from(["exact", "sum", "montecarlo"]), NOT_A_CHOICE),
-        "--seed": (st.integers(-10**20, 10**20).map(str), NOT_A_NUMBER),
+        "--seed": (
+            st.integers(0, 2**64 - 1).map(str),
+            st.one_of(
+                NOT_A_NUMBER,
+                st.integers(-10**20, -1).map(str),
+                st.integers(2**64, 10**20).map(str),
+            ),
+        ),
     },
     "collector-montecarlo": {
         "--probs": (st.just("{probs}"), bad_file("{bad_probs}")),

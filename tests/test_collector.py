@@ -26,7 +26,7 @@ from fomo.collector import (
     expected_draws_unequal_sum,
     simulate_expected_draws,
 )
-from fomo.prng import MASK64, derive_key
+from fomo.prng import MASK64, MAX_TRIALS, derive_key
 
 
 def inclusion_exclusion_oracle(probabilities):
@@ -317,6 +317,10 @@ class TestMonteCarlo:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             simulate_expected_draws(dice_sum_distribution(), 0, seed=1)
+
+    def test_rejects_trials_above_the_cap(self):
+        with pytest.raises(ValueError, match=str(MAX_TRIALS)):
+            simulate_expected_draws(dice_sum_distribution(), MAX_TRIALS + 1, seed=1)
 
 
 def power_law(count, exponent=1.0):

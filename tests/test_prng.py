@@ -11,6 +11,8 @@ from fomo.prng import (
     CHUNK,
     GAMMA,
     MASK64,
+    MAX_TRIALS,
+    check_trial_count,
     derive_key,
     derive_key_array,
     fisher_yates,
@@ -98,10 +100,25 @@ def test_mix64_array_matches_scalar():
 
 
 def test_derive_key_array_matches_scalar():
-    for seed in (99, -1, 2**64 + 5):
+    for seed in (99, 0, MASK64):
         expected = [mix64(mix64(seed) + (i + 1) * GAMMA) for i in range(50)]
         assert derive_key_array(seed, np.arange(50, dtype=np.uint64)).tolist() == expected
         assert [derive_key(seed, i) for i in range(50)] == expected
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 10**400])
+def test_derive_key_array_refuses_a_seed_out_of_range(seed):
+    # -1 and 2**64 - 1 once keyed the same streams under different names.
+    with pytest.raises(ValueError, match=r"^seed must be in 0\.\.2\*\*64-1, got "):
+        derive_key_array(seed, np.arange(3))
+
+
+def test_check_trial_count_takes_one_to_max_trials():
+    check_trial_count(1)
+    check_trial_count(MAX_TRIALS)
+    for trials in (0, MAX_TRIALS + 1):
+        with pytest.raises(ValueError, match=f"^trial count must be in 1..{MAX_TRIALS}, got "):
+            check_trial_count(trials)
 
 
 def test_derive_key_rejects_negative_index():

@@ -1,6 +1,7 @@
 """Shuffle engine: hand traces, permutation oracles, determinism."""
 
 import itertools
+import json
 import math
 import random
 import tracemalloc
@@ -14,7 +15,7 @@ from scipy import stats
 
 from fomo.corpus import generate_corpus, zipf_prevalences
 import fomo.simulation
-from fomo.prng import CHUNK, derive_key, fisher_yates
+from fomo.prng import CHUNK, MAX_TRIALS, derive_key, fisher_yates
 from fomo.simulation import (
     HistogramBin,
     _equal_width_histogram,
@@ -291,10 +292,10 @@ class TestRunShuffles:
         assert run_shuffles(corpus, 120, 10, (0.3, 0.5), 7) == expected
 
     def test_bad_options_fail_before_any_trial(self, monkeypatch):
-        def no_trials(*args):
-            raise AssertionError("trials ran before the options were checked")
+        def no_trial(*args):
+            raise AssertionError("a trial ran before the options were checked")
 
-        monkeypatch.setattr(fomo.simulation, "run_trials", no_trials)
+        monkeypatch.setattr(fomo.simulation, "shuffle_trial", no_trial)
         corpus = corpus_from_topic_sets([{0}])
         with pytest.raises(ValueError):
             run_shuffles(corpus, 5, 1, quantiles=(1.5,))
@@ -309,6 +310,45 @@ class TestRunShuffles:
         corpus = corpus_from_topic_sets([{0}])
         with pytest.raises(ValueError, match=str(fomo.simulation.MAX_BIN_COUNT)):
             run_shuffles(corpus, 5, 1, bin_count=10**6 + 1)
+
+    def test_run_trials_runs_no_trial_until_read(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(
+            fomo.simulation, "shuffle_trial", lambda corpus, key: ran.append(key) or key
+        )
+        trials = run_trials(corpus_from_topic_sets([{0}]), 3, master_seed=5)
+        assert ran == []
+        assert next(trials) == derive_key(5, 0) and len(ran) == 1
+        assert list(trials) == ran[1:]
+        assert ran == [derive_key(5, i) for i in range(3)]
+
+    def test_run_trials_checks_its_count_at_the_call(self, monkeypatch):
+        def no_keys(*args):
+            raise AssertionError("keys were derived before the trial count was checked")
+
+        monkeypatch.setattr(fomo.simulation, "derive_key_array", no_keys)
+        corpus = corpus_from_topic_sets([{0}])
+        for trials in (0, MAX_TRIALS + 1):
+            with pytest.raises(ValueError, match=str(MAX_TRIALS)):
+                run_trials(corpus, trials, master_seed=1)
+
+    def test_summarize_needs_a_trial(self):
+        with pytest.raises(ValueError, match="^need at least one trial$"):
+            summarize([], 10, 1)
+
+    def test_memory_stays_flat_as_trials_grow(self):
+        # Every trial scans all 2,000 single-topic documents, so holding
+        # each trial's first_seen map would add about 0.18 MiB a trial.
+        corpus = corpus_from_topic_sets([{t} for t in range(2000)])
+        peaks = []
+        for trials in (10, 40):
+            tracemalloc.start()
+            try:
+                run_shuffles(corpus, trials, master_seed=8)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] < 2**20
 
     def test_memory_does_not_grow_with_absent_topics(self):
         # A trial holds a seen-mask of topic_count bytes; listing the
@@ -393,6 +433,15 @@ def test_read_json_refuses_integers_beyond_float_range(digits):
     assert read_json("1" + "0" * 308) == 10**308  # 309 digits, within float range
     with pytest.raises(ValueError, match=f"^an integer of {digits} digits is beyond float range$"):
         read_json("-" + "1" * digits)
+
+
+@pytest.mark.parametrize("key", ["0.50", ".5", "5e-1", "0.5 "])
+def test_summary_from_json_takes_one_spelling_per_quantile(key):
+    corpus = corpus_from_topic_sets([{0}, {1}])
+    text = run_shuffles(corpus, 4, master_seed=1, quantiles=(0.5,)).to_json()
+    assert summary_from_json(text).percentiles.keys() == {0.5}
+    with pytest.raises(ValueError, match="^summary quantile key .* must be written '0.5'$"):
+        summary_from_json(text.replace('"0.5"', json.dumps(key)))
 
 
 class TestCompletionVsAnalytic:
