@@ -307,7 +307,10 @@ def build_parser() -> argparse.ArgumentParser:
     source.add_argument("--probs", help="JSON file with a probability array")
     collector.add_argument("--method", choices=("exact", "sum", "montecarlo"), default="exact")
     collector.add_argument(
-        "--trials", type=int, default=100_000, help=f"Monte Carlo trials, 1..{MAX_TRIALS} (default 100000)"
+        "--trials",
+        type=int,
+        default=100_000,
+        help=f"Monte Carlo trials, 1..{MAX_TRIALS} (default 100000)",
     )
     collector.add_argument("--seed", type=_seed, default=0, help="0..2**64-1 (default 0)")
     _add_output_options(collector)

@@ -18,9 +18,8 @@ states the rule every probability meets, :func:`u64_thresholds` turns them
 into the integer cut-offs a draw is compared against, :func:`check_seed` and
 :func:`check_trial_count` state the range of a seed and of a trial count,
 :func:`derive_key_array` keys independent streams (one per document, one per
-trial), and
-:func:`fisher_yates` draws and yields a permutation ``CHUNK`` positions at
-a time. The sequential form (a state advanced by ``GAMMA`` per call) is
+trial), and :func:`fisher_yates` draws and yields a permutation ``CHUNK``
+positions at a time. The sequential form (a state advanced by ``GAMMA`` per call) is
 kept only in the tests, as the oracle these are checked against.
 """
 
