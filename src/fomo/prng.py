@@ -18,14 +18,15 @@ states the rule every probability meets, :func:`u64_thresholds` turns them
 into the integer cut-offs a draw is compared against, :func:`check_seed` and
 :func:`check_trial_count` state the range of a seed and of a trial count,
 :func:`derive_key_array` keys independent streams (one per document, one per
-trial), and :func:`fisher_yates` draws and yields a permutation ``CHUNK``
-positions at a time. The sequential form (a state advanced by ``GAMMA`` per call) is
+trial), and :func:`fisher_yates` draws permutations in lockstep, ``CHUNK``
+positions of each at a time. The sequential form (a state advanced by ``GAMMA`` per call) is
 kept only in the tests, as the oracle these are checked against.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+import math
+from collections.abc import Generator, Sequence
 
 import numpy as np
 
@@ -37,8 +38,10 @@ GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
 
-# Most positions fisher_yates draws, and yields, per array step.
+# Most positions of a row fisher_yates draws, and yields, per array step.
 CHUNK = 512
+# About how many swaps of a step fisher_yates may replay one at a time.
+REPLAYS = 128
 
 # Most trials one run takes, shuffle or Monte Carlo: ten times the largest
 # count in use, and checked before the run's keys or counts (8 bytes a
@@ -131,51 +134,100 @@ def derive_key(seed: int, index: int) -> int:
     return int(derive_key_array(seed, np.array([index]))[0])
 
 
-def fisher_yates(n: int, key: int) -> Iterator[np.ndarray]:
-    """Uniform random permutation of ``range(n)``, yielded front to back
-    as nonempty ``int64`` arrays of at most ``CHUNK`` consecutive positions.
+def fisher_yates(
+    n: int, keys: np.ndarray
+) -> Generator[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray | None, None]:
+    """Uniform random permutations of ``range(n)``, one per key, drawn in
+    lockstep and yielded front to back, at most ``CHUNK`` positions of
+    each permutation a step.
 
     Knuth's Algorithm P (TAOCP Vol. 2, 3.4.2) fixing positions from the
     front: position i swaps in ``j = i + u % (n - i)`` for the next draw
-    ``u`` of the stream keyed by ``key``, where a draw at or above the
-    largest multiple of ``n - i`` below 2**64 is rejected and the next
-    one taken, so every ``j`` in [i, n) is exactly equally likely.
+    ``u`` of the stream keyed by the row's key, where a draw at or above
+    the largest multiple of ``n - i`` below 2**64 is rejected and the
+    next one taken, so every ``j`` in [i, n) is exactly equally likely.
 
-    Draws are read ``CHUNK`` positions at a time, with the rejection test
-    on the whole chunk. A chunk ends at its first rejected draw: that
-    counter is skipped and the next chunk starts at the same position,
+    Each step yields ``(rows, counts, picked)``: row ``rows[k]`` (an index
+    into ``keys``) fixed its next ``counts[k]`` positions, 0 to ``CHUNK``
+    (fewer near the end of a permutation, see ``REPLAYS``),
+    to the ``int32`` items that follow in ``picked``, the rows' runs
+    joined in order. Sending a boolean array aligned with ``rows`` stops
+    the rows it marks; a row stopped early has yielded the prefix its
+    full shuffle produces.
+
+    A step reads each row's draws in one array call, with the rejection
+    test on the whole run: a run ends at its first rejected draw, that
+    counter is skipped and the next run starts at the same position,
     which consumes the stream exactly as drawing one position at a time
-    does. A chunk's swaps act on an array of the ``n`` items at once, each
-    reading both items as they stood before the chunk; the few swaps that
-    share an index with another swap of the chunk are then replayed one
-    by one. A caller that stops early gets the prefix a full shuffle
-    produces.
+    does. The items sit in one (rows, n) array, and a step's swaps act on
+    it at once at flat indices ``row * n + i``, each reading both items
+    as they stood before the step; the few swaps that share an index
+    with another swap of the step are then replayed one by one.
     """
-    items = np.arange(n, dtype=np.int64)  # items[i], i >= position: the item now at i
-    position = 0
-    counter = 1
-    while position < n:
-        positions = np.arange(position, min(position + CHUNK, n), dtype=np.uint64)
+    keys = np.asarray(keys, dtype=np.uint64)
+    if not 0 <= n < 2**31:
+        raise ValueError(f"fisher_yates shuffles fewer than 2**31 items, got {n}")
+    items = np.empty((keys.size, n), dtype=np.int32)  # items and positions fit int32
+    items[:] = np.arange(n, dtype=np.int32)
+    items = items.ravel()  # row r's item now at position i is items[r * n + i], i >= its position
+    rows = np.arange(keys.size if n else 0)
+    position = np.zeros(rows.size, dtype=np.int64)
+    counter = np.ones(rows.size, dtype=np.uint64)
+    while rows.size:
+        # The run spans at most the fewest positions any row has left, and is
+        # short enough that the swaps a step replays, about
+        # rows * width**2 / left, stay near REPLAYS.
+        left = n - int(position.max())
+        width = min(CHUNK, left, max(1, math.isqrt(REPLAYS * left // rows.size)))
+        columns = np.arange(width)
+        positions = position[:, None] + columns
         remaining = n - positions
-        draws = stream_u64(key, counter + np.arange(positions.size, dtype=np.uint64))
-        excess = (0 - remaining) % remaining  # 2**64 mod (n - i)
-        rejected = np.flatnonzero((excess != 0) & (draws >= 0 - excess))
-        accepted = int(rejected[0]) if rejected.size else positions.size
-        end = position + accepted
-        targets = (positions + draws % remaining)[:accepted].astype(np.int64)
-        picked, carried = items[targets], items[position:end].copy()
+        draws = stream_u64(keys[rows, None], counter[:, None] + columns.astype(np.uint64))
+        # A draw is rejected only at or above 2**64 - excess, with excess below
+        # n - i <= n, so only the few draws at or above 2**64 - n need the test.
+        suspects = np.flatnonzero(draws >= np.uint64(2**64 - n))
+        accepted = np.full(rows.size, width)
+        if suspects.size:
+            row, column = np.divmod(suspects, width)
+            excess = remaining.ravel()[suspects].astype(np.uint64)
+            excess = (0 - excess) % excess  # 2**64 mod (n - i)
+            rejected = (excess != 0) & (draws.ravel()[suspects] >= 0 - excess)
+            np.minimum.at(accepted, row[rejected], column[rejected])
+        targets = positions + (draws % remaining.view(np.uint64)).view(np.int64)
+        # A swap whose target is a later position of its row's run.
+        inside = (targets < (position + accepted)[:, None]) & (targets != positions)
+        base = (rows * n)[:, None]
+        sources, targets, inside = (positions + base).ravel(), (targets + base).ravel(), inside.ravel()
+        if suspects.size:
+            run = (columns < accepted[:, None]).ravel()
+            sources, targets, inside = sources[run], targets[run], inside[run]
+        picked, carried = items[targets], items[sources]
         items[targets] = carried
-        # Replay in order the swaps with a target inside the chunk, the swaps
-        # at the positions those name, and the swaps sharing a target.
+        # Replay in order the swaps with a target inside their row's run, the
+        # swaps at the positions those name (the run's swaps are consecutive),
+        # and the swaps sharing a target.
         ranked = np.argsort(targets)
         shared = np.flatnonzero(targets[ranked[1:]] == targets[ranked[:-1]])
-        inside = np.flatnonzero(targets < end)
-        steps = [inside, targets[inside] - position, ranked[shared], ranked[shared + 1]]
-        replay = np.unique(np.concatenate(steps))
-        items[targets[replay]], items[position + replay] = picked[replay], carried[replay]
-        for t in replay.tolist():
-            picked[t], items[targets[t]] = items[targets[t]], items[position + t]
-        if accepted:
-            yield picked
-        position = end
-        counter += min(accepted + 1, positions.size)  # and the rejected draw, if any
+        inside = np.flatnonzero(inside)
+        named = inside + (targets[inside] - sources[inside])
+        replay = np.zeros(targets.size, dtype=bool)
+        replay[np.concatenate([inside, named, ranked[shared], ranked[shared + 1]])] = True
+        replay = np.flatnonzero(replay)
+        if replay.size:
+            at, to = targets[replay].tolist(), sources[replay].tolist()
+            value = dict(zip(at, picked[replay].tolist()))  # items as they stood before the step
+            value.update(zip(to, carried[replay].tolist()))
+            fixed = []
+            for j, i in zip(at, to):
+                fixed.append(value[j])
+                value[j] = value[i]
+            picked[replay] = fixed
+            items[list(value)] = list(value.values())
+        stop = (yield rows, accepted, picked) if picked.size else None
+        position += accepted
+        counter += np.minimum(accepted + 1, width).astype(np.uint64)  # and the rejected draw, if any
+        live = position < n
+        if stop is not None:
+            live &= ~stop
+        if not live.all():
+            rows, position, counter = rows[live], position[live], counter[live]

@@ -12,10 +12,12 @@ level each percentile corresponds to.
 Determinism contract: trial i permutes with the Fisher-Yates shuffle
 driven by the SplitMix64 stream keyed by (master_seed, i), so its result
 depends only on the seed and i; :func:`run_trials` derives every trial's
-key in one array call. A shuffle hands its positions to the scan as
-arrays of at most :data:`~fomo.prng.CHUNK` documents, front to back, and
-is abandoned after the array holding the completion position; the
-emitted prefix is identical to what a full shuffle would have produced.
+key in one array call. Trials run in lockstep batches: each step of the
+batch shuffle hands every unfinished trial's next run of at most
+:data:`~fomo.prng.CHUNK` positions to the scan at once, and a trial is
+abandoned after the run holding its completion position; the emitted
+prefix is identical to what a full shuffle would have produced, however
+the trials are batched.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Generator, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -53,6 +55,8 @@ SUMMARY_VERSION = 1
 
 DEFAULT_QUANTILES = (0.10, 0.20, 0.50, 0.95)
 DEFAULT_BIN_COUNT = 20
+# The bytes a batch of lockstep shuffle trials holds (see _batch_size).
+TRIAL_BATCH_BYTES = 2**23
 # The histogram's bin limit, the same order as the Monte Carlo collector's
 # 1/p <= 10**6 cap; checked before any trial runs.
 MAX_BIN_COUNT = 10**6
@@ -231,39 +235,60 @@ class AnalyticComparison:
     mean_relative_difference: float
 
 
-def _first_sightings(corpus: Corpus, chunks: Iterable[np.ndarray]) -> dict[int, int]:
-    """Scan documents by index, ``chunks`` being arrays of indices in scan
-    order; map each topic to the 1-based position where it first
-    appeared, in order of appearance (by position, then by topic id).
-    Stops after the array in which every topic present has been seen.
+def _first_sightings(
+    corpus: Corpus, steps: Generator[tuple[np.ndarray, ...], np.ndarray | None, None], trials: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Scan ``trials`` document orders in lockstep, ``steps`` yielding them
+    as :func:`~fomo.prng.fisher_yates` does, and stop each once every
+    topic present has been seen in it.
 
-    Each array is searched at once over the CSR rows; ``seen`` is indexed
-    by topic id.
+    Returns ``(topics, positions)``, two (trials, topics present) arrays:
+    row b holds the topics of trial b with the 1-based positions where
+    they first appeared, in order of appearance (by position, then by
+    topic id). Each step's documents are searched at once over the CSR
+    rows, against a (trials, topic_count) ``seen`` mask.
     """
-    indptr, indices = corpus.indptr, corpus.indices
-    seen = np.zeros(corpus.topic_count, dtype=bool)
+    indptr, indices, topic_count = corpus.indptr, corpus.indices, corpus.topic_count
     needed = len(corpus.topics_present)
-    first_seen: dict[int, int] = {}
-    scanned = 0
-    for docs in chunks:
+    topics = np.empty((trials, needed), dtype=np.int32)
+    positions = np.empty((trials, needed), dtype=np.int32)  # below n < 2**31 (fisher_yates)
+    seen = np.zeros(trials * topic_count, dtype=bool)  # trial b's topic t at b * topic_count + t
+    found = np.zeros(trials, dtype=np.int64)  # topics seen per trial
+    scanned = np.zeros(trials, dtype=np.int64)  # documents scanned per trial
+    run_start = np.empty(trials, dtype=np.int64)  # each trial's first document in the step
+    finished = None
+    while True:
+        try:
+            rows, counts, docs = steps.send(finished)
+        except StopIteration:
+            break
+        docs = docs.astype(np.intp)  # once, for both gathers
         starts = indptr[docs]
-        lengths = indptr[docs + 1] - starts
-        row_ends = np.cumsum(lengths)
-        # Positions in ``indices`` of the chunk's topics, document by document.
-        flat = np.arange(row_ends[-1]) + np.repeat(starts - row_ends + lengths, lengths)
-        topics = indices[flat]
-        unseen = np.flatnonzero(~seen[topics])
+        lengths = indptr[1:][docs] - starts
+        doc_ends = np.cumsum(lengths)
+        # Positions in ``indices`` of the step's topics, document by document,
+        # and each topic's place in ``seen``.
+        flat = np.arange(doc_ends[-1]) + np.repeat(starts - doc_ends + lengths, lengths)
+        keys = indices[flat] + np.repeat(np.repeat(rows * topic_count, counts), lengths)
+        unseen = np.flatnonzero(~seen[keys])
+        finished = None
         if unseen.size:
-            found, first = np.unique(topics[unseen], return_index=True)
-            seen[found] = True
-            hits = unseen[first]
-            appearance = np.argsort(hits)
-            rows = np.searchsorted(row_ends, hits[appearance], side="right")
-            first_seen.update(zip(found[appearance].tolist(), (scanned + rows + 1).tolist()))
-            if len(first_seen) == needed:
-                break
-        scanned += docs.size
-    return first_seen
+            new, first = np.unique(keys[unseen], return_index=True)
+            seen[new] = True
+            row, topic = np.divmod(new, topic_count)
+            run_start[rows] = np.cumsum(counts) - counts
+            step_docs = np.searchsorted(doc_ends, unseen[first], side="right")
+            at = scanned[row] - run_start[row] + step_docs + 1
+            # By trial, then position; the sort is stable, so ties stay by topic.
+            order = np.lexsort((at, row))
+            row, topic, at = row[order], topic[order], at[order]
+            per_row = np.bincount(row, minlength=trials)
+            column = found[row] + np.arange(row.size) - (np.cumsum(per_row) - per_row)[row]
+            topics[row, column], positions[row, column] = topic, at
+            found += per_row
+            finished = found[rows] == needed
+        scanned[rows] += counts
+    return topics, positions
 
 
 def scan_accession(corpus: Corpus) -> CoverageCurve:
@@ -280,10 +305,28 @@ def scan_accession(corpus: Corpus) -> CoverageCurve:
 
 def shuffle_trial(corpus: Corpus, trial_seed: int) -> TrialResult:
     """Scan the corpus in the uniformly random :func:`~fomo.prng.fisher_yates`
-    order keyed by ``trial_seed``, drawn a chunk at a time and abandoned
-    once every topic present has been seen."""
-    first_seen = _first_sightings(corpus, fisher_yates(len(corpus), trial_seed))
-    return TrialResult(completion_position=max(first_seen.values()), first_seen=first_seen)
+    order keyed by ``trial_seed``, drawn a run at a time and abandoned once
+    every topic present has been seen: a batch of one trial."""
+    return next(_trial_batch(corpus, np.array([trial_seed], dtype=np.uint64)))
+
+
+def _batch_size(corpus: Corpus) -> int:
+    """Trials to run in lockstep: as many as ``TRIAL_BATCH_BYTES`` holds at
+    4 bytes a document (the items), 1 a topic id (the seen mask) and 8 a
+    topic present (the sightings) per trial, plus 256 for its share of a
+    step's arrays (about 300 bytes a trial when the runs are one position
+    long, as on a corpus of a few documents), and at least one."""
+    per_trial = 4 * len(corpus) + corpus.topic_count + 8 * len(corpus.topics_present) + 256
+    return max(1, TRIAL_BATCH_BYTES // per_trial)
+
+
+def _trial_batch(corpus: Corpus, keys: np.ndarray) -> Iterator[TrialResult]:
+    """The trials keyed by ``keys``, run in lockstep when first read; each
+    trial's ``first_seen`` is built as it is yielded."""
+    topics, positions = _first_sightings(corpus, fisher_yates(len(corpus), keys), keys.size)
+    for row_topics, row_positions in zip(topics, positions):
+        first_seen = dict(zip(row_topics.tolist(), row_positions.tolist()))
+        yield TrialResult(completion_position=int(row_positions[-1]), first_seen=first_seen)
 
 
 def completion_topics(result: TrialResult) -> tuple[int, ...]:
@@ -300,24 +343,33 @@ def completion_topics(result: TrialResult) -> tuple[int, ...]:
 
 def run_trials(corpus: Corpus, trial_count: int, master_seed: int) -> Iterator[TrialResult]:
     """Independent shuffle trials, trial i keyed by (master_seed, i). The
-    count and seed are checked, and the keys derived, at the call; each
-    trial runs when the returned iterator reaches it."""
+    count and seed are checked, and the keys derived, at the call; the
+    trials run in lockstep batches (:func:`_batch_size`), each when the
+    returned iterator reaches its first trial."""
     check_trial_count(trial_count)
     keys = derive_key_array(master_seed, np.arange(trial_count))
-    return (shuffle_trial(corpus, int(key)) for key in keys)
+    size = _batch_size(corpus)
+    return (
+        trial
+        for start in range(0, trial_count, size)
+        for trial in _trial_batch(corpus, keys[start : start + size])
+    )
 
 
-def _nearest_rank(sorted_values: Sequence[int], q: float) -> int:
+def _nearest_rank(sorted_values: np.ndarray, q: float) -> int:
     rank = max(1, math.ceil(q * len(sorted_values)))
-    return sorted_values[rank - 1]
+    return int(sorted_values[rank - 1])
 
 
 def _equal_width_histogram(
-    completions: Sequence[int], bin_count: int
+    completions: Sequence[int] | np.ndarray, bin_count: int
 ) -> tuple[HistogramBin, ...]:
-    lo, hi = float(min(completions)), float(max(completions))
+    completions = np.asarray(completions)
+    lo, hi = float(completions.min()), float(completions.max())
     width = (hi - lo) / bin_count  # 0 when every value is equal: all go to bin 0
-    index = np.minimum((np.asarray(completions) - lo) / (width or 1.0), bin_count - 1)
+    index = completions - lo
+    index /= width or 1.0
+    np.minimum(index, bin_count - 1, out=index)
     counts = np.bincount(index.astype(np.intp), minlength=bin_count).tolist()
     return tuple(
         HistogramBin(lower=lo + k * width, upper=lo + (k + 1) * width, count=counts[k])
@@ -349,21 +401,23 @@ def summarize(
     Builds an equal-width histogram of the completion positions over
     [min, max], nearest-rank percentiles for the requested quantiles,
     and the corresponding recall fractions. Reads ``results`` once, after
-    checking the options, and keeps only the completion positions.
+    checking the options, and keeps only the completion positions, in one
+    ``int64`` array.
     """
     quantiles = _checked_quantiles(quantiles, bin_count)
-    completions = sorted(r.completion_position for r in results)
-    if not completions:
+    completions = np.fromiter((r.completion_position for r in results), dtype=np.int64)
+    if not completions.size:
         raise ValueError("need at least one trial")
+    completions.sort()
     percentiles = {q: _nearest_rank(completions, q) for q in quantiles}
     return SimulationSummary(
-        trial_count=len(completions),
+        trial_count=completions.size,
         seed=master_seed,
         histogram=_equal_width_histogram(completions, bin_count),
         percentiles=percentiles,
-        min_completion=completions[0],
-        max_completion=completions[-1],
-        mean_completion=sum(completions) / len(completions),
+        min_completion=int(completions[0]),
+        max_completion=int(completions[-1]),
+        mean_completion=int(completions.sum()) / completions.size,
         recall_at={q: percentiles[q] / n_docs for q in quantiles},
     )
 

@@ -199,10 +199,7 @@ def test_criterion_5b_shuffles_match_exhaustive_enumeration():
     exhaustive_mean = total / math.factorial(len(topic_sets))
 
     trials = 100_000
-    completions = [
-        shuffle_trial(corpus, derive_key(505, i)).completion_position
-        for i in range(trials)
-    ]
+    completions = [r.completion_position for r in run_trials(corpus, trials, 505)]
     mc_mean = sum(completions) / trials
     spread = math.sqrt(sum((c - mc_mean) ** 2 for c in completions) / (trials - 1))
     std_error = spread / math.sqrt(trials)

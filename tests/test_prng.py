@@ -159,12 +159,21 @@ def test_next_below_rejects_nonpositive():
         SplitMix64(1).next_below(0)
 
 
+def permutations(n, keys):
+    """fisher_yates's runs joined row by row, one permutation per key; each
+    step checked to yield int32 items in runs of at most CHUNK positions."""
+    joined = [[] for _ in keys]
+    for rows, counts, picked in fisher_yates(n, np.array(keys, dtype=np.uint64)):
+        assert picked.dtype == np.int32 and picked.size == counts.sum() > 0
+        assert 0 <= counts.min() and counts.max() <= CHUNK
+        for row, run in zip(rows.tolist(), np.split(picked, np.cumsum(counts)[:-1])):
+            joined[row] += run.tolist()
+    return joined
+
+
 def permutation(n, key):
-    """fisher_yates's arrays joined, each checked to be a nonempty int64
-    array of at most CHUNK positions."""
-    chunks = list(fisher_yates(n, key))
-    assert all(c.dtype == np.int64 and 0 < c.size <= CHUNK for c in chunks)
-    return [i for c in chunks for i in c.tolist()]
+    """The permutation of the one-key call."""
+    return permutations(n, [key])[0]
 
 
 def test_shuffle_is_a_permutation_and_deterministic():
@@ -180,14 +189,44 @@ def test_shuffle_frozen_permutation():
     assert permutation(8, 2024) == FROZEN_SHUFFLE_2024
 
 
+def in_place_permutation(n, rng):
+    items = list(range(n))
+    in_place_fisher_yates(items, rng)
+    return items
+
+
 def test_fisher_yates_matches_in_place_reference():
     # Every n up to past the second chunk edge (1024), and sizes around
-    # the third (1536).
+    # the third (1536): each key alone, and the keys as rows of one batch.
+    keys = (0, 7, 2**64 - 1)
     for n in [*range(1101), 1535, 1536, 1537, 2000]:
-        for key in (0, 7, 2**64 - 1):
-            items = list(range(n))
-            in_place_fisher_yates(items, SplitMix64(key))
-            assert permutation(n, key) == items
+        expected = [in_place_permutation(n, SplitMix64(key)) for key in keys]
+        assert [permutation(n, key) for key in keys] == expected
+        assert permutations(n, keys) == expected
+
+
+def test_fisher_yates_refuses_more_items_than_int32_holds():
+    with pytest.raises(ValueError, match="2\\*\\*31"):
+        next(fisher_yates(2**31, np.array([1], dtype=np.uint64)))
+
+
+def test_fisher_yates_rows_stop_when_told():
+    # Stopping one row leaves the others' permutations as they were.
+    keys = [3, 4, 5]
+    full = permutations(3000, keys)
+    steps = fisher_yates(3000, np.array(keys, dtype=np.uint64))
+    joined = [[] for _ in keys]
+    stop = None
+    while True:
+        try:
+            rows, counts, picked = steps.send(stop)
+        except StopIteration:
+            break
+        for row, run in zip(rows.tolist(), np.split(picked, np.cumsum(counts)[:-1])):
+            joined[row] += run.tolist()
+        stop = rows == 1  # row 1 stops after its first run
+    assert joined[0] == full[0] and joined[2] == full[2]
+    assert 0 < len(joined[1]) < 3000 and joined[1] == full[1][: len(joined[1])]
 
 
 class PlantedStream(SplitMix64):
@@ -204,6 +243,29 @@ class PlantedStream(SplitMix64):
         return MASK64 if self.counter in self.planted else u
 
 
+def planted_stream(planted):
+    """stream_u64 with 2**64 - 1 served at the planted counters of each
+    key, ``planted`` mapping a key to its set of counters."""
+
+    def planted_stream_u64(keys, counters):
+        draws = stream_u64(keys, counters)
+        keys, counters = np.broadcast_arrays(keys, counters)
+        for key, at in planted.items():
+            draws[(keys == key) & np.isin(counters, list(at))] = MASK64
+        return draws
+
+    return planted_stream_u64
+
+
+def planted_permutation(n, key, planted):
+    """The sequential loop over a planted stream. Every planted draw must
+    be rejected, each costing the loop one draw beyond its n - 1."""
+    rng = PlantedStream(key, planted)
+    items = in_place_permutation(n, rng)
+    assert rng.counter == n - 1 + len(planted)
+    return items
+
+
 @pytest.mark.parametrize(
     "planted",
     [
@@ -216,19 +278,22 @@ class PlantedStream(SplitMix64):
 def test_planted_rejections_match_the_sequential_loop(planted, monkeypatch):
     # A real rejection has chance below n / 2**64 per draw, so plant them:
     # 2**64 - 1 is rejected wherever n - i is not a power of two.
-    def planted_stream_u64(keys, counters):
-        draws = stream_u64(keys, counters)
-        draws[np.isin(counters, list(planted))] = MASK64
-        return draws
-
-    monkeypatch.setattr(fomo.prng, "stream_u64", planted_stream_u64)
+    keys = (0, 7, 2**64 - 1)
+    monkeypatch.setattr(fomo.prng, "stream_u64", planted_stream(dict.fromkeys(keys, planted)))
     n = 1500
-    for key in (0, 7, 2**64 - 1):
-        rng = PlantedStream(key, planted)
-        items = list(range(n))
-        in_place_fisher_yates(items, rng)
-        assert rng.counter == n - 1 + len(planted)  # every planted draw rejected
-        assert permutation(n, key) == items
+    for key in keys:
+        assert permutation(n, key) == planted_permutation(n, key, planted)
+
+
+def test_planted_rejections_in_some_rows_of_a_batch(monkeypatch):
+    # The rows of one batch fall out of step: key 0 rejects its first draw
+    # (an empty run) and the draw at n - i = 3 of its last chunk, key 7 the
+    # last draw of its first chunk and of its second, and 2**64 - 1 none.
+    n = 1500
+    planted = {0: {1, 1499}, 7: {CHUNK, 2 * CHUNK}, 2**64 - 1: set()}
+    monkeypatch.setattr(fomo.prng, "stream_u64", planted_stream(planted))
+    expected = [planted_permutation(n, key, at) for key, at in planted.items()]
+    assert permutations(n, list(planted)) == expected
 
 
 # Computed once from the implementation above and frozen; any algorithm

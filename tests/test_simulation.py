@@ -5,6 +5,7 @@ import json
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,10 +13,11 @@ from corpus_documents import Document, corpus_from_documents, documents_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from splitmix64_oracle import SplitMix64, in_place_fisher_yates
 
 from fomo.corpus import generate_corpus, zipf_prevalences
 import fomo.simulation
-from fomo.prng import CHUNK, MAX_TRIALS, derive_key, fisher_yates
+from fomo.prng import CHUNK, MAX_TRIALS, derive_key, derive_key_array, fisher_yates
 from fomo.simulation import (
     HistogramBin,
     _equal_width_histogram,
@@ -41,9 +43,32 @@ def corpus_from_topic_sets(topic_sets, topic_count=None):
     return corpus_from_documents(documents, topic_count)
 
 
-def chunked(n):
-    """range(n) as the scan reads it: arrays of CHUNK indices."""
-    return np.split(np.arange(n), range(CHUNK, n, CHUNK))
+def scripted_steps(orders, sizes, reads):
+    """Steps in the form fisher_yates yields them, over fixed document
+    orders: at step s, row r fixes its next ``sizes[(s + r) % len(sizes)]``
+    positions (0 makes an empty run), and a sent mask stops the rows it
+    marks. ``reads[r]`` records the runs row r was given, as (start, end)."""
+    done = [0] * len(orders)
+    live = list(range(len(orders)))
+    step = 0
+    while live:
+        counts = [min(sizes[(step + r) % len(sizes)], len(orders[r]) - done[r]) for r in live]
+        picked = [d for r, c in zip(live, counts) for d in orders[r][done[r] : done[r] + c]]
+        stop = None
+        if picked:
+            stop = yield np.array(live), np.array(counts), np.array(picked, dtype=np.int32)
+        for r, c in zip(live, counts):
+            reads[r].append((done[r], done[r] + c))
+            done[r] += c
+        stopped = [False] * len(live) if stop is None else stop.tolist()
+        live = [r for r, halt in zip(live, stopped) if done[r] < len(orders[r]) and not halt]
+        step += 1
+
+
+def oracle_order(n, key):
+    items = list(range(n))
+    in_place_fisher_yates(items, SplitMix64(key))
+    return items
 
 
 def marked_singleton_corpus(n):
@@ -98,21 +123,45 @@ def common_and_rare_topic_sets(draw):
 
 
 class TestFirstSightings:
-    @given(common_and_rare_topic_sets(), st.integers(0, 2**64 - 1), st.booleans())
+    @given(
+        common_and_rare_topic_sets(),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+        st.lists(st.integers(0, CHUNK), min_size=1, max_size=4).filter(any),
+    )
     @settings(max_examples=150, deadline=None)
-    def test_matches_per_document_oracle(self, topic_sets, seed, shuffled):
+    def test_batch_matches_per_document_oracle(self, topic_sets, keys, sizes):
+        # One order per key, scanned in lockstep in runs of uneven sizes
+        # (empty runs too), each row stopped after the run that completes it.
         corpus = corpus_from_topic_sets(topic_sets, topic_count=41)
-        n = len(corpus)
-        chunks = list(fisher_yates(n, seed)) if shuffled else chunked(n)
-        scanned = fomo.simulation._first_sightings(corpus, iter(chunks))
-        expected = first_sightings_oracle(corpus, np.concatenate(chunks).tolist())
-        assert list(scanned.items()) == list(expected.items())
+        orders = [oracle_order(len(corpus), key) for key in keys]
+        reads = [[] for _ in keys]
+        scan = fomo.simulation._first_sightings
+        topics, positions = scan(corpus, scripted_steps(orders, sizes, reads), len(keys))
+        for row, order in enumerate(orders):
+            expected = first_sightings_oracle(corpus, order)
+            assert list(zip(topics[row].tolist(), positions[row].tolist())) == list(expected.items())
+            start, end = [run for run in reads[row] if run[0] < run[1]][-1]
+            assert start < max(expected.values()) <= end
+
+    @given(
+        common_and_rare_topic_sets(),
+        st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batch_trials_match_the_oracle_order(self, topic_sets, keys):
+        corpus = corpus_from_topic_sets(topic_sets, topic_count=41)
+        batch = fomo.simulation._trial_batch(corpus, np.array(keys, dtype=np.uint64))
+        for key, result in zip(keys, batch, strict=True):
+            expected = first_sightings_oracle(corpus, oracle_order(len(corpus), key))
+            assert list(result.first_seen.items()) == list(expected.items())
+            assert result.completion_position == max(expected.values())
 
     def test_rare_topic_past_several_chunks(self):
         sets = [{0}] * (3 * CHUNK + 5) + [{1, 2}, {0, 3}]
         corpus = corpus_from_topic_sets(sets, topic_count=5)
-        scanned = fomo.simulation._first_sightings(corpus, chunked(len(corpus)))
-        assert list(scanned.items()) == [
+        steps = scripted_steps([list(range(len(corpus)))], [CHUNK], [[]])
+        topics, positions = fomo.simulation._first_sightings(corpus, steps, 1)
+        assert list(zip(topics[0].tolist(), positions[0].tolist())) == [
             (0, 1), (1, 3 * CHUNK + 6), (2, 3 * CHUNK + 6), (3, 3 * CHUNK + 7)
         ]
 
@@ -159,7 +208,7 @@ class TestShuffleTrial:
         )
         for seed in (0, 1, 99, 12345):
             result = shuffle_trial(corpus, seed)
-            order = np.concatenate(list(fisher_yates(len(corpus), seed))).tolist()
+            order = oracle_order(len(corpus), seed)
             docs = documents_of(corpus)
             first_seen = {}
             for position, doc_index in enumerate(order, start=1):
@@ -189,10 +238,7 @@ class TestShuffleTrial:
         # averages (n+1)/2
         corpus = marked_singleton_corpus(10)
         trials = 20_000
-        completions = [
-            shuffle_trial(corpus, derive_key(77, i)).completion_position
-            for i in range(trials)
-        ]
+        completions = [r.completion_position for r in run_trials(corpus, trials, 77)]
         mean = sum(completions) / trials
         spread = math.sqrt(
             sum((c - mean) ** 2 for c in completions) / (trials - 1)
@@ -204,8 +250,8 @@ class TestShuffleTrial:
         corpus = marked_singleton_corpus(10)
         trials = 10_000
         counts = [0] * 10
-        for i in range(trials):
-            counts[shuffle_trial(corpus, derive_key(123, i)).completion_position - 1] += 1
+        for result in run_trials(corpus, trials, 123):
+            counts[result.completion_position - 1] += 1
         statistic = sum((c - trials / 10) ** 2 / (trials / 10) for c in counts)
         assert statistic < stats.chi2.ppf(0.999, df=9)
 
@@ -224,10 +270,7 @@ class TestShuffleTrial:
             count += 1
         exact_mean = total / count
         trials = 20_000
-        completions = [
-            shuffle_trial(corpus, derive_key(5, i)).completion_position
-            for i in range(trials)
-        ]
+        completions = [r.completion_position for r in run_trials(corpus, trials, 5)]
         mc_mean = sum(completions) / trials
         spread = math.sqrt(
             sum((c - mc_mean) ** 2 for c in completions) / (trials - 1)
@@ -295,7 +338,7 @@ class TestRunShuffles:
         def no_trial(*args):
             raise AssertionError("a trial ran before the options were checked")
 
-        monkeypatch.setattr(fomo.simulation, "shuffle_trial", no_trial)
+        monkeypatch.setattr(fomo.simulation, "_trial_batch", no_trial)
         corpus = corpus_from_topic_sets([{0}])
         with pytest.raises(ValueError):
             run_shuffles(corpus, 5, 1, quantiles=(1.5,))
@@ -306,21 +349,50 @@ class TestRunShuffles:
         def no_trial(*args):
             raise AssertionError("a trial ran before the bin count was checked")
 
-        monkeypatch.setattr(fomo.simulation, "shuffle_trial", no_trial)
+        monkeypatch.setattr(fomo.simulation, "_trial_batch", no_trial)
         corpus = corpus_from_topic_sets([{0}])
         with pytest.raises(ValueError, match=str(fomo.simulation.MAX_BIN_COUNT)):
             run_shuffles(corpus, 5, 1, bin_count=10**6 + 1)
 
     def test_run_trials_runs_no_trial_until_read(self, monkeypatch):
-        ran = []
-        monkeypatch.setattr(
-            fomo.simulation, "shuffle_trial", lambda corpus, key: ran.append(key) or key
-        )
-        trials = run_trials(corpus_from_topic_sets([{0}]), 3, master_seed=5)
-        assert ran == []
-        assert next(trials) == derive_key(5, 0) and len(ran) == 1
-        assert list(trials) == ran[1:]
-        assert ran == [derive_key(5, i) for i in range(3)]
+        # Batches of two trials: reading trial 0 runs only the first batch.
+        batches = []
+
+        def batch(corpus, keys):
+            batches.append(keys.tolist())
+            yield from keys.tolist()
+
+        corpus = corpus_from_topic_sets([{0}])
+        monkeypatch.setattr(fomo.simulation, "_trial_batch", batch)
+        monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", 2 * (4 + 1 + 8 + 256))
+        trials = run_trials(corpus, 5, master_seed=5)
+        assert batches == []
+        keys = [derive_key(5, i) for i in range(5)]
+        assert next(trials) == keys[0] and batches == [keys[:2]]
+        assert list(trials) == keys[1:]
+        assert batches == [keys[:2], keys[2:4], keys[4:]]
+
+    @pytest.mark.parametrize("budget", [1, 3 * (4 * 41 + 6 + 8 * 6 + 256), 10**6])
+    def test_batches_equal_trials_run_alone(self, monkeypatch, budget):
+        # Batches of 1, 3 and all 40 trials, the last batch of three short.
+        corpus = corpus_from_topic_sets([{i % 5} for i in range(40)] + [{5}], topic_count=6)
+        monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", budget)
+        alone = [shuffle_trial(corpus, derive_key(10, i)) for i in range(40)]
+        batched = list(run_trials(corpus, 40, master_seed=10))
+        assert [list(r.first_seen.items()) for r in batched] == [
+            list(r.first_seen.items()) for r in alone
+        ]
+        assert batched == alone
+
+    def test_batch_size_from_the_byte_budget(self, monkeypatch):
+        # 4 bytes a document, 1 a topic id, 8 a topic present and 256 more,
+        # per trial.
+        size = fomo.simulation._batch_size
+        assert size(corpus_from_topic_sets([{0}, {5}], topic_count=10**6)) == 8
+        assert size(corpus_from_topic_sets([{t} for t in range(2000)])) == 2**23 // 26256
+        assert size(corpus_from_topic_sets([{0}, {0}, {1}])) == 2**23 // 286
+        monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", 10)
+        assert size(corpus_from_topic_sets([{0}, {0}])) == 1
 
     def test_run_trials_checks_its_count_at_the_call(self, monkeypatch):
         def no_keys(*args):
@@ -337,11 +409,13 @@ class TestRunShuffles:
             summarize([], 10, 1)
 
     def test_memory_stays_flat_as_trials_grow(self):
-        # Every trial scans all 2,000 single-topic documents, so holding
-        # each trial's first_seen map would add about 0.18 MiB a trial.
-        corpus = corpus_from_topic_sets([{t} for t in range(2000)])
+        # 200 topics over 20,000 documents: holding each trial's first_seen
+        # map would add some 11 KB a trial. Both counts fill whole lockstep
+        # batches, which hold the same arrays however many trials there are.
+        corpus = corpus_from_topic_sets([{i % 200} for i in range(20_000)])
+        batch = fomo.simulation._batch_size(corpus)
         peaks = []
-        for trials in (10, 40):
+        for trials in (batch, 4 * batch):
             tracemalloc.start()
             try:
                 run_shuffles(corpus, trials, master_seed=8)
@@ -349,6 +423,26 @@ class TestRunShuffles:
             finally:
                 tracemalloc.stop()
         assert peaks[1] - peaks[0] < 2**20
+
+    def test_summarize_keeps_few_bytes_a_trial(self):
+        # The positions sit in one int64 array, beside the histogram's two
+        # index arrays while it is built: 24 bytes a trial. A sorted list of
+        # Python ints took about 57.
+        def stub_trials(count):
+            trial = SimpleNamespace()
+            for i in range(count):
+                trial.completion_position = 1000 + i % 997
+                yield trial
+
+        peaks = []
+        for count in (10**5, 5 * 10**5):
+            tracemalloc.start()
+            try:
+                summarize(stub_trials(count), 10**4, 1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / (4 * 10**5) < 32
 
     def test_memory_does_not_grow_with_absent_topics(self):
         # A trial holds a seen-mask of topic_count bytes; listing the
