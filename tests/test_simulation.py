@@ -17,7 +17,7 @@ from splitmix64_oracle import SplitMix64, in_place_fisher_yates
 
 from fomo.corpus import generate_corpus, zipf_prevalences
 import fomo.simulation
-from fomo.prng import CHUNK, MAX_TRIALS, derive_key, derive_key_array, fisher_yates
+from fomo.prng import CHUNK, MAX_TRIALS, derive_key
 from fomo.simulation import (
     HistogramBin,
     _equal_width_histogram,
