@@ -17,6 +17,7 @@ All functions here are pure; a scenario table is just a map over rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -33,6 +34,7 @@ __all__ = [
     "fomo_confidence",
     "fomo_table",
     "format_percent",
+    "MAX_TABLE_ROWS",
 ]
 
 # Recall values arrive as floats but mean exact decimals (0.7 means 7/10,
@@ -40,6 +42,10 @@ __all__ = [
 # floor(N*(1-R)/R) exact: naive float arithmetic turns 50000*(1-0.8)/0.8
 # into 12499.999... and floors to the wrong integer.
 _RECALL_DENOMINATOR_LIMIT = 10**9
+
+# The most scenarios a table holds, about 150 MiB of rows at 1.5 KiB
+# each; ten times the largest grid in use.
+MAX_TABLE_ROWS = 10**5
 
 
 @dataclass(frozen=True)
@@ -54,6 +60,8 @@ class RecallScenario:
     def __post_init__(self) -> None:
         if self.produced_count < 1:
             raise ValueError(f"produced_count must be >= 1, got {self.produced_count}")
+        if self.produced_count > sys.float_info.max:
+            raise ValueError(f"produced_count must be at most {sys.float_info.max!r}")
         if not 0.0 < self.recall <= 1.0:
             raise ValueError(f"recall must be in (0, 1], got {self.recall}")
         if not 0.0 < self.confidence < 1.0:
@@ -107,6 +115,8 @@ def prevalence_upper_bound(n_identified: int, confidence: float) -> float:
     """
     if n_identified < 1:
         raise ValueError(f"n_identified must be >= 1, got {n_identified}")
+    if n_identified > sys.float_info.max:
+        raise ValueError(f"n_identified must be at most {sys.float_info.max!r}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must be in (0, 1), got {confidence}")
     return -math.expm1(math.log1p(-confidence) / n_identified)
@@ -150,15 +160,19 @@ def fomo_confidence(scenario: RecallScenario) -> FomoRow:
     and the missed-set probability is evaluated through that identity
     rather than by chaining through the prevalence bound: it sidesteps
     the underflow of (1-p)**M for tiny bounds, and it makes scenarios
-    with the same exact M/N ratio agree bit for bit, whatever N is.
+    with the same exact M/N ratio agree bit for bit, whatever N is. A
+    recall so small that M/N leaves float range is refused with ValueError.
     """
     bound = prevalence_upper_bound(scenario.produced_count, scenario.confidence)
     missed = missed_set_size(scenario.produced_count, scenario.recall)
     alpha = 1.0 - scenario.confidence
-    if missed == 0:
-        prob = 0.0
-    else:
-        prob = -math.expm1(missed / scenario.produced_count * math.log(alpha))
+    try:
+        ratio = missed / scenario.produced_count
+    except OverflowError:
+        raise ValueError(
+            f"missed / produced leaves float range: recall {scenario.recall!r} is too small"
+        ) from None
+    prob = -math.expm1(ratio * math.log(alpha)) if missed else 0.0
     return FomoRow(
         scenario=scenario,
         prevalence_bound=bound,

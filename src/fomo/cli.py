@@ -25,10 +25,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from typing import Any, Callable, Iterable, NoReturn, Sequence
 
-from .analytic import RecallScenario, fomo_table, format_percent, prevalence_upper_bound
+from .analytic import (
+    MAX_TABLE_ROWS, RecallScenario, fomo_table, format_percent, prevalence_upper_bound
+)
 from .collector import (
     SUM_COUPON_LIMIT,
     CouponDistribution,
@@ -110,6 +113,12 @@ def _cmd_table(args: argparse.Namespace) -> int:
     recalls = _parse_list(args.recall, float, "numbers")
     if not produced or not recalls:
         raise ValueError("need at least one production size and one recall level")
+    row_count = len(produced) * len(recalls)
+    if row_count > MAX_TABLE_ROWS:
+        raise ValueError(
+            f"a table of {row_count} rows (production sizes times recall levels) "
+            f"is above the limit of {MAX_TABLE_ROWS}"
+        )
     scenarios = [
         RecallScenario(n, r, args.confidence) for r in recalls for n in produced
     ]
@@ -135,12 +144,15 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 def _cmd_bound(args: argparse.Namespace) -> int:
     bound = prevalence_upper_bound(args.produced, args.confidence)
+    one_in = 1.0 / bound if bound else math.inf
+    if math.isinf(one_in):
+        raise ValueError(f"1 / the prevalence bound {bound!r} leaves float range")
     row = {
         "produced": args.produced,
         "confidence": repr(args.confidence),
         "prevalence_bound": repr(bound),
         "prevalence_bound_pct": format_percent(bound),
-        "one_in": repr(1.0 / bound),
+        "one_in": repr(one_in),
     }
     _emit(args, "fomo-bound", list(row.keys()), [row])
     return 0
@@ -285,7 +297,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    table = commands.add_parser("table", help="confidence table over sizes and recalls")
+    table = commands.add_parser(
+        "table",
+        help="confidence table over sizes and recalls",
+        description=f"One row per production size and recall level, at most {MAX_TABLE_ROWS}.",
+    )
     table.add_argument("--produced", default="50000,100000,200000")
     table.add_argument("--recall", default="0.8,0.7,0.6,0.5")
     table.add_argument("--confidence", type=float, default=0.95)

@@ -28,9 +28,9 @@ File format (UTF-8, one JSON object per line):
 Topics are written sorted ascending without duplicates, and line order
 is the corpus's accession order. ``load_corpus(save_corpus(c)) == c``
 bit for bit. The loader reads blocks of whole lines: a block whose lines
-are all in the form save_corpus writes is checked and parsed with array
-operations, any other block line by line as JSON, and each block's topic
-ids are checked as it is read.
+are all in the form save_corpus writes, topic ids sorted, is checked and
+parsed with array operations; any other block is checked and parsed line
+by line as JSON, and each line's topic ids are sorted as it is read.
 """
 
 from __future__ import annotations
@@ -406,25 +406,6 @@ def _parse_record(number: int, raw: str, topic_count: int) -> tuple[str, list[in
     return doc_id, topics
 
 
-def _sorted_topics(
-    topics: np.ndarray, line_ends: np.ndarray, first_line: int, topic_count: int
-) -> np.ndarray:
-    """Check the topic ids of a block of document lines, numbered from
-    ``first_line``, as written (flat, with line i's ending at
-    ``line_ends[i]``), and return them sorted within each document.
-    Raises the error of the first line with a repeated or out-of-range id."""
-    indptr = np.concatenate(([0], line_ends))
-    if _first_disordered(topics, indptr, topic_count) is None:
-        return topics
-    lengths = np.diff(indptr)
-    ordered = topics[np.lexsort((topics, np.repeat(np.arange(lengths.size), lengths)))]
-    d = _first_disordered(ordered, indptr, topic_count)
-    if d is None:
-        return ordered
-    listed = topics[indptr[d] : indptr[d + 1]].tolist()
-    raise _format_error(first_line + d, _topics_problem(listed, topic_count))
-
-
 # A document line as save_corpus writes it is _HEAD, an id without
 # quote, backslash, control character or surrogate, _MIDDLE, one or more
 # topic ids of 1 to 9 digits without leading zeros joined by commas, and
@@ -458,10 +439,10 @@ def _spans(size: int, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(inside, np.diff(bounds))
 
 
-def _saved_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-    """The ids, the flat topic ids as written and the running topic count
-    at each line's end, for whole lines all in the form save_corpus
-    writes; None if any line is in another form."""
+def _saved_lines(text: str, topic_count: int) -> tuple[np.ndarray, ...] | None:
+    """The ids, the flat topic ids and the running topic count at each
+    line's end, for whole lines all in the form save_corpus writes with ids
+    strictly increasing below ``topic_count``; None if any line is not."""
     if not text.isascii() and _SURROGATE.search(text):
         return None
     data = (text if text.endswith("\n") else text + "\n").encode()
@@ -508,6 +489,8 @@ def _saved_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
     values *= _POW10[np.repeat(separators, digits + 1) - np.arange(1, listed.size + 1)]
     topics = np.add.reduceat(values, np.concatenate(([0], separators[:-1] + 1)), dtype=np.intc)
     line_ends = np.flatnonzero(kind[separators] == 3) + 1
+    if _first_disordered(topics, np.concatenate(([0], line_ends)), topic_count) is not None:
+        return None
 
     # The ids, each followed by its closing quote.
     quoted = buf[_spans(buf.size, starts + len(_HEAD), middles + 1)].tobytes()
@@ -517,13 +500,13 @@ def _saved_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
 
 def _parsed_lines(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ...]:
     """What _saved_lines returns, for whole lines of any valid JSON
-    spelling numbered from ``first_line``; raises the error of the first
-    bad line."""
+    spelling numbered from ``first_line``, each line's ids sorted; raises
+    the error of the first bad line."""
     ids, topics, ends = [], [], []
     for number, raw in enumerate(io.StringIO(text), start=first_line):
         doc_id, listed = _parse_record(number, raw, topic_count)
         ids.append(doc_id)
-        topics.extend(listed)
+        topics.extend(sorted(listed))
         ends.append(len(topics))
     return np.array(ids, dtype=StringDType()), np.array(topics, np.intc), np.array(ends, np.int64)
 
@@ -552,10 +535,10 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
 
     The file is read in blocks of whole lines, about BLOCK_BYTES each, and
     only the ids, one flat array of topic ids and the document ends are
-    kept. A block whose lines are all in the form save_corpus writes is
-    checked and parsed with array operations; any other block is parsed
-    line by line as JSON. Each block's topic ids are checked and sorted
-    before the next block is read, so errors come in line order.
+    kept. A block whose lines are all in the form save_corpus writes, topic
+    ids sorted, is checked and parsed with array operations; any other
+    block line by line as JSON, which sorts each line's ids. Each block is
+    checked before the next is read, so errors come in line order.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header_line = fh.readline()
@@ -576,8 +559,8 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
         ends = array("q", [0])
         for text in _line_blocks(fh):
             first = len(ends) + 1  # the block's first line number
-            ids, listed, line_ends = _saved_lines(text) or _parsed_lines(text, first, topic_count)
-            listed = _sorted_topics(listed, line_ends, first, topic_count)
+            parsed = _saved_lines(text, topic_count) or _parsed_lines(text, first, topic_count)
+            ids, listed, line_ends = parsed
             ends.frombytes((line_ends + len(topics)).tobytes())
             topics.frombytes(listed.tobytes())
             id_blocks.append(ids)

@@ -237,22 +237,20 @@ class AnalyticComparison:
 
 def _first_sightings(
     corpus: Corpus, steps: Generator[tuple[np.ndarray, ...], np.ndarray | None, None], trials: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Scan ``trials`` document orders in lockstep, ``steps`` yielding them
     as :func:`~fomo.prng.fisher_yates` does, and stop each once every
     topic present has been seen in it.
 
-    Returns ``(topics, positions)``, two (trials, topics present) arrays:
-    row b holds the topics of trial b with the 1-based positions where
-    they first appeared, in order of appearance (by position, then by
-    topic id). Each step's documents are searched at once over the CSR
-    rows, against a (trials, topic_count) ``seen`` mask.
+    Returns a (trials, topic_count) ``int32`` array: entry (b, t) is the
+    1-based position where topic t first appeared in trial b, and 0 for a
+    topic absent from the corpus. Each step's documents are searched at
+    once over the CSR rows, and an entry still 0 marks a topic not yet seen.
     """
     indptr, indices, topic_count = corpus.indptr, corpus.indices, corpus.topic_count
     needed = len(corpus.topics_present)
-    topics = np.empty((trials, needed), dtype=np.int32)
-    positions = np.empty((trials, needed), dtype=np.int32)  # below n < 2**31 (fisher_yates)
-    seen = np.zeros(trials * topic_count, dtype=bool)  # trial b's topic t at b * topic_count + t
+    first = np.zeros((trials, topic_count), dtype=np.int32)  # below n < 2**31 (fisher_yates)
+    flat_first = first.reshape(-1)  # trial b's topic t at b * topic_count + t
     found = np.zeros(trials, dtype=np.int64)  # topics seen per trial
     scanned = np.zeros(trials, dtype=np.int64)  # documents scanned per trial
     run_start = np.empty(trials, dtype=np.int64)  # each trial's first document in the step
@@ -267,28 +265,21 @@ def _first_sightings(
         lengths = indptr[1:][docs] - starts
         doc_ends = np.cumsum(lengths)
         # Positions in ``indices`` of the step's topics, document by document,
-        # and each topic's place in ``seen``.
+        # and each topic's place in ``flat_first``.
         flat = np.arange(doc_ends[-1]) + np.repeat(starts - doc_ends + lengths, lengths)
         keys = indices[flat] + np.repeat(np.repeat(rows * topic_count, counts), lengths)
-        unseen = np.flatnonzero(~seen[keys])
+        unseen = np.flatnonzero(flat_first[keys] == 0)
         finished = None
         if unseen.size:
-            new, first = np.unique(keys[unseen], return_index=True)
-            seen[new] = True
-            row, topic = np.divmod(new, topic_count)
+            new, earliest = np.unique(keys[unseen], return_index=True)
+            row = new // topic_count
             run_start[rows] = np.cumsum(counts) - counts
-            step_docs = np.searchsorted(doc_ends, unseen[first], side="right")
-            at = scanned[row] - run_start[row] + step_docs + 1
-            # By trial, then position; the sort is stable, so ties stay by topic.
-            order = np.lexsort((at, row))
-            row, topic, at = row[order], topic[order], at[order]
-            per_row = np.bincount(row, minlength=trials)
-            column = found[row] + np.arange(row.size) - (np.cumsum(per_row) - per_row)[row]
-            topics[row, column], positions[row, column] = topic, at
-            found += per_row
+            step_docs = np.searchsorted(doc_ends, unseen[earliest], side="right")
+            flat_first[new] = scanned[row] - run_start[row] + step_docs + 1
+            found += np.bincount(row, minlength=trials)
             finished = found[rows] == needed
         scanned[rows] += counts
-    return topics, positions
+    return first
 
 
 def scan_accession(corpus: Corpus) -> CoverageCurve:
@@ -312,18 +303,22 @@ def shuffle_trial(corpus: Corpus, trial_seed: int) -> TrialResult:
 
 def _batch_size(corpus: Corpus) -> int:
     """Trials to run in lockstep: as many as ``TRIAL_BATCH_BYTES`` holds at
-    4 bytes a document (the items), 1 a topic id (the seen mask) and 8 a
-    topic present (the sightings) per trial, plus 256 for its share of a
-    step's arrays (about 300 bytes a trial when the runs are one position
-    long, as on a corpus of a few documents), and at least one."""
-    per_trial = 4 * len(corpus) + corpus.topic_count + 8 * len(corpus.topics_present) + 256
+    4 bytes a document (the items) and 4 a topic id (the first positions)
+    per trial, plus 256 for its share of a step's arrays (about 300 bytes
+    a trial when the runs are one position long, as on a corpus of a few
+    documents), and at least one."""
+    per_trial = 4 * (len(corpus) + corpus.topic_count) + 256
     return max(1, TRIAL_BATCH_BYTES // per_trial)
 
 
 def _trial_batch(corpus: Corpus, keys: np.ndarray) -> Iterator[TrialResult]:
-    """The trials keyed by ``keys``, run in lockstep when first read; each
-    trial's ``first_seen`` is built as it is yielded."""
-    topics, positions = _first_sightings(corpus, fisher_yates(len(corpus), keys), keys.size)
+    """The trials keyed by ``keys``, run in lockstep when first read. Each
+    ``first_seen`` lists its trial's topics in order of appearance: by
+    position, then by topic id (the sort is stable over ascending ids)."""
+    first = _first_sightings(corpus, fisher_yates(len(corpus), keys), keys.size)
+    present = np.flatnonzero(first[0])  # a trial sees every topic present, and no other
+    topics = present[np.argsort(first[:, present], axis=1, kind="stable")]
+    positions = np.take_along_axis(first, topics, axis=1)
     for row_topics, row_positions in zip(topics, positions):
         first_seen = dict(zip(row_topics.tolist(), row_positions.tolist()))
         yield TrialResult(completion_position=int(row_positions[-1]), first_seen=first_seen)

@@ -298,6 +298,8 @@ GOLDEN_CRITERION_7_SUMMARY = "2405aa8ce832259df93c991e9aa0bd88c0a7f01408ad823523
 GOLDEN_STUDY_CORPUS = "e4b9e8a01af720fd8f0ae3e5064a6de2510b52b7b10ffc241ed57e4b8b190003"
 GOLDEN_TABLE_CSV = "45d3f3f50c8eca5217a160c00bf78426fbf64ad23f418dfadb1aa68c813f483e"
 GOLDEN_STUDY_CURVE_CSV = "37236adccabc25f734c6fe49e8cd546918b8d498fa95f52c52f9fd2ca7f4d2f5"
+# Each study trial's completion position and first_seen items, in order.
+GOLDEN_STUDY_TRIALS = "7b68ba6190b600253e6881ebe9a9b023ad6a11e0fad1b4f978d93621a1ac90a5"
 
 
 def sha256_text(text: str) -> str:
@@ -307,6 +309,12 @@ def sha256_text(text: str) -> str:
 def test_golden_study_summary(study_experiment):
     _, _, _, summary, _ = study_experiment
     assert sha256_text(summary.to_json()) == GOLDEN_STUDY_SUMMARY
+
+
+def test_golden_study_trials(study_experiment):
+    _, _, results, _, _ = study_experiment
+    trials = [(r.completion_position, list(r.first_seen.items())) for r in results]
+    assert sha256_text(repr(trials)) == GOLDEN_STUDY_TRIALS
 
 
 def test_golden_study_corpus_and_curve(study_experiment, tmp_path, capsys):

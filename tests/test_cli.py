@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fomo.analytic import RecallScenario, fomo_table
+import fomo.cli
+from fomo.analytic import MAX_TABLE_ROWS, RecallScenario, fomo_table
 from fomo.cli import main
 from fomo.corpus import MAX_DOCUMENTS, load_corpus
 from fomo.prng import MAX_TRIALS
@@ -485,6 +486,16 @@ MALFORMED_INPUTS = {
     "collector-trials-above-cap": (
         "", ["collector", "--dice", "--method", "montecarlo", "--trials", str(MAX_TRIALS + 1)]
     ),
+    # A count beyond float range, a recall whose missed-to-produced ratio
+    # leaves it, and a bound too small for its 1 / bound.
+    "table-huge-produced": ("", ["table", "--produced", str(HUGE_INTEGER), "--recall", "0.5"]),
+    "bound-huge-produced": ("", ["bound", "--produced", str(HUGE_INTEGER)]),
+    "table-subnormal-recall": ("", ["table", "--produced", "1", "--recall", "5e-324"]),
+    "bound-subnormal-confidence": ("", ["bound", "--produced", "1", "--confidence", "1e-320"]),
+    # One row above MAX_TABLE_ROWS.
+    "table-rows-above-cap": (
+        "", ["table", "--produced", ",".join(["1"] * (MAX_TABLE_ROWS + 1)), "--recall", "0.5"]
+    ),
     "summary-two-spellings-of-one-quantile": (
         json.dumps(
             {**VALID_SUMMARY, "percentiles": {"0.5": 3, "0.50": 3},
@@ -506,6 +517,25 @@ def test_trials_help_names_the_cap(command, capsys):
     with pytest.raises(SystemExit):
         main([command, "--help"])
     assert f"1..{MAX_TRIALS}" in capsys.readouterr().out
+
+
+def test_table_help_names_the_row_cap(capsys):
+    with pytest.raises(SystemExit):
+        main(["table", "--help"])
+    assert f"at most {MAX_TABLE_ROWS}" in capsys.readouterr().out
+
+
+def test_table_above_the_row_cap_builds_no_scenario(capsys, monkeypatch):
+    def no_scenario(*args):
+        raise AssertionError("a scenario was built before the row count was checked")
+
+    monkeypatch.setattr(fomo.cli, "RecallScenario", no_scenario)
+    code, _, err = run_cli(capsys, *MALFORMED_INPUTS["table-rows-above-cap"][1])
+    assert code == 1
+    assert err == (
+        f"error: a table of {MAX_TABLE_ROWS + 1} rows (production sizes times recall levels) "
+        f"is above the limit of {MAX_TABLE_ROWS}\n"
+    )
 
 
 def test_valid_summary_compares(capsys, tiny_corpus, tmp_path):
@@ -543,7 +573,8 @@ def test_malformed_input_is_a_one_line_error(case, capsys, tiny_corpus, tmp_path
 # Malformed values for the option kinds the commands take. Sizes drawn as
 # valid stay far below every cap (MAX_DOCUMENTS, MAX_ZIPF_TOPICS,
 # SUM_COUPON_LIMIT, MAX_BIN_COUNT), so each drawn command runs in
-# milliseconds; malformed sizes are zero or negative, never huge.
+# milliseconds; malformed sizes are zero or negative, or huge only where
+# they allocate nothing (the production sizes of table and bound).
 NOT_A_NUMBER = st.sampled_from(["", "abc", "1.5.2", "0x10", "--1", "1e", "half"])
 NOT_A_COUNT = st.one_of(
     NOT_A_NUMBER, st.sampled_from(["1.5", "1e3"]), st.integers(-10**6, 0).map(str)
@@ -552,6 +583,9 @@ NOT_A_PROBABILITY = st.one_of(
     NOT_A_NUMBER, st.sampled_from(["nan", "inf", "-inf", "0", "-0.5", "1.5", "1e300"])
 )
 NOT_A_CHOICE = st.sampled_from(["", "xml", "CSV", "exact ", "monte-carlo"])
+
+
+HUGE_COUNT = st.integers(10**309, HUGE_INTEGER).map(str)  # beyond float range
 
 
 def counts(high):
@@ -577,14 +611,14 @@ BAD_OUTPUT = st.sampled_from(["{missing}/out", "{directory}"])
 # stands for a path made by the cli_files fixture.
 COMMANDS = {
     "table": {
-        "--produced": (joined(counts(10**7)), st.one_of(NOT_A_COUNT, st.just(","))),
+        "--produced": (joined(counts(10**7)), st.one_of(NOT_A_COUNT, st.just(","), HUGE_COUNT)),
         "--recall": (joined(fractions(high=1.0)), NOT_A_PROBABILITY),
         "--confidence": (fractions(), st.one_of(NOT_A_PROBABILITY, st.just("1"))),
         "--format": (st.sampled_from(["csv", "json"]), NOT_A_CHOICE),
         "--output": (st.just("{out}"), BAD_OUTPUT),
     },
     "bound": {
-        "--produced": (counts(10**9), NOT_A_COUNT),
+        "--produced": (counts(10**9), st.one_of(NOT_A_COUNT, HUGE_COUNT)),
         "--confidence": (fractions(), st.one_of(NOT_A_PROBABILITY, st.just("1"))),
     },
     "collector": {

@@ -711,6 +711,22 @@ def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus):
             assert load_corpus(path) == corpus
 
 
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+def test_a_saved_form_block_with_unsorted_ids_loads_line_by_line(tmp_path, block_bytes):
+    # The block holding line 9, the [2,0] one, is parsed line by line.
+    lines = ['{"doc_id":"d%d","topics":[%d]}' % (d, d % 3) for d in range(20)]
+    lines[7] = '{"doc_id":"d7","topics":[2,0]}'
+    path = tmp_path / "unsorted.jsonl"
+    path.write_text("\n".join([HEADER_3, *lines, ""]), encoding="utf-8")
+    expected = [Document(f"d{d}", (d % 3,)) for d in range(20)]
+    expected[7] = Document("d7", (0, 2))
+    with mock.patch("fomo.corpus.BLOCK_BYTES", block_bytes), mock.patch(
+        "fomo.corpus._parse_record", wraps=_parse_record
+    ) as parse:
+        assert load_corpus(path) == corpus_from_documents(expected, 3)
+    assert 9 in [call.args[0] for call in parse.call_args_list]
+
+
 @pytest.mark.parametrize("doc_id", ['say "hi"', "a\\b", "tab\there", "\x00", "line\nbreak"])
 def test_escaped_ids_round_trip_line_by_line(tmp_path, doc_id):
     corpus = corpus_from_documents((Document("plain", (0,)), Document(doc_id, (1,))), 2)

@@ -136,10 +136,13 @@ class TestFirstSightings:
         orders = [oracle_order(len(corpus), key) for key in keys]
         reads = [[] for _ in keys]
         scan = fomo.simulation._first_sightings
-        topics, positions = scan(corpus, scripted_steps(orders, sizes, reads), len(keys))
+        first = scan(corpus, scripted_steps(orders, sizes, reads), len(keys))
+        assert first.shape == (len(keys), 41)
         for row, order in enumerate(orders):
             expected = first_sightings_oracle(corpus, order)
-            assert list(zip(topics[row].tolist(), positions[row].tolist())) == list(expected.items())
+            seen = np.flatnonzero(first[row])
+            assert dict(zip(seen.tolist(), first[row, seen].tolist())) == expected
+            assert not first[row, list(corpus.absent_topics)].any()
             start, end = [run for run in reads[row] if run[0] < run[1]][-1]
             assert start < max(expected.values()) <= end
 
@@ -160,10 +163,8 @@ class TestFirstSightings:
         sets = [{0}] * (3 * CHUNK + 5) + [{1, 2}, {0, 3}]
         corpus = corpus_from_topic_sets(sets, topic_count=5)
         steps = scripted_steps([list(range(len(corpus)))], [CHUNK], [[]])
-        topics, positions = fomo.simulation._first_sightings(corpus, steps, 1)
-        assert list(zip(topics[0].tolist(), positions[0].tolist())) == [
-            (0, 1), (1, 3 * CHUNK + 6), (2, 3 * CHUNK + 6), (3, 3 * CHUNK + 7)
-        ]
+        first = fomo.simulation._first_sightings(corpus, steps, 1)
+        assert first.tolist() == [[1, 3 * CHUNK + 6, 3 * CHUNK + 6, 3 * CHUNK + 7, 0]]
 
 
 class TestScanAccession:
@@ -385,12 +386,11 @@ class TestRunShuffles:
         assert batched == alone
 
     def test_batch_size_from_the_byte_budget(self, monkeypatch):
-        # 4 bytes a document, 1 a topic id, 8 a topic present and 256 more,
-        # per trial.
+        # 4 bytes a document, 4 a topic id and 256 more, per trial.
         size = fomo.simulation._batch_size
-        assert size(corpus_from_topic_sets([{0}, {5}], topic_count=10**6)) == 8
-        assert size(corpus_from_topic_sets([{t} for t in range(2000)])) == 2**23 // 26256
-        assert size(corpus_from_topic_sets([{0}, {0}, {1}])) == 2**23 // 286
+        assert size(corpus_from_topic_sets([{0}, {5}], topic_count=10**6)) == 2
+        assert size(corpus_from_topic_sets([{t} for t in range(2000)])) == 2**23 // 16256
+        assert size(corpus_from_topic_sets([{0}, {0}, {1}])) == 2**23 // 276
         monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", 10)
         assert size(corpus_from_topic_sets([{0}, {0}])) == 1
 
@@ -445,8 +445,8 @@ class TestRunShuffles:
         assert (peaks[1] - peaks[0]) / (4 * 10**5) < 32
 
     def test_memory_does_not_grow_with_absent_topics(self):
-        # A trial holds a seen-mask of topic_count bytes; listing the
-        # 999,998 absent topics would take tens of MiB.
+        # A trial holds a first position of 4 bytes per topic id; listing
+        # the 999,998 absent topics would take tens of MiB.
         corpus = corpus_from_topic_sets([{0}, {5}], topic_count=10**6)
         tracemalloc.start()
         try:
