@@ -172,7 +172,11 @@ def fomo_confidence(scenario: RecallScenario) -> FomoRow:
         raise ValueError(
             f"missed / produced leaves float range: recall {scenario.recall!r} is too small"
         ) from None
-    prob = -math.expm1(ratio * math.log(alpha)) if missed else 0.0
+    # 1 - C is exact from C = 0.5 up, so its log loses nothing; below, 1 - C
+    # rounds (to 1.0 under about 1.1e-16) and log1p(-C) keeps the digits.
+    confidence = scenario.confidence
+    log_alpha = math.log(alpha) if confidence >= 0.5 else math.log1p(-confidence)
+    prob = -math.expm1(ratio * log_alpha) if missed else 0.0
     return FomoRow(
         scenario=scenario,
         prevalence_bound=bound,

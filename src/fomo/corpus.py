@@ -68,12 +68,12 @@ CORPUS_VERSION = 1
 # The largest topic id the int32 ``indices`` column holds.
 MAX_TOPIC_ID = int(np.iinfo(np.int32).max)
 
-# Documents per block when saving, draws (about 17 bytes each) per block
-# when generating, and characters (bytes, in an ASCII file) read per block
-# when loading: they bound the working memory beside the corpus itself,
-# and change no output byte.
-BLOCK_DOCUMENTS = 1 << 12
+# Draws (about 17 bytes each) per block when generating, bytes of line
+# grid per block when saving (see save_corpus), and characters (bytes, in
+# an ASCII file) read per block when loading: they bound the working
+# memory beside the corpus itself, and change no output byte.
 BLOCK_DRAWS = 1 << 18
+SAVE_BLOCK_BYTES = 1 << 20
 BLOCK_BYTES = 1 << 17
 
 # The most topics zipf_prevalences builds and documents generate_corpus
@@ -281,7 +281,7 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
 
     q = np.asarray(dist.prevalences, dtype=float)
     m = len(q)
-    always = q >= 1.0
+    always = np.flatnonzero(q >= 1.0)
     thresholds = u64_thresholds(q)  # Bernoulli(q) as draw < threshold
     first_round = np.arange(1, m + 1, dtype=np.uint64)
 
@@ -291,19 +291,27 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     for start in range(0, doc_count, block):
         stop = min(start + block, doc_count)
         keys = derive_key_array(seed, np.arange(start, stop, dtype=np.uint64))
-        included = np.zeros((stop - start, m), dtype=bool)
+        # Each round's (document, topic) hits, in order within the round; a
+        # document hit in a round is done, the rest are drawn again.
+        docs, topics = [], []
         pending = np.arange(stop - start)
         round_index = 0
         while pending.size:
             counters = first_round + np.uint64(round_index * m)
             drawn = stream_u64(keys[pending, None], counters) < thresholds
-            drawn[:, always] = True
-            nonempty = drawn.any(axis=1)
-            included[pending[nonempty]] = drawn[nonempty]
-            pending = pending[~nonempty]
+            if always.size:
+                drawn[:, always] = True
+            row, topic = np.divmod(np.flatnonzero(drawn), m)
+            docs.append(pending[row])
+            topics.append(topic)
+            pending = np.delete(pending, row)
             round_index += 1
-        lengths[start:stop] = included.sum(axis=1)
-        topic_blocks.append(np.nonzero(included)[1].astype(np.int32))
+        doc = np.concatenate(docs)
+        topic = np.concatenate(topics)
+        if len(docs) > 1:  # a document's hits all come from one round
+            topic = topic[np.argsort(doc, kind="stable")]
+        lengths[start:stop] = np.bincount(doc, minlength=stop - start)
+        topic_blocks.append(topic.astype(np.int32))
 
     return Corpus(
         doc_ids=np.strings.add("d", np.arange(doc_count).astype(StringDType())),
@@ -317,29 +325,121 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
     """Write the JSON-lines corpus format; the exact inverse of load_corpus.
 
     Each line is what ``json.dumps({"doc_id": ..., "topics": [...]},
-    separators=(",", ":"), ensure_ascii=False)`` gives, built a block of
-    documents at a time. Ids are UTF-8, escaped only for quote, backslash
-    and control characters, so a line whose id holds none of these is in
-    the form the loader parses with array operations.
+    separators=(",", ":"), ensure_ascii=False)`` gives. Ids are UTF-8,
+    escaped only for quote, backslash and control characters, so a line
+    whose id holds none of these is in the form the loader parses with
+    array operations.
+
+    Each block of lines is built as a (rows, width) byte grid, a line a
+    row, with NUL bytes between its parts, and written as the grid's
+    nonzero bytes; a saved line holds no NUL, which JSON writes as
+    ``\\u0000``. A block holds as many documents as fit SAVE_BLOCK_BYTES
+    of grid, at least one, counting an id by its characters (its UTF-8
+    bytes and escapes may widen a row up to six times).
     """
     header = {
         "format": CORPUS_FORMAT,
         "version": CORPUS_VERSION,
         "topic_count": corpus.topic_count,
     }
-    indptr = corpus.indptr
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(json.dumps(header, separators=(",", ":")) + "\n")
-        for start in range(0, len(corpus), BLOCK_DOCUMENTS):
-            stop = min(start + BLOCK_DOCUMENTS, len(corpus))
-            ends = (indptr[start : stop + 1] - indptr[start]).tolist()
-            topics = list(map(str, corpus.indices[indptr[start] : indptr[stop]].tolist()))
-            ids = map(encode_basestring, corpus.doc_ids[start:stop].tolist())
-            lines = [
-                '{"doc_id":%s,"topics":[%s]}\n' % (doc_id, ",".join(topics[a:b]))
-                for doc_id, a, b in zip(ids, ends, ends[1:])
-            ]
-            fh.write("".join(lines))
+    digits = len(str(min(corpus.topic_count, MAX_TOPIC_ID + 1) - 1))
+    with open(path, "wb") as fh:
+        fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
+        start = 0
+        while start < len(corpus):
+            stop = _save_block_end(corpus, start, digits + 1)
+            grid = _line_grid(corpus, start, stop, digits)
+            fh.write(grid[grid != 0])
+            start = stop
+
+
+# A document line as save_corpus writes it is _HEAD, the id escaped as
+# JSON, _MIDDLE, the topic ids without leading zeros joined by commas, and
+# "]}". The loader's array path takes the lines whose id holds no quote,
+# backslash, control character or surrogate and whose topic ids have 1 to
+# 9 digits; it compares the fixed parts as 8-byte words read at any byte.
+_HEAD = b'{"doc_id":"'
+_MIDDLE = b'","topics":['
+_POW10 = 10 ** np.arange(10, dtype=np.intc)
+# A grid row's fixed bytes: _HEAD, the id's closing quote, the rest of
+# _MIDDLE and "}\n".
+_FRAME = len(_HEAD) + len(_MIDDLE) + 2
+
+
+def _save_block_end(corpus: Corpus, start: int, slot: int) -> int:
+    """The end of the save block from document ``start``: the most
+    documents, at least one, whose count times the widest of their grid
+    rows stays within SAVE_BLOCK_BYTES, with ``slot`` bytes a topic."""
+    stop = min(len(corpus), start + SAVE_BLOCK_BYTES // (_FRAME + slot))
+    widths = np.strings.str_len(corpus.doc_ids[start:stop])
+    widths += slot * np.diff(corpus.indptr[start : stop + 1])
+    widest = np.maximum.accumulate(widths) + _FRAME
+    fits = widest * np.arange(1, widest.size + 1) <= SAVE_BLOCK_BYTES
+    return start + max(1, int(np.count_nonzero(fits)))
+
+
+def _line_grid(corpus: Corpus, start: int, stop: int, digits: int) -> np.ndarray:
+    """Documents ``start:stop`` as saved lines, a (rows, width) ``uint8``
+    grid whose nonzero bytes in order are the lines' bytes; a topic takes
+    ``digits`` bytes and its "," or "]"."""
+    indptr = corpus.indptr[start : stop + 1]
+    lengths = np.diff(indptr)
+    topics = corpus.indices[indptr[0] : indptr[-1]]
+    quoted = _quoted_ids(corpus.doc_ids[start:stop])
+    rows, id_width = quoted.shape
+    id_end = len(_HEAD) + id_width
+    at = id_end + len(_MIDDLE) - 1  # the first topic's column
+    slot_count = int(lengths.max())
+    grid = np.zeros((rows, at + slot_count * (digits + 1) + 2), np.uint8)
+    grid[:, : len(_HEAD)] = np.frombuffer(_HEAD, np.uint8)
+    grid[:, len(_HEAD) : id_end] = quoted
+    grid[:, id_end:at] = np.frombuffer(_MIDDLE[1:], np.uint8)
+    grid[:, -2:] = np.frombuffer(b"}\n", np.uint8)
+    # A row's k-th topic fills its k-th slot: the digits, then "," or "]".
+    filled = np.empty((topics.size, digits + 1), np.uint8)
+    filled[:, :-1] = _digits(topics, digits)
+    filled[:, -1] = ord(",")
+    filled[np.cumsum(lengths) - 1, -1] = ord("]")
+    row = np.arange(rows).repeat(lengths)
+    slot = np.arange(topics.size) - (indptr[:-1] - indptr[0]).repeat(lengths)
+    grid[:, at:-2].reshape((rows, slot_count, digits + 1), copy=False)[row, slot] = filled
+    return grid
+
+
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """Each value's decimal digits as ASCII, right-aligned in a row of
+    ``width`` bytes after NUL bytes; values are below 10**width."""
+    digits = np.empty((values.size, width), np.uint8)
+    tens = values // 10  # numpy divides by a scalar with a multiply; "%" divides
+    digits[:, -1] = values - 10 * tens + ord("0")
+    for column in range(width - 2, -1, -1):
+        rest, tens = tens, tens // 10
+        digits[:, column] = (rest - 10 * tens + ord("0")) * (rest > 0)
+    return digits
+
+
+def _quoted_ids(ids: np.ndarray) -> np.ndarray:
+    """Each id as saved, UTF-8 and escaped as JSON, with its closing quote:
+    a (rows, width) ``uint8`` array, each row NUL-padded."""
+    quoted = np.strings.add(ids, '"')  # a NUL the id ends with is no longer last
+    sizes = np.strings.str_len(quoted)
+    try:
+        data = quoted.astype(f"S{sizes.max()}")
+    except UnicodeEncodeError:  # not ASCII
+        data = np.strings.encode(quoted, "utf-8")
+        sizes = np.strings.str_len(data)  # bytes; the quote keeps every NUL
+    cells = data.view(np.uint8).reshape(ids.size, -1)
+    # Bytes below 0x20, quotes and backslashes: a row holds its padding NULs
+    # and its closing quote, and more only if its id needs escapes.
+    special = (cells < 0x20) | (cells == ord('"')) | (cells == ord("\\"))
+    expected = cells.shape[1] - sizes + 1
+    if np.count_nonzero(special) != expected.sum():
+        rows = np.flatnonzero(np.count_nonzero(special, axis=1) != expected)
+        escaped = [encode_basestring(doc_id)[1:].encode() for doc_id in ids[rows].tolist()]
+        data = data.astype(f"S{max(data.itemsize, *map(len, escaped))}")
+        data[rows] = escaped
+        cells = data.view(np.uint8).reshape(ids.size, -1)
+    return cells
 
 
 def _format_error(line_number: int, message: str) -> CorpusFormatError:
@@ -406,13 +506,6 @@ def _parse_record(number: int, raw: str, topic_count: int) -> tuple[str, list[in
     return doc_id, topics
 
 
-# A document line as save_corpus writes it is _HEAD, an id without
-# quote, backslash, control character or surrogate, _MIDDLE, one or more
-# topic ids of 1 to 9 digits without leading zeros joined by commas, and
-# "]}". The fixed parts are compared as 8-byte words read at any byte.
-_HEAD = b'{"doc_id":"'
-_MIDDLE = b'","topics":['
-_POW10 = 10 ** np.arange(9, dtype=np.intc)
 # What each byte of a topic list may be: 1 a digit, 2 a comma, 3 the "]".
 _TOPIC_BYTE = np.zeros(256, np.uint8)
 _TOPIC_BYTE[list(b"0123456789")] = 1
