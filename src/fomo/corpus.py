@@ -304,7 +304,9 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
             row, topic = np.divmod(np.flatnonzero(drawn), m)
             docs.append(pending[row])
             topics.append(topic)
-            pending = np.delete(pending, row)
+            hit = np.zeros(pending.size, dtype=bool)
+            hit[row] = True
+            pending = pending[~hit]
             round_index += 1
         doc = np.concatenate(docs)
         topic = np.concatenate(topics)
@@ -314,11 +316,24 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
         topic_blocks.append(topic.astype(np.int32))
 
     return Corpus(
-        doc_ids=np.strings.add("d", np.arange(doc_count).astype(StringDType())),
+        doc_ids=_numbered_ids(doc_count),
         indptr=np.concatenate(([0], np.cumsum(lengths))),
         indices=np.concatenate(topic_blocks),
         topic_count=m,
     )
+
+
+def _numbered_ids(count: int) -> np.ndarray:
+    """``"d0"`` to ``"d<count - 1>"`` as a StringDType array, built from
+    digit bytes for each digit count in turn."""
+    blocks = []
+    for width in range(1, len(str(count - 1)) + 1):
+        numbers = np.arange(10 ** (width - 1) if width > 1 else 0, min(count, 10**width))
+        grid = np.empty((numbers.size, width + 1), np.uint8)
+        grid[:, 0] = ord("d")
+        grid[:, 1:] = _digits(numbers, width)
+        blocks.append(grid.view(f"S{width + 1}").ravel().astype(StringDType()))
+    return np.concatenate(blocks)
 
 
 def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:

@@ -219,6 +219,26 @@ class TestFomoConfidence:
             assert max(values) - min(values) < 1e-4
 
 
+    @pytest.mark.parametrize("confidence", [1e-20, 1e-17, 1e-300])
+    def test_tiny_confidence_keeps_its_digits(self, confidence):
+        # 1 - confidence rounds to 1.0 here; log1p(-confidence) does not.
+        row = fomo_confidence(RecallScenario(100, 0.5, confidence))
+        assert row.prob_in_missed == pytest.approx(confidence, rel=1e-12)
+        assert row.fomo_confidence == pytest.approx(confidence, rel=1e-12)
+
+    def test_confidences_from_one_half_print_as_before(self):
+        # 1 - C is exact from C = 0.5 up, so these rows keep the digits of
+        # the plain log(1 - C) formula, bit for bit.
+        confidences = [k / 1000 for k in range(500, 1000)] + [1 - 2.0**-k for k in range(2, 53)]
+        for confidence in confidences:
+            for produced, recall in [(100, 0.5), (50000, 0.8), (2202935, 0.7), (7, 0.33)]:
+                row = fomo_confidence(RecallScenario(produced, recall, confidence))
+                ratio = row.missed_count / produced
+                before = -math.expm1(ratio * math.log(1.0 - confidence))
+                shown = (repr(row.prob_in_missed), repr(row.fomo_confidence))
+                assert shown == (repr(before), repr((1.0 - confidence) * before))
+
+
 class TestFomoTable:
     def test_reference_table(self):
         scenarios = [

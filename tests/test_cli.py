@@ -519,6 +519,14 @@ def test_trials_help_names_the_cap(command, capsys):
     assert f"1..{MAX_TRIALS}" in capsys.readouterr().out
 
 
+def test_table_at_a_tiny_confidence_prints_a_positive_row(capsys):
+    code, out, _ = run_cli(
+        capsys, "table", "--produced", "100", "--recall", "0.5", "--confidence", "1e-20"
+    )
+    assert code == 0
+    row = out.splitlines()[1].split(",")
+    assert row[6:] == ["1e-20", "1e-18%", "1e-20", "1e-18%"]
+
 def test_table_help_names_the_row_cap(capsys):
     with pytest.raises(SystemExit):
         main(["table", "--help"])

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,11 +12,14 @@ import pytest
 from corpus_documents import Document, corpus_from_documents, documents_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from splitmix64_oracle import GAMMA, MASK64, SplitMix64, mix64
 
 from fomo.corpus import (
     BLOCK_BYTES,
+    BLOCK_DRAWS,
     MAX_DOCUMENTS,
     MAX_TOPIC_ID,
+    SAVE_BLOCK_BYTES,
     Corpus,
     CorpusFormatError,
     DegenerateDistributionError,
@@ -750,3 +754,116 @@ def test_a_saved_form_error_comes_before_a_later_blocks_error(tmp_path, monkeypa
     )
     with pytest.raises(CorpusFormatError, match=r"^line 2: duplicate topic ids in \[1, 1\]$"):
         load_corpus(path)
+
+
+# Ids of every kind save_corpus meets: ASCII, any UTF-8, and the ones it
+# must escape or must not lose (quote, backslash, NUL first, inside and
+# last, other control characters), U+2028, the empty id and a long one.
+SAVED_IDS = st.one_of(
+    st.text(st.characters(codec="ascii"), max_size=8),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+    st.sampled_from(
+        ['"', "\\", "\x00", "\x00a", "a\x00b", "a\x00", "\x1f", "\n\t", " ", "", "x" * 10**4]
+    ),
+)
+
+
+@st.composite
+def topic_lists(draw, limit):
+    """Sorted topic ids below ``limit``: a few, or now and then hundreds,
+    spread up to the largest id."""
+    if draw(st.integers(0, 9)):
+        return sorted(draw(st.sets(st.integers(0, limit - 1), min_size=1, max_size=4)))
+    count = draw(st.integers(1, min(limit, 500)))
+    step = draw(st.integers(1, max(1, (limit - 1) // max(1, count - 1))))
+    offset = draw(st.integers(0, limit - 1 - (count - 1) * step))
+    return list(range(offset, offset + count * step, step))
+
+
+@st.composite
+def saved_corpora(draw):
+    topic_count = draw(st.sampled_from([1, 7, 10, 11, 1000, MAX_TOPIC_ID + 1, 2**40]))
+    limit = min(topic_count, MAX_TOPIC_ID + 1)
+    documents = draw(st.lists(
+        st.builds(Document, SAVED_IDS, topic_lists(limit)), min_size=1, max_size=20
+    ))
+    return corpus_from_documents(documents, topic_count)
+
+
+@given(saved_corpora(), st.sampled_from([1, 300, SAVE_BLOCK_BYTES]))
+@settings(max_examples=300, deadline=None)
+def test_each_saved_line_is_json_dumps_of_its_document(tmp_path_factory, corpus, block_bytes):
+    # A budget of 1 or 300 bytes splits the corpus into blocks of one or a
+    # few documents.
+    path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
+    with mock.patch("fomo.corpus.SAVE_BLOCK_BYTES", block_bytes):
+        save_corpus(corpus, path)
+    lines = [
+        json.dumps({"doc_id": doc_id, "topics": list(topics)}, separators=(",", ":"),
+                   ensure_ascii=False) + "\n"
+        for doc_id, topics in documents_of(corpus)
+    ]
+    header = '{"format":"fomo-corpus","version":1,"topic_count":%d}\n' % corpus.topic_count
+    assert path.read_bytes() == (header + "".join(lines)).encode()
+    assert load_corpus(path) == corpus
+
+
+def test_saving_a_large_corpus_keeps_memory_bounded(tmp_path):
+    # One block of all 200,000 lines would take about 10 MB of grid; blocks
+    # of SAVE_BLOCK_BYTES keep the peak near a few blocks' worth, whatever
+    # the document count.
+    corpus = generate_corpus(200_000, zipf_prevalences(64, 0.36, 1 / 8571), seed=7)
+    tracemalloc.start()
+    try:
+        save_corpus(corpus, tmp_path / "large.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * SAVE_BLOCK_BYTES
+
+
+def test_a_wide_line_costs_only_its_own_bytes(tmp_path):
+    # A line of 10^5 topics and a 10^5-character id, about 0.7 MB, between
+    # 4,000 short ones: in a block of fixed rows its width would be paid by
+    # every row (4,001 rows, 2.8 GB); here the peak stays linear in the line.
+    short = [Document(f"d{d}", (d % 7,)) for d in range(4_000)]
+    wide = Document("x" * 10**5, tuple(range(10**5)))
+    corpus = corpus_from_documents([*short[:2_000], wide, *short[2_000:]], 10**5)
+    line = len('{"doc_id":"%s","topics":[%s]}\n' % (wide.doc_id, ",".join(map(str, wide.topics))))
+    tracemalloc.start()
+    try:
+        save_corpus(corpus, tmp_path / "wide.jsonl")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * line
+    assert load_corpus(tmp_path / "wide.jsonl") == corpus
+
+
+def generated_by_oracle(doc_count, prevalences, seed):
+    """The corpus generate_corpus draws, one document at a time from the
+    sequential SplitMix64 stream keyed by (seed, d): round r tests topic i
+    with draw r*m + i + 1, and the first round with a topic wins."""
+    thresholds = [min(int(Fraction(q) * 2**64), MASK64) for q in prevalences]
+    documents = []
+    for d in range(doc_count):
+        stream = SplitMix64(mix64(mix64(seed) + (d + 1) * GAMMA))
+        topics = ()
+        while not topics:
+            topics = tuple(i for i, cut in enumerate(thresholds) if stream.next_u64() < cut)
+        documents.append(Document(f"d{d}", topics))
+    return corpus_from_documents(documents, len(prevalences))
+
+
+@pytest.mark.parametrize(
+    "prevalences, doc_count, block_draws",
+    [
+        ((0.3, 1.0, 0.05, 1.0), 500, BLOCK_DRAWS),  # topics present in every round
+        ((0.05, 0.02), 3_000, BLOCK_DRAWS),  # most rounds empty
+        ((0.4, 0.2, 0.1, 0.05, 0.02, 0.01, 0.005), 500, 100),  # blocks of 14 documents
+    ],
+)
+def test_generation_matches_a_per_document_oracle(monkeypatch, prevalences, doc_count, block_draws):
+    monkeypatch.setattr("fomo.corpus.BLOCK_DRAWS", block_draws)
+    generated = generate_corpus(doc_count, TopicDistribution(prevalences), seed=13)
+    assert generated == generated_by_oracle(doc_count, prevalences, seed=13)
