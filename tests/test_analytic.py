@@ -218,7 +218,6 @@ class TestFomoConfidence:
             ]
             assert max(values) - min(values) < 1e-4
 
-
     @pytest.mark.parametrize("confidence", [1e-20, 1e-17, 1e-300])
     def test_tiny_confidence_keeps_its_digits(self, confidence):
         # 1 - confidence rounds to 1.0 here; log1p(-confidence) does not.

@@ -527,6 +527,7 @@ def test_table_at_a_tiny_confidence_prints_a_positive_row(capsys):
     row = out.splitlines()[1].split(",")
     assert row[6:] == ["1e-20", "1e-18%", "1e-20", "1e-18%"]
 
+
 def test_table_help_names_the_row_cap(capsys):
     with pytest.raises(SystemExit):
         main(["table", "--help"])
