@@ -763,7 +763,8 @@ SAVED_IDS = st.one_of(
     st.text(st.characters(codec="ascii"), max_size=8),
     st.text(st.characters(codec="utf-8"), max_size=8),
     st.sampled_from(
-        ['"', "\\", "\x00", "\x00a", "a\x00b", "a\x00", "\x1f", "\n\t", " ", "", "x" * 10**4]
+        ['"', "\\", "\x00", "\x00a", "a\x00b", "a\x00", "\x1f", "\n\t", "\x7f", "\u2028", "",
+         "x" * 10**4]
     ),
 )
 
