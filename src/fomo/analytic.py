@@ -132,10 +132,23 @@ def missed_set_size(n_identified: int, recall: float) -> int:
         raise ValueError(f"n_identified must be >= 1, got {n_identified}")
     if not 0.0 < recall <= 1.0:
         raise ValueError(f"recall must be in (0, 1], got {recall}")
+    return _missed_count(n_identified, _recall_ratio(recall))
+
+
+def _recall_ratio(recall: float) -> tuple[int, int]:
+    """(a, b) with a/b the rational a recall in (0, 1] stands for: the
+    nearest with b at most _RECALL_DENOMINATOR_LIMIT, or the float's exact
+    value for a recall below 1/limit, which has no such nearest."""
     r = Fraction(recall).limit_denominator(_RECALL_DENOMINATOR_LIMIT)
-    if r <= 0:  # recall below 1/limit: use the float's exact value instead
+    if r <= 0:
         r = Fraction(recall)
-    return int(n_identified * (1 - r) / r)
+    return r.numerator, r.denominator
+
+
+def _missed_count(n_identified: int, ratio: tuple[int, int]) -> int:
+    """floor(N * (1-R) / R) for R = a/b, in integers: N * (b - a) // a."""
+    a, b = ratio
+    return n_identified * (b - a) // a
 
 
 def novel_topic_prob_in_missed(prevalence: float, missed_count: int) -> float:
@@ -163,8 +176,14 @@ def fomo_confidence(scenario: RecallScenario) -> FomoRow:
     with the same exact M/N ratio agree bit for bit, whatever N is. A
     recall so small that M/N leaves float range is refused with ValueError.
     """
+    return _fomo_row(scenario, _recall_ratio(scenario.recall))
+
+
+def _fomo_row(scenario: RecallScenario, recall_ratio: tuple[int, int]) -> FomoRow:
+    """:func:`fomo_confidence`, given the scenario's recall as the rational
+    ``recall_ratio`` that _recall_ratio makes of it."""
     bound = prevalence_upper_bound(scenario.produced_count, scenario.confidence)
-    missed = missed_set_size(scenario.produced_count, scenario.recall)
+    missed = _missed_count(scenario.produced_count, recall_ratio)
     alpha = 1.0 - scenario.confidence
     try:
         ratio = missed / scenario.produced_count
@@ -187,8 +206,18 @@ def fomo_confidence(scenario: RecallScenario) -> FomoRow:
 
 
 def fomo_table(scenarios: Iterable[RecallScenario]) -> list[FomoRow]:
-    """Evaluate scenarios in order. An empty input yields an empty table."""
-    return [fomo_confidence(s) for s in scenarios]
+    """Evaluate scenarios in order. An empty input yields an empty table.
+
+    Each distinct recall of the table is turned into its rational once.
+    """
+    ratios: dict[float, tuple[int, int]] = {}
+    rows = []
+    for scenario in scenarios:
+        ratio = ratios.get(scenario.recall)
+        if ratio is None:
+            ratio = ratios[scenario.recall] = _recall_ratio(scenario.recall)
+        rows.append(_fomo_row(scenario, ratio))
+    return rows
 
 
 def format_percent(fraction: float) -> str:

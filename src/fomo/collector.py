@@ -17,10 +17,11 @@ Three routes to the same expectation:
   evaluation. Scales to any number of coupons.
 * :func:`simulate_expected_draws` - seeded Monte Carlo, the empirical
   check on both. Trials run in batches of ``_SAMPLER_BATCH`` (2**16),
-  each batch's trials drawing in lockstep, and each draw's coupon comes
-  from a guide table over the draw's top 16 bits, with a binary search
-  only for draws whose bucket holds a threshold. A run holds 8 bytes
-  per trial plus one batch.
+  each batch's trials drawing in lockstep (several draws a trial per
+  step once few are left), and each draw's coupon comes from a guide
+  table over the draw's top 16 bits, with a binary search only for
+  draws whose bucket holds a threshold. A run holds 8 bytes per trial
+  plus one batch.
 
 :func:`completion_quantile` inverts the independent-sightings coverage
 curve prod(1 - (1-p_i)^t) instead, the cheap stand-in for percentiles of
@@ -65,10 +66,17 @@ SUM_COUPON_LIMIT = 10**6
 
 # Trials per lockstep batch: its working arrays stay cache-sized.
 _SAMPLER_BATCH = 2**16
+# Draws a lockstep step makes once fewer trials than this are live: each
+# then draws several counters a step, so a rare coupon's long wait takes
+# few steps. A full batch draws one counter a trial.
+_SAMPLER_STEP_DRAWS = 2**12
 
 # A draw's top bits name its guide-table bucket (see _CouponLookup).
 _GUIDE_BITS = 16
 _GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
+# The guide entry of a bucket that holds a threshold: all 64 bits, never
+# the single bit of one coupon.
+_GUIDE_SENTINEL = np.uint64(2**64 - 1)
 
 # A trial needs about 1/p_min draws, so rarer coupons could keep the
 # sampler busy for days; the integral route has no such limit.
@@ -203,16 +211,20 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
 
     # Subsets of the first 20 coupons are evaluated together, once per
     # subset of the rest, so peak memory stays at 2**20 floats.
+    # A block's terms are low_sign / (low_sums + high_sum), made in one
+    # reused buffer, and its sum takes the high subset's sign after: a sign
+    # flip is exact and pairwise summation commutes with it, so the result
+    # is the sum of (low_sign * high_sign) / P(J) bit for bit.
     low_sums, low_sign = _subset_sums(p[:20])
+    terms = np.empty_like(low_sums)
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is refused below
+    # Overflow is refused below; 1/0 is the empty subset's term, dropped.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for bits, (high_sum, high_sign) in enumerate(zip(*_subset_sums(p[20:]))):
-            sums = low_sums + high_sum
-            signs = low_sign * high_sign
-            if bits == 0:
-                sums = sums[1:]  # drop the empty subset
-                signs = signs[1:]
-            total += float(np.sum(signs / sums))
+            np.add(low_sums, high_sum, out=terms)
+            np.divide(low_sign, terms, out=terms)
+            block = float(np.sum(terms[1:] if bits == 0 else terms))
+            total += block if high_sign > 0 else -block
     if not math.isfinite(total):
         raise ValueError("the subset sum leaves float range: a probability is too small")
     # signs carry (-1)**|J|; the expectation wants (-1)**(|J|+1).
@@ -349,8 +361,9 @@ class _CouponLookup:
     Devroye, Non-Uniform Random Variate Generation, 1986, III.2.4): the
     top ``_GUIDE_BITS`` bits of a draw name its bucket, and a bucket that
     holds no threshold yields one coupon for every draw in it, so
-    ``guide`` gives its bit outright. Only the draws in ``marked``
-    buckets, the at most m that hold a threshold, are searched.
+    ``guide`` gives its bit outright. A bucket that holds a threshold, at
+    most m of them, holds ``_GUIDE_SENTINEL`` instead, which is no single
+    coupon bit; only the draws that read it are searched.
     """
 
     def __init__(self, thresholds: np.ndarray):
@@ -360,16 +373,19 @@ class _CouponLookup:
         self.bit[:m] = np.uint64(1) << np.arange(m, dtype=np.uint64)
         starts = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
         self.guide = self.bit[np.searchsorted(thresholds, starts, side="right")]
-        self.marked = np.zeros(1 << _GUIDE_BITS, dtype=bool)
-        self.marked[thresholds >> _GUIDE_SHIFT] = True
+        self.guide[thresholds >> _GUIDE_SHIFT] = _GUIDE_SENTINEL
 
     def bits(self, draws: np.ndarray) -> np.ndarray:
-        buckets = draws >> _GUIDE_SHIFT
-        bits = self.guide[buckets]
-        edge = np.flatnonzero(self.marked[buckets])
+        """The coupon bits of ``draws``, in an array of the same shape."""
+        # Bucket numbers are below 2**16, so their int64 view is exact, and
+        # numpy indexes with int64 (its intp on 64-bit platforms) without
+        # the conversion pass that uint64 indices take.
+        bits = self.guide[(draws >> _GUIDE_SHIFT).view(np.int64)]
+        flat = bits.reshape(-1)
+        edge = np.flatnonzero(flat == _GUIDE_SENTINEL)
         if edge.size:
-            found = np.searchsorted(self.thresholds, draws[edge], side="right")
-            bits[edge] = self.bit[found]
+            found = np.searchsorted(self.thresholds, draws.reshape(-1)[edge], side="right")
+            flat[edge] = self.bit[found]
         return bits
 
 
@@ -382,11 +398,16 @@ def simulate_expected_draws(
     trial's draw sequence is exactly what a one-at-a-time simulation
     would use; deterministic for a given seed. Trials run in batches of
     ``_SAMPLER_BATCH``, one after another, and the trials of a batch
-    advance in lockstep, one draw each per step, with finished trials
-    dropped as they complete. Each draw's coupon is read from a guide
-    table (see :class:`_CouponLookup`). A run holds 8 bytes per trial,
-    for the completion counts, plus one batch's working arrays (a few
-    MB) and the 576 KiB of guide tables, whatever the trial count.
+    advance in lockstep, with finished trials dropped as they complete.
+    A step draws ``max(1, _SAMPLER_STEP_DRAWS // live)`` counters of each
+    of the live trials: one while more than 2**12 are live, a block of
+    them in the tail, where a rare coupon keeps a few trials drawing.
+    The rows of a block are OR-ed into each trial's coupons in counter
+    order, so a trial completes at the exact draw it would alone. Each
+    draw's coupon is read from a guide table (see
+    :class:`_CouponLookup`). A run holds 8 bytes per trial, for the
+    completion counts, plus one batch's working arrays (a few MB) and
+    the 512 KiB guide table, whatever the trial count.
     """
     check_trial_count(trials)
     dist = _coerce_distribution(probabilities)
@@ -407,17 +428,25 @@ def simulate_expected_draws(
         index = np.arange(start, min(start + _SAMPLER_BATCH, trials))
         keys = derive_key_array(seed, index)
         seen = np.zeros(index.size, dtype=np.uint64)
-        t = 0
+        t = 0  # draws each live trial has made
         while index.size:
-            t += 1
-            seen |= lookup.bits(stream_u64(keys, t))
-            done = seen == full
-            if done.any():
-                completions[index[done]] = t
-                keep = ~done
+            # Row r of a step holds every live trial's draw t + r + 1.
+            width = max(1, _SAMPLER_STEP_DRAWS // index.size)
+            counters = np.arange(t + 1, t + width + 1, dtype=np.uint64)[:, None]
+            found = lookup.bits(stream_u64(keys, counters))
+            found[0] |= seen
+            seen = np.bitwise_or.reduce(found, axis=0)
+            complete = seen == full
+            done = np.flatnonzero(complete)
+            if done.size:
+                # The row at which each finished trial's coupons became full.
+                rows = np.bitwise_or.accumulate(found[:, done], axis=0) == full
+                completions[index[done]] = t + 1 + rows.argmax(axis=0)
+                keep = ~complete
                 keys = keys[keep]
                 seen = seen[keep]
                 index = index[keep]
+            t += width
 
     mean = float(completions.mean())
     if trials > 1:

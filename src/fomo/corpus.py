@@ -81,6 +81,10 @@ BLOCK_BYTES = 1 << 17
 # to generate), each checked before any allocation.
 MAX_ZIPF_TOPICS = 10**6
 MAX_DOCUMENTS = 10**7
+# The most topic ids generate_corpus expects to store (documents times the
+# sum of the prevalences): ten a document at MAX_DOCUMENTS, 4 bytes an id
+# and 8 while the blocks are joined. Checked before the first block.
+MAX_TOPIC_IDS = 10**8
 
 
 class CorpusFormatError(ValueError):
@@ -183,10 +187,24 @@ class Corpus:
                 f"document {d}: topic ids must be strictly increasing within "
                 f"0..{limit - 1}, got {topics}"
             )
-        indices = _frozen(indices, np.int32)
-        object.__setattr__(self, "doc_ids", doc_ids)
-        object.__setattr__(self, "indptr", indptr)
-        object.__setattr__(self, "indices", indices)
+        self._store(doc_ids, indptr, indices)
+
+    @classmethod
+    def _checked(
+        cls, doc_ids: np.ndarray, indptr: np.ndarray, indices: np.ndarray, topic_count: int
+    ) -> "Corpus":
+        """A corpus of arrays already known to meet every rule that
+        __post_init__ checks, stored without checking them again (load_corpus
+        checks each block of a file as it reads it)."""
+        corpus = object.__new__(cls)
+        object.__setattr__(corpus, "topic_count", topic_count)
+        corpus._store(doc_ids, indptr, indices)
+        return corpus
+
+    def _store(self, doc_ids: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> None:
+        object.__setattr__(self, "doc_ids", _frozen(doc_ids, StringDType()))
+        object.__setattr__(self, "indptr", _frozen(indptr, np.int64))
+        object.__setattr__(self, "indices", _frozen(indices, np.int32))
 
     def __len__(self) -> int:
         return self.doc_ids.size
@@ -268,11 +286,20 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     platforms; blocks of ``max(1, BLOCK_DRAWS // m)`` documents are drawn.
 
     Raises:
+        ValueError: for a doc_count outside 1..MAX_DOCUMENTS, or when
+            doc_count times the sum of the prevalences, the topic ids
+            to store, is above MAX_TOPIC_IDS.
         DegenerateDistributionError: if P(empty document) >= 1 - 1e-9,
             where redrawing would effectively never terminate.
     """
     if not 1 <= doc_count <= MAX_DOCUMENTS:
         raise ValueError(f"doc_count must be in 1..{MAX_DOCUMENTS}, got {doc_count}")
+    stored = doc_count * math.fsum(dist.prevalences)
+    if stored > MAX_TOPIC_IDS:
+        raise ValueError(
+            f"{doc_count} documents at these prevalences hold about {stored:.4g} "
+            f"topic ids, above the limit of {MAX_TOPIC_IDS}"
+        )
     empty_prob = dist.empty_document_probability()
     if empty_prob >= 1.0 - 1e-9:
         raise DegenerateDistributionError(
@@ -680,7 +707,6 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
             id_blocks.append(ids)
     if len(ends) == 1:
         raise CorpusFormatError("corpus file contains a header but no documents")
-    doc_ids = np.concatenate(id_blocks)
-    del id_blocks  # freed before Corpus's checks allocate their own arrays
     indptr = np.frombuffer(ends, np.int64)
-    return Corpus(doc_ids, indptr, np.frombuffer(topics, np.intc), topic_count)
+    indices = np.frombuffer(topics, np.intc)
+    return Corpus._checked(np.concatenate(id_blocks), indptr, indices, topic_count)

@@ -1,6 +1,7 @@
 """Closed-form math against published values and hand oracles."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -122,6 +123,33 @@ class TestMissedSetSize:
     def test_rejects_zero_recall(self):
         with pytest.raises(ValueError):
             missed_set_size(100, 0.0)
+
+    @given(
+        st.one_of(
+            st.integers(1, 10**6),
+            st.integers(1, 10**300),
+            st.floats(1.0, 1e300).map(int),
+        ),
+        st.one_of(
+            st.floats(0.0, 1.0, exclude_min=True),
+            st.floats(5e-324, 1e-9),
+            st.integers(1, 1000).map(lambda k: k / 1000),
+            st.sampled_from([5e-324, 1e-10, 1e-9, 1.0000000001e-9, 2e-9]),
+        ),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_equals_the_fraction_formula(self, produced, recall):
+        assert missed_set_size(produced, recall) == fraction_missed_set_size(produced, recall)
+
+
+def fraction_missed_set_size(n_identified, recall):
+    """missed_set_size as first written, in Fraction arithmetic: the
+    recall's nearest rational with denominator at most 10**9 (its exact
+    value below 1/10**9), then int(N * (1 - r) / r)."""
+    r = Fraction(recall).limit_denominator(10**9)
+    if r <= 0:
+        r = Fraction(recall)
+    return int(n_identified * (1 - r) / r)
 
 
 class TestNovelTopicProb:
@@ -261,6 +289,16 @@ class TestFomoTable:
     def test_single_scenario_matches_direct_call(self):
         scenario = RecallScenario(77777, 0.65, 0.9)
         assert fomo_table([scenario]) == [fomo_confidence(scenario)]
+
+    def test_repeated_recalls_match_direct_calls(self):
+        # fomo_table turns each distinct recall into its rational once.
+        scenarios = [
+            RecallScenario(produced, recall, confidence)
+            for recall in (0.8, 0.7, 1e-10, 0.333, 1.0)
+            for produced in (1, 7, 50000, 2202935, 10**20)
+            for confidence in (0.5, 0.95)
+        ]
+        assert fomo_table(scenarios) == [fomo_confidence(s) for s in scenarios]
 
     def test_exact_ratio_production_sizes_are_interchangeable(self):
         rows = fomo_table(

@@ -373,6 +373,11 @@ MALFORMED_INPUTS = {
         ["gen-corpus", "--docs", "1000000000", "--topics", "4", "--max-prev", "0.5",
          "--min-prev", "0.1", "--out", "{file}"],
     ),
+    "gen-corpus-topic-ids-above-cap": (
+        "",
+        ["gen-corpus", "--docs", "10000000", "--topics", "1000000", "--max-prev", "1",
+         "--min-prev", "1", "--out", "{file}"],
+    ),
     "gen-corpus-huge-topics": (
         "",
         ["gen-corpus", "--docs", "3", "--topics", TOO_LARGE, "--max-prev", "0.5",

@@ -12,8 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from splitmix64_oracle import SplitMix64
 
+import fomo.collector
 from fomo.collector import (
     _SAMPLER_BATCH,
+    _SAMPLER_STEP_DRAWS,
     CouponDistribution,
     SubsetLimitError,
     _coupon_thresholds,
@@ -26,7 +28,7 @@ from fomo.collector import (
     expected_draws_unequal_sum,
     simulate_expected_draws,
 )
-from fomo.prng import MASK64, MAX_TRIALS, derive_key
+from fomo.prng import MASK64, MAX_TRIALS, derive_key, stream_u64
 
 
 def inclusion_exclusion_oracle(probabilities):
@@ -353,6 +355,48 @@ class TestPinnedMonteCarlo:
         assert (sample.minimum, sample.maximum) == (minimum, maximum)
 
 
+class TestPinnedExact:
+    """Subset sums recorded before the exact route's blocks went into one
+    reused buffer; the route must keep reproducing them bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dist, expected",
+        [
+            (dice_sum_distribution(), "0x1.e9bd34391ec24p+5"),
+            (power_law(25), "0x1.e23fa3cc18886p+7"),
+            (power_law(25, 0.5), "0x1.f51778f392a46p+6"),
+            (power_law(22), "0x1.8bdc9d2545f55p+7"),
+        ],
+        ids=["dice", "power-law-25", "power-law-25-flat", "power-law-22"],
+    )
+    def test_recorded_results(self, dist, expected):
+        assert expected_draws_unequal_exact(dist).hex() == expected
+
+
+class TestRareCouponTail:
+    PROBABILITIES = (1e-5, 0.5, 0.49)
+
+    def test_few_live_trials_draw_blocks_per_step(self, monkeypatch):
+        # Ten trials waiting on a 1e-5 coupon need up to 238,117 draws;
+        # drawn one per step, that took as many stream_u64 calls.
+        calls = []
+
+        def counted(keys, counters):
+            calls.append(np.size(counters))
+            return stream_u64(keys, counters)
+
+        monkeypatch.setattr(fomo.collector, "stream_u64", counted)
+        sample = simulate_expected_draws(self.PROBABILITIES, 10, seed=1)
+        # Recorded when every trial drew one counter a step.
+        assert (sample.mean, sample.std_error) == (106593.0, 23131.314166922915)
+        assert (sample.minimum, sample.maximum) == (1569, 238117)
+        assert len(calls) < 1000
+        assert max(calls) == _SAMPLER_STEP_DRAWS
+
+    def test_tail_blocks_equal_sequential_reference(self):
+        assert_matches_sequential(CouponDistribution((1e-3, 0.5, 0.499)), 12, seed=5)
+
+
 class TestGuideLookup:
     # 56 common coupons, then 8 rarer than 2**-16 each, so the last
     # buckets below the no-coupon mass hold several thresholds apiece.
@@ -379,6 +423,19 @@ class TestGuideLookup:
             np.random.default_rng(7).integers(0, MASK64, 10**5, dtype=np.uint64, endpoint=True),
         ])
         assert np.array_equal(lookup.bits(draws), self.reference_bits(thresholds, draws))
+
+    def test_keeps_the_shape_of_a_block_of_draws(self):
+        thresholds = _coupon_thresholds(np.asarray(self.PROBABILITIES))
+        lookup = _CouponLookup(thresholds)
+        draws = np.random.default_rng(3).integers(
+            0, MASK64, (64, 50), dtype=np.uint64, endpoint=True
+        )
+        draws[::7, ::3] = thresholds[np.arange(draws[::7, ::3].size) % 64].reshape(10, 17)
+        assert np.array_equal(lookup.bits(draws), self.reference_bits(thresholds, draws))
+
+    def test_sixty_four_equal_coupons_equal_sequential_reference(self):
+        # Every coupon bit in use: the sentinel is the full mask here.
+        assert_matches_sequential(CouponDistribution.uniform(64), 20, seed=5)
 
     def test_rare_coupon_trials_equal_sequential_reference(self):
         dist = CouponDistribution(

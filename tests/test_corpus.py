@@ -14,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from splitmix64_oracle import GAMMA, MASK64, SplitMix64, mix64
 
+import fomo.corpus
 from fomo.corpus import (
     BLOCK_BYTES,
     BLOCK_DRAWS,
     MAX_DOCUMENTS,
     MAX_TOPIC_ID,
+    MAX_TOPIC_IDS,
     SAVE_BLOCK_BYTES,
     Corpus,
     CorpusFormatError,
@@ -117,6 +119,18 @@ class TestGenerateCorpus:
         try:
             with pytest.raises(ValueError, match=f"1..{MAX_DOCUMENTS}"):
                 generate_corpus(MAX_DOCUMENTS + 1, dist, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_topic_ids_above_the_cap_fail_before_allocating(self):
+        # 10^7 documents at 11 certain topics each would store 1.1e8 ids.
+        dist = TopicDistribution((1.0,) * 11)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"above the limit of {MAX_TOPIC_IDS}"):
+                generate_corpus(MAX_DOCUMENTS, dist, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -713,6 +727,28 @@ def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus):
             "fomo.corpus._parse_record", refuse_per_line_parse
         ):
             assert load_corpus(path) == corpus
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+def test_topic_ids_are_checked_once_per_block(tmp_path, block_bytes):
+    # The saved-form check of each block is the only one: the loaded
+    # arrays are not checked again when the corpus is built.
+    corpus = generate_corpus(300, zipf_prevalences(8, 0.5, 0.05), seed=4)
+    path = tmp_path / "checked.jsonl"
+    save_corpus(corpus, path)
+    with mock.patch("fomo.corpus.BLOCK_BYTES", block_bytes), mock.patch(
+        "fomo.corpus._first_disordered", wraps=fomo.corpus._first_disordered
+    ) as check:
+        loaded = load_corpus(path)
+        with open(path, "r", encoding="utf-8") as fh:
+            fh.readline()  # the header
+            blocks = sum(1 for _ in fomo.corpus._line_blocks(fh))
+    assert blocks > 1 if block_bytes < BLOCK_BYTES else blocks == 1
+    assert loaded == corpus
+    assert check.call_count == blocks
+    for array in (loaded.doc_ids, loaded.indptr, loaded.indices):
+        assert not array.flags.writeable
+    assert (loaded.indptr.dtype, loaded.indices.dtype) == (np.int64, np.int32)
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
