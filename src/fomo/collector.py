@@ -435,7 +435,7 @@ def simulate_expected_draws(
             counters = np.arange(t + 1, t + width + 1, dtype=np.uint64)[:, None]
             found = lookup.bits(stream_u64(keys, counters))
             found[0] |= seen
-            seen = np.bitwise_or.reduce(found, axis=0)
+            np.bitwise_or.reduce(found, axis=0, out=seen)
             complete = seen == full
             done = np.flatnonzero(complete)
             if done.size:

@@ -131,7 +131,9 @@ class TopicDistribution:
 
 def _frozen(values, dtype) -> np.ndarray:
     """``values`` as a read-only array, copied only to change its dtype."""
-    frozen = np.asarray(values, dtype=dtype)
+    # asarray copies a StringDType array to a new StringDType() instance.
+    fits = isinstance(values, np.ndarray) and values.dtype == dtype
+    frozen = values if fits else np.asarray(values, dtype=dtype)
     frozen.flags.writeable = False
     return frozen
 

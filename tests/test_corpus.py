@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from numpy.dtypes import StringDType
 from corpus_documents import Document, corpus_from_documents, documents_of
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -262,6 +263,17 @@ class TestCorpusInvariants:
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = column[0]
+
+    def test_arrays_whose_dtype_fits_are_kept_without_a_copy(self):
+        # A StringDType array is kept too, though asarray to a new
+        # StringDType() instance would copy every id.
+        doc_ids = np.array(["a", "b"], dtype=StringDType())
+        indptr = np.array([0, 1, 3])
+        indices = np.array([0, 0, 2], dtype=np.int32)
+        corpus = Corpus(doc_ids, indptr, indices, topic_count=3)
+        assert corpus.doc_ids is doc_ids
+        assert corpus.indptr is indptr
+        assert corpus.indices is indices
 
     def test_topics_present_and_counts(self):
         corpus = corpus_from_documents(
