@@ -66,9 +66,10 @@ SUM_COUPON_LIMIT = 10**6
 
 # Trials per lockstep batch: its working arrays stay cache-sized.
 _SAMPLER_BATCH = 2**16
-# Draws a lockstep step makes once fewer trials than this are live: each
-# then draws several counters a step, so a rare coupon's long wait takes
-# few steps. A full batch draws one counter a trial.
+# About the draws a lockstep step makes once few trials are live: each
+# then draws _SAMPLER_STEP_DRAWS // live counters a step, so a rare
+# coupon's long wait takes few steps. While more than half this many are
+# live, each draws one.
 _SAMPLER_STEP_DRAWS = 2**12
 
 # A draw's top bits name its guide-table bucket (see _CouponLookup).
@@ -400,7 +401,7 @@ def simulate_expected_draws(
     ``_SAMPLER_BATCH``, one after another, and the trials of a batch
     advance in lockstep, with finished trials dropped as they complete.
     A step draws ``max(1, _SAMPLER_STEP_DRAWS // live)`` counters of each
-    of the live trials: one while more than 2**12 are live, a block of
+    of the live trials: one while more than 2**11 are live, a block of
     them in the tail, where a rare coupon keeps a few trials drawing.
     The rows of a block are OR-ed into each trial's coupons in counter
     order, so a trial completes at the exact draw it would alone. Each
