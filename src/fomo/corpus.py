@@ -27,10 +27,11 @@ File format (UTF-8, one JSON object per line):
 
 Topics are written sorted ascending without duplicates, and line order
 is the corpus's accession order. ``load_corpus(save_corpus(c)) == c``
-bit for bit. The loader reads blocks of whole lines: a block whose lines
-are all in the form save_corpus writes, topic ids sorted, is checked and
-parsed with array operations; any other block is checked and parsed line
-by line as JSON, and each line's topic ids are sorted as it is read.
+bit for bit. The loader reads blocks of whole lines: only the form of a
+block's lines picks its parser. A block whose lines are all in the form
+save_corpus writes is parsed with array operations, any other block line
+by line as JSON. Either way, topic ids listed in any order are sorted
+with array operations, one stable sort a block.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import operator
 import os
 import re
 from array import array
@@ -76,15 +78,22 @@ BLOCK_DRAWS = 1 << 18
 SAVE_BLOCK_BYTES = 1 << 20
 BLOCK_BYTES = 1 << 17
 
-# The most topics zipf_prevalences builds and documents generate_corpus
-# draws (4.5 times the paper's 2,202,935-document production, about 1 GiB
-# to generate), each checked before any allocation.
+# The most topics zipf_prevalences builds, and a corpus's per-topic counts
+# hold, and the most documents generate_corpus draws (4.5 times the paper's
+# 2,202,935-document production, about 1 GiB to generate), each checked
+# before any allocation.
 MAX_ZIPF_TOPICS = 10**6
 MAX_DOCUMENTS = 10**7
 # The most topic ids generate_corpus expects to store (documents times the
 # sum of the prevalences): ten a document at MAX_DOCUMENTS, 4 bytes an id
 # and 8 while the blocks are joined. Checked before the first block.
 MAX_TOPIC_IDS = 10**8
+# The most redraw rounds generate_corpus expects a document to take,
+# 1 / (1 - P(empty)), and the most draws it expects to make, documents
+# times topics times that: the study calibration takes 1.98 rounds, so
+# 1.27e9 draws at MAX_DOCUMENTS. Both are checked before the first block.
+MAX_REDRAW_ROUNDS = 10**3
+MAX_DRAWS = 2 * 10**9
 
 
 class CorpusFormatError(ValueError):
@@ -92,7 +101,7 @@ class CorpusFormatError(ValueError):
 
 
 class DegenerateDistributionError(ValueError):
-    """A prevalence vector that would make generation loop forever."""
+    """A prevalence vector whose documents would take too many redraw rounds."""
 
 
 @dataclass(frozen=True)
@@ -115,9 +124,9 @@ class TopicDistribution:
 
     def empty_document_probability(self) -> float:
         """Chance an unconditioned draw contains no topic at all."""
-        if any(q >= 1.0 for q in self.prevalences):
+        if max(self.prevalences) >= 1.0:
             return 0.0
-        return math.exp(math.fsum(math.log1p(-q) for q in self.prevalences))
+        return math.exp(math.fsum(map(math.log1p, map(operator.neg, self.prevalences))))
 
     def expected_topics_per_document(self) -> float:
         """Mean topic count per document, given documents are nonempty.
@@ -231,8 +240,13 @@ class Corpus:
 
     @cached_property
     def _topic_counts(self) -> np.ndarray:
-        # Sized by the declared topic_count: a huge declared count fails
-        # here at once with MemoryError.
+        # Sized by the declared topic_count, as is per-topic state built on
+        # it (a trial's first positions), so that count is capped here.
+        if self.topic_count > MAX_ZIPF_TOPICS:
+            raise ValueError(
+                f"topic_count {self.topic_count} is above the limit of {MAX_ZIPF_TOPICS} "
+                f"topics that per-topic counts are built for"
+            )
         return np.bincount(self.indices, minlength=self.topic_count)
 
     @cached_property
@@ -288,11 +302,13 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     platforms; blocks of ``max(1, BLOCK_DRAWS // m)`` documents are drawn.
 
     Raises:
-        ValueError: for a doc_count outside 1..MAX_DOCUMENTS, or when
+        ValueError: for a doc_count outside 1..MAX_DOCUMENTS, when
             doc_count times the sum of the prevalences, the topic ids
-            to store, is above MAX_TOPIC_IDS.
-        DegenerateDistributionError: if P(empty document) >= 1 - 1e-9,
-            where redrawing would effectively never terminate.
+            to store, is above MAX_TOPIC_IDS, or when the expected draws,
+            doc_count * m / (1 - P(empty document)), are above MAX_DRAWS.
+        DegenerateDistributionError: if a document takes more than
+            MAX_REDRAW_ROUNDS redraw rounds on average, 1 / (1 - P(empty
+            document)).
     """
     if not 1 <= doc_count <= MAX_DOCUMENTS:
         raise ValueError(f"doc_count must be in 1..{MAX_DOCUMENTS}, got {doc_count}")
@@ -302,14 +318,22 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
             f"{doc_count} documents at these prevalences hold about {stored:.4g} "
             f"topic ids, above the limit of {MAX_TOPIC_IDS}"
         )
-    empty_prob = dist.empty_document_probability()
-    if empty_prob >= 1.0 - 1e-9:
+    m = len(dist)
+    nonempty = 1.0 - dist.empty_document_probability()
+    rounds = 1.0 / nonempty if nonempty else math.inf
+    if rounds > MAX_REDRAW_ROUNDS:
         raise DegenerateDistributionError(
-            f"empty-document probability {empty_prob} leaves nothing to draw"
+            f"a document is nonempty with probability {nonempty:.4g}, so it takes about "
+            f"{rounds:.4g} redraw rounds, above the limit of {MAX_REDRAW_ROUNDS}"
+        )
+    draws = doc_count * m * rounds
+    if draws > MAX_DRAWS:
+        raise ValueError(
+            f"{doc_count} documents of {m} topics at these prevalences take about "
+            f"{draws:.4g} draws, above the limit of {MAX_DRAWS}"
         )
 
     q = np.asarray(dist.prevalences, dtype=float)
-    m = len(q)
     always = np.flatnonzero(q >= 1.0)
     thresholds = u64_thresholds(q)  # Bernoulli(q) as draw < threshold
     first_round = np.arange(1, m + 1, dtype=np.uint64)
@@ -582,10 +606,10 @@ def _spans(size: int, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     return np.repeat(inside, np.diff(bounds))
 
 
-def _saved_lines(text: str, topic_count: int) -> tuple[np.ndarray, ...] | None:
+def _saved_lines(text: str) -> tuple[np.ndarray, ...] | None:
     """The ids, the flat topic ids and the running topic count at each
-    line's end, for whole lines all in the form save_corpus writes with ids
-    strictly increasing below ``topic_count``; None if any line is not."""
+    line's end, for whole lines all in the form save_corpus writes; None if
+    any line is not. The topic ids are read as written, not checked."""
     if not text.isascii() and _SURROGATE.search(text):
         return None
     data = (text if text.endswith("\n") else text + "\n").encode()
@@ -632,8 +656,6 @@ def _saved_lines(text: str, topic_count: int) -> tuple[np.ndarray, ...] | None:
     values *= _POW10[np.repeat(separators, digits + 1) - np.arange(1, listed.size + 1)]
     topics = np.add.reduceat(values, np.concatenate(([0], separators[:-1] + 1)), dtype=np.intc)
     line_ends = np.flatnonzero(kind[separators] == 3) + 1
-    if _first_disordered(topics, np.concatenate(([0], line_ends)), topic_count) is not None:
-        return None
 
     # The ids, each followed by its closing quote.
     quoted = buf[_spans(buf.size, starts + len(_HEAD), middles + 1)].tobytes()
@@ -643,15 +665,34 @@ def _saved_lines(text: str, topic_count: int) -> tuple[np.ndarray, ...] | None:
 
 def _parsed_lines(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ...]:
     """What _saved_lines returns, for whole lines of any valid JSON
-    spelling numbered from ``first_line``, each line's ids sorted; raises
-    the error of the first bad line."""
+    spelling numbered from ``first_line``, each line checked on its own;
+    raises the error of the first bad line."""
     ids, topics, ends = [], [], []
     for number, raw in enumerate(io.StringIO(text), start=first_line):
         doc_id, listed = _parse_record(number, raw, topic_count)
         ids.append(doc_id)
-        topics.extend(sorted(listed))
+        topics.extend(listed)
         ends.append(len(topics))
     return np.array(ids, dtype=StringDType()), np.array(topics, np.intc), np.array(ends, np.int64)
+
+
+def _block(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ...]:
+    """What _parsed_lines returns, for whole lines numbered from
+    ``first_line``, with each line's topic ids sorted. Lines all in saved
+    form are read with array operations, and any line's ids in any order
+    are sorted with one stable sort of the block; a block whose ids still
+    break the rule is read line by line, to name its first bad line."""
+    parsed = _saved_lines(text) or _parsed_lines(text, first_line, topic_count)
+    ids, topics, line_ends = parsed
+    indptr = np.concatenate(([0], line_ends))
+    if _first_disordered(topics, indptr, topic_count) is None:
+        return parsed
+    lines = np.repeat(np.arange(line_ends.size), np.diff(indptr))
+    topics = topics[np.lexsort((topics, lines))]
+    if _first_disordered(topics, indptr, topic_count) is None:
+        return ids, topics, line_ends
+    _parsed_lines(text, first_line, topic_count)  # a repeated or out-of-range id
+    raise AssertionError("a topic id the line checks pass breaks the block's id rule")
 
 
 def _line_blocks(fh) -> Iterator[str]:
@@ -678,10 +719,11 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
 
     The file is read in blocks of whole lines, about BLOCK_BYTES each, and
     only the ids, one flat array of topic ids and the document ends are
-    kept. A block whose lines are all in the form save_corpus writes, topic
-    ids sorted, is checked and parsed with array operations; any other
-    block line by line as JSON, which sorts each line's ids. Each block is
-    checked before the next is read, so errors come in line order.
+    kept. A block whose lines are all in the form save_corpus writes is
+    parsed with array operations, any other block line by line as JSON;
+    either way, the block's topic ids are then sorted and checked with
+    array operations (see _block). Each block is checked before the next
+    is read, so errors come in line order.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header_line = fh.readline()
@@ -702,8 +744,7 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
         ends = array("q", [0])
         for text in _line_blocks(fh):
             first = len(ends) + 1  # the block's first line number
-            parsed = _saved_lines(text, topic_count) or _parsed_lines(text, first, topic_count)
-            ids, listed, line_ends = parsed
+            ids, listed, line_ends = _block(text, first, topic_count)
             ends.frombytes((line_ends + len(topics)).tobytes())
             topics.frombytes(listed.tobytes())
             id_blocks.append(ids)

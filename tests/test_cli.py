@@ -14,8 +14,18 @@ from hypothesis import strategies as st
 import fomo.cli
 from fomo.analytic import MAX_TABLE_ROWS, RecallScenario, fomo_table
 from fomo.cli import main
-from fomo.corpus import MAX_DOCUMENTS, load_corpus
+from fomo.collector import EXACT_COUPON_LIMIT, SUM_COUPON_LIMIT
+from fomo.corpus import (
+    MAX_DOCUMENTS,
+    MAX_DRAWS,
+    MAX_TOPIC_ID,
+    MAX_TOPIC_IDS,
+    MAX_ZIPF_TOPICS,
+    load_corpus,
+    zipf_prevalences,
+)
 from fomo.prng import MAX_TRIALS
+from fomo.simulation import MAX_BIN_COUNT
 
 TINY_CORPUS = (
     '{"format":"fomo-corpus","version":1,"topic_count":2}\n'
@@ -337,8 +347,80 @@ DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
 HUGE_INTEGER = 10**400  # 401 digits, beyond float range
 LONG_INTEGER = "9" * 5000  # more digits than int() converts
 
+
+
+def corpus_header(topic_count):
+    """A corpus of one document under a header declaring ``topic_count``."""
+    return (
+        '{"format":"fomo-corpus","version":1,"topic_count":%d}\n'
+        '{"doc_id":"a","topics":[0]}\n' % topic_count
+    )
+
+
+def gen_corpus(docs, topics, prevalence):
+    """gen-corpus argv for ``topics`` topics all of one prevalence."""
+    return ["gen-corpus", "--docs", str(docs), "--topics", str(topics), "--max-prev",
+            repr(prevalence), "--min-prev", repr(prevalence), "--out", "{file}"]
+
+
+# 1000 topics of prevalence 1e-4 take 10.5 redraw rounds a document, so
+# this many documents take just over MAX_DRAWS draws.
+DOCS_ABOVE_THE_DRAW_CAP = math.floor(
+    MAX_DRAWS * (1 - zipf_prevalences(1000, 1e-4, 1e-4).empty_document_probability()) / 1000
+) + 1
+
+# Each size driver one step above its cap (its smallest refused value the
+# options reach): case name -> (file contents, argv), as MALFORMED_INPUTS.
+ONE_ABOVE_CAP = {
+    "gen-corpus-docs-one-above-cap": ("", gen_corpus(MAX_DOCUMENTS + 1, 4, 0.5)),
+    "gen-corpus-topics-one-above-cap": ("", gen_corpus(3, MAX_ZIPF_TOPICS + 1, 0.5)),
+    # 11 certain topics a document.
+    "gen-corpus-topic-ids-one-above-cap": ("", gen_corpus(MAX_TOPIC_IDS // 11 + 1, 11, 1.0)),
+    # Nonempty with probability 1 - (1 - 5e-4)^2: 1000.25 rounds a document.
+    "gen-corpus-redraw-rounds-one-above-cap": ("", gen_corpus(1, 2, 5e-4)),
+    "gen-corpus-draws-one-above-cap": ("", gen_corpus(DOCS_ABOVE_THE_DRAW_CAP, 1000, 1e-4)),
+    "simulate-trials-above-cap": (
+        "", ["simulate", "--corpus", "{corpus}", "--trials", str(MAX_TRIALS + 1)]
+    ),
+    "collector-trials-above-cap": (
+        "", ["collector", "--dice", "--method", "montecarlo", "--trials", str(MAX_TRIALS + 1)]
+    ),
+    "simulate-bins-one-above-cap": (
+        "", ["simulate", "--corpus", "{corpus}", "--bins", str(MAX_BIN_COUNT + 1)]
+    ),
+    "table-rows-above-cap": (
+        "", ["table", "--produced", ",".join(["1"] * (MAX_TABLE_ROWS + 1)), "--recall", "0.5"]
+    ),
+    "simulate-topic-count-one-above-cap": (
+        corpus_header(MAX_ZIPF_TOPICS + 1), ["simulate", "--corpus", "{file}", "--trials", "3"]
+    ),
+    "compare-topic-count-one-above-cap": (
+        corpus_header(MAX_ZIPF_TOPICS + 1),
+        ["compare", "--corpus", "{file}", "--summary", "{summary}"],
+    ),
+    "corpus-topic-id-one-above-cap": (
+        corpus_header(2**32).replace("[0]", "[%d]" % (MAX_TOPIC_ID + 1)),
+        ["curve", "--corpus", "{file}"],
+    ),
+    "collector-exact-coupons-one-above-cap": (
+        "", ["collector", "--uniform", str(EXACT_COUPON_LIMIT + 1), "--method", "exact"]
+    ),
+    "collector-sum-coupons-one-above-cap": (
+        "", ["collector", "--uniform", str(SUM_COUPON_LIMIT + 1), "--method", "sum"]
+    ),
+    "collector-sampler-coupons-one-above-cap": (
+        "", ["collector", "--uniform", "65", "--method", "montecarlo", "--trials", "10"]
+    ),
+    # The rarest coupon's 1 / p is just above 10^6.
+    "collector-sampler-rarest-one-above-cap": (
+        "[%r, %r]" % (1 / (10**6 + 1), 1 - 1 / (10**6 + 1)),
+        ["collector", "--probs", "{file}", "--method", "montecarlo", "--trials", "10"],
+    ),
+}
+
 # name -> (file contents, argv with {file}, {corpus} and {summary} placeholders)
 MALFORMED_INPUTS = {
+    **ONE_ABOVE_CAP,
     "probs-nested-array": ("[[0.5],0.5]", ["collector", "--probs", "{file}"]),
     "summary-without-trial-count": (
         json.dumps({k: v for k, v in VALID_SUMMARY.items() if k != "trial_count"}),
@@ -392,6 +474,12 @@ MALFORMED_INPUTS = {
         '{"format":"fomo-corpus","version":1,"topic_count":%s}\n'
         '{"doc_id":"a","topics":[0]}\n' % TOO_LARGE,
         ["simulate", "--corpus", "{file}", "--trials", "1"],
+    ),
+    # The runaway generations and the 88-byte corpus of 10^7 topics.
+    "gen-corpus-nearly-always-empty": ("", gen_corpus(1, 2, 1e-8)),
+    "gen-corpus-draws-far-above-cap": ("", gen_corpus(10_000, 10**6, 1e-6)),
+    "simulate-ten-million-topics": (
+        corpus_header(10**7), ["simulate", "--corpus", "{file}", "--trials", "3"]
     ),
     "corpus-deeply-nested-topics": (
         TINY_CORPUS + '{"doc_id":"d","topics":%s}\n' % DEEPLY_NESTED,
@@ -484,23 +572,12 @@ MALFORMED_INPUTS = {
         "", ["simulate", "--corpus", "{corpus}", "--seed", str(HUGE_INTEGER)]
     ),
     "collector-seed-above-range": ("", ["collector", "--dice", "--seed", str(2**64)]),
-    # One above MAX_TRIALS: a much larger count would not be refused sooner.
-    "simulate-trials-above-cap": (
-        "", ["simulate", "--corpus", "{corpus}", "--trials", str(MAX_TRIALS + 1)]
-    ),
-    "collector-trials-above-cap": (
-        "", ["collector", "--dice", "--method", "montecarlo", "--trials", str(MAX_TRIALS + 1)]
-    ),
     # A count beyond float range, a recall whose missed-to-produced ratio
     # leaves it, and a bound too small for its 1 / bound.
     "table-huge-produced": ("", ["table", "--produced", str(HUGE_INTEGER), "--recall", "0.5"]),
     "bound-huge-produced": ("", ["bound", "--produced", str(HUGE_INTEGER)]),
     "table-subnormal-recall": ("", ["table", "--produced", "1", "--recall", "5e-324"]),
     "bound-subnormal-confidence": ("", ["bound", "--produced", "1", "--confidence", "1e-320"]),
-    # One row above MAX_TABLE_ROWS.
-    "table-rows-above-cap": (
-        "", ["table", "--produced", ",".join(["1"] * (MAX_TABLE_ROWS + 1)), "--recall", "0.5"]
-    ),
     "summary-two-spellings-of-one-quantile": (
         json.dumps(
             {**VALID_SUMMARY, "percentiles": {"0.5": 3, "0.50": 3},
@@ -566,7 +643,10 @@ def test_huge_declared_topic_count_fails_at_once(capsys, tmp_path):
     path.write_text(MALFORMED_INPUTS["simulate-huge-topic-count"][0], encoding="utf-8")
     code, _, err = run_cli(capsys, "simulate", "--corpus", str(path), "--trials", "1")
     assert code == 1
-    assert err.startswith("error: out of memory")
+    assert err == (
+        f"error: topic_count {TOO_LARGE} is above the limit of {MAX_ZIPF_TOPICS} "
+        "topics that per-topic counts are built for\n"
+    )
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
@@ -582,6 +662,19 @@ def test_malformed_input_is_a_one_line_error(case, capsys, tiny_corpus, tmp_path
     assert out == ""
     assert err.startswith("error:")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("case", sorted(ONE_ABOVE_CAP))
+def test_one_above_a_cap_fails_before_any_work(case, capsys, tiny_corpus, tmp_path):
+    # The work each cap bounds would take far more: 10^7 trials or
+    # documents, or 10^6 topics, hold tens of MiB at least.
+    tracemalloc.start()
+    try:
+        test_malformed_input_is_a_one_line_error(case, capsys, tiny_corpus, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 # Malformed values for the option kinds the commands take. Sizes drawn as

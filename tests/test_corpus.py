@@ -22,6 +22,7 @@ from fomo.corpus import (
     MAX_DOCUMENTS,
     MAX_TOPIC_ID,
     MAX_TOPIC_IDS,
+    MAX_ZIPF_TOPICS,
     SAVE_BLOCK_BYTES,
     Corpus,
     CorpusFormatError,
@@ -282,6 +283,14 @@ class TestCorpusInvariants:
         assert corpus.topics_present == frozenset({0, 2})
         assert corpus.topic_counts() == [2, 0, 1, 0]
         assert corpus.empirical_prevalences() == {0: 1.0, 2: 0.5}
+
+
+    def test_per_topic_counts_refuse_a_declared_count_above_the_cap(self):
+        corpus = corpus_from_documents((Document("a", (0,)),), topic_count=MAX_ZIPF_TOPICS + 1)
+        for read in (Corpus.topic_counts, Corpus.empirical_prevalences):
+            with pytest.raises(ValueError, match=f"^topic_count {MAX_ZIPF_TOPICS + 1} is above"):
+                read(corpus)
+        assert corpus_from_documents((Document("a", (0,)),), MAX_ZIPF_TOPICS).topics_present == {0}
 
 
 class TestSaveLoad:
@@ -729,16 +738,26 @@ def refuse_per_line_parse(number, raw, topic_count):
     raise AssertionError(f"line {number} took the per-line path: {raw!r}")
 
 
-@given(corpora(UNESCAPED_IDS))
+@given(corpora(UNESCAPED_IDS), st.data())
 @settings(max_examples=200, deadline=None)
-def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus):
+def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus, data):
     path = tmp_path_factory.getbasetemp() / "unescaped.jsonl"
     save_corpus(corpus, path)
+    # The same lines in saved form, each listing its topic ids in any order.
+    listed = tmp_path_factory.getbasetemp() / "listed.jsonl"
+    lines = [
+        json.dumps({"doc_id": doc_id, "topics": data.draw(st.permutations(topics))},
+                   separators=(",", ":"), ensure_ascii=False)
+        for doc_id, topics in documents_of(corpus)
+    ]
+    header = path.read_text(encoding="utf-8").split("\n", 1)[0]
+    listed.write_text("\n".join([header, *lines, ""]), encoding="utf-8")
     for block_bytes in BLOCK_SIZES:
         with mock.patch("fomo.corpus.BLOCK_BYTES", block_bytes), mock.patch(
             "fomo.corpus._parse_record", refuse_per_line_parse
         ):
             assert load_corpus(path) == corpus
+            assert load_corpus(listed) == corpus
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
@@ -764,8 +783,8 @@ def test_topic_ids_are_checked_once_per_block(tmp_path, block_bytes):
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
-def test_a_saved_form_block_with_unsorted_ids_loads_line_by_line(tmp_path, block_bytes):
-    # The block holding line 9, the [2,0] one, is parsed line by line.
+def test_a_saved_form_block_with_unsorted_ids_loads_with_array_operations(tmp_path, block_bytes):
+    # Line 9 lists [2,0]: its block is sorted as a whole, not read line by line.
     lines = ['{"doc_id":"d%d","topics":[%d]}' % (d, d % 3) for d in range(20)]
     lines[7] = '{"doc_id":"d7","topics":[2,0]}'
     path = tmp_path / "unsorted.jsonl"
@@ -773,10 +792,30 @@ def test_a_saved_form_block_with_unsorted_ids_loads_line_by_line(tmp_path, block
     expected = [Document(f"d{d}", (d % 3,)) for d in range(20)]
     expected[7] = Document("d7", (0, 2))
     with mock.patch("fomo.corpus.BLOCK_BYTES", block_bytes), mock.patch(
-        "fomo.corpus._parse_record", wraps=_parse_record
-    ) as parse:
+        "fomo.corpus._parse_record", refuse_per_line_parse
+    ):
         assert load_corpus(path) == corpus_from_documents(expected, 3)
-    assert 9 in [call.args[0] for call in parse.call_args_list]
+
+
+@pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
+@pytest.mark.parametrize("unsorted_at", [3, 12])
+@pytest.mark.parametrize(
+    "bad, message",
+    [("[1,1]", r"duplicate topic ids in \[1, 1\]"), ("[5,2]", "topic id 5 outside 0..2")],
+)
+def test_a_bad_id_beside_unsorted_ids_names_its_line(
+    tmp_path, block_bytes, unsorted_at, bad, message
+):
+    # Line 9 breaks the id rule, and a line before or after it in saved
+    # form lists [2,0]: sorting that line's block leaves line 9 at fault.
+    lines = ['{"doc_id":"d%d","topics":[%d]}' % (d, d % 3) for d in range(20)]
+    lines[unsorted_at - 2] = '{"doc_id":"u","topics":[2,0]}'
+    lines[7] = '{"doc_id":"d7","topics":%s}' % bad
+    path = tmp_path / "unsorted_and_bad.jsonl"
+    path.write_text("\n".join([HEADER_3, *lines, ""]), encoding="utf-8")
+    with mock.patch("fomo.corpus.BLOCK_BYTES", block_bytes):
+        with pytest.raises(CorpusFormatError, match=f"^line 9: {message}$"):
+            load_corpus(path)
 
 
 @pytest.mark.parametrize("doc_id", ['say "hi"', "a\\b", "tab\there", "\x00", "line\nbreak"])

@@ -1,7 +1,9 @@
 """The package namespace re-exports each submodule's public names once,
-and importing the CLI stays cheap."""
+importing the CLI stays cheap, and every cap has its row in the README."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,3 +56,21 @@ def test_every_benchmark_hook_resolves():
         "assert targets and not missing, missing"
     )
     run_python(check, cwd=Path(__file__).parents[1] / "perfbench")
+
+
+def test_every_cap_has_a_size_drivers_row():
+    # A module-level MAX_* or *_LIMIT constant caps some input; README's
+    # "Size drivers" table names each as module.NAME, so none lands unlisted.
+    package = Path(fomo.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Size drivers", 1)[1].split("\n#", 1)[0]
+    caps = [
+        f"{source.stem}.{target.id}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.parse(source.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and re.fullmatch(r"_?MAX_\w+|\w+_LIMIT", target.id)
+    ]
+    assert len(caps) >= 10
+    assert [cap for cap in caps if f"`{cap}`" not in table] == []
