@@ -348,7 +348,6 @@ HUGE_INTEGER = 10**400  # 401 digits, beyond float range
 LONG_INTEGER = "9" * 5000  # more digits than int() converts
 
 
-
 def corpus_header(topic_count):
     """A corpus of one document under a header declaring ``topic_count``."""
     return (
@@ -368,6 +367,8 @@ def gen_corpus(docs, topics, prevalence):
 DOCS_ABOVE_THE_DRAW_CAP = math.floor(
     MAX_DRAWS * (1 - zipf_prevalences(1000, 1e-4, 1e-4).empty_document_probability()) / 1000
 ) + 1
+
+RAREST = 1 / (fomo.collector._SAMPLER_RAREST_LIMIT + 1)
 
 # Each size driver one step above its cap (its smallest refused value the
 # options reach): case name -> (file contents, argv), as MALFORMED_INPUTS.
@@ -409,11 +410,13 @@ ONE_ABOVE_CAP = {
         "", ["collector", "--uniform", str(SUM_COUPON_LIMIT + 1), "--method", "sum"]
     ),
     "collector-sampler-coupons-one-above-cap": (
-        "", ["collector", "--uniform", "65", "--method", "montecarlo", "--trials", "10"]
+        "",
+        ["collector", "--uniform", str(fomo.collector._SAMPLER_COUPON_LIMIT + 1), "--method",
+         "montecarlo", "--trials", "10"],
     ),
-    # The rarest coupon's 1 / p is just above 10^6.
+    # The rarest coupon's 1 / p is just above its limit.
     "collector-sampler-rarest-one-above-cap": (
-        "[%r, %r]" % (1 / (10**6 + 1), 1 - 1 / (10**6 + 1)),
+        "[%r, %r]" % (RAREST, 1 - RAREST),
         ["collector", "--probs", "{file}", "--method", "montecarlo", "--trials", "10"],
     ),
 }
