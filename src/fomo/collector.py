@@ -16,12 +16,18 @@ Three routes to the same expectation:
   term by term into the subset sum but costs only O(m) per integrand
   evaluation. Scales to any number of coupons.
 * :func:`simulate_expected_draws` - seeded Monte Carlo, the empirical
-  check on both. Trials run in batches of ``_SAMPLER_BATCH`` (2**16),
-  each batch's trials drawing in lockstep (several draws a trial per
-  step once few are left), and each draw's coupon comes from a guide
-  table over the draw's top 16 bits, with a binary search only for
-  draws whose bucket holds a threshold. A run holds 8 bytes per trial
-  plus one batch.
+  check on both. Trials run in batches of ``_SAMPLER_BATCH`` (2**14),
+  each batch's trials drawing in lockstep: m draws a trial in the first
+  step, then ``max(8, _SAMPLER_STEP_DRAWS // live)`` a step. Each draw's
+  coupon comes from a guide table over the draw's top 16 bits, with a
+  binary search only for draws whose bucket holds a threshold. A run
+  holds 8 bytes per trial plus one batch per worker.
+
+The exact and Monte Carlo routes split their work into independent
+blocks (high subsets, trial batches) and run them on one thread per
+usable core (:func:`_map_in_order`); numpy releases the interpreter lock
+inside each block's array calls, and the results are combined in block
+order, so the worker count changes no bit.
 
 :func:`completion_quantile` inverts the independent-sightings coverage
 curve prod(1 - (1-p_i)^t) instead, the cheap stand-in for percentiles of
@@ -31,8 +37,10 @@ a document scan.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Callable, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -64,12 +72,13 @@ _SAMPLER_COUPON_LIMIT = 64
 # the route itself takes any count, as ``compare`` needs.
 SUM_COUPON_LIMIT = 10**6
 
-# Trials per lockstep batch: its working arrays stay cache-sized.
-_SAMPLER_BATCH = 2**16
+# Trials per lockstep batch: a step's (8, batch) draws are 1 MiB, long
+# enough a numpy call for threads to run it in parallel.
+_SAMPLER_BATCH = 2**14
 # About the draws a lockstep step makes once few trials are live: each
 # then draws _SAMPLER_STEP_DRAWS // live counters a step, so a rare
-# coupon's long wait takes few steps. While more than half this many are
-# live, each draws one.
+# coupon's long wait takes few steps. While more than an eighth of this
+# many are live, each draws 8.
 _SAMPLER_STEP_DRAWS = 2**12
 
 # A draw's top bits name its guide-table bucket (see _CouponLookup).
@@ -82,6 +91,52 @@ _GUIDE_SENTINEL = np.uint64(2**64 - 1)
 # A trial needs about 1/p_min draws, so rarer coupons could keep the
 # sampler busy for days; the integral route has no such limit.
 _SAMPLER_RAREST_LIMIT = 10**6
+
+
+_R = TypeVar("_R")
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_in_order(function: Callable[[int], _R], items: Sequence[int]) -> list[_R]:
+    """``[function(item) for item in items]``, on one thread per usable
+    core (at most one per item).
+
+    The items must be independent blocks whose work is mostly numpy
+    calls, which release the interpreter lock. An exception in a block
+    propagates once the blocks in flight have finished; after it, or an
+    interrupt in the caller, the blocks not yet started never run, and
+    no thread outlives the call.
+    """
+    workers = min(_usable_cores(), len(items))
+    if workers <= 1:
+        return [function(item) for item in items]
+    from concurrent.futures import ThreadPoolExecutor
+
+    failed = threading.Event()
+
+    def run(item: int) -> _R | None:
+        if failed.is_set():
+            # Blocks start in input order, so this result comes after the
+            # error that is raised instead.
+            return None
+        try:
+            return function(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    pool = ThreadPoolExecutor(workers)
+    try:
+        futures = [pool.submit(run, item) for item in items]
+        return [future.result() for future in futures]
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 class SubsetLimitError(ValueError):
@@ -187,9 +242,12 @@ def expected_draws_equal(m: int) -> float:
 def _subset_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(J) and (-1)**|J| for every subset J of ``p``, by doubling: subset
     J sits at index sum(2**i for i in J), its sum added up in index order."""
-    sums, signs = np.zeros(1), np.ones(1)
+    sums, signs = np.zeros(1 << p.size), np.ones(1 << p.size)
+    n = 1
     for x in p:
-        sums, signs = np.concatenate([sums, sums + x]), np.concatenate([signs, -signs])
+        np.add(sums[:n], x, out=sums[n:2 * n])
+        np.negative(signs[:n], out=signs[n:2 * n])
+        n *= 2
     return sums, signs
 
 
@@ -211,21 +269,29 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
     check_coupon_count(m, "exact")
 
     # Subsets of the first 20 coupons are evaluated together, once per
-    # subset of the rest, so peak memory stays at 2**20 floats.
-    # A block's terms are low_sign / (low_sums + high_sum), made in one
-    # reused buffer, and its sum takes the high subset's sign after: a sign
-    # flip is exact and pairwise summation commutes with it, so the result
-    # is the sum of (low_sign * high_sign) / P(J) bit for bit.
+    # subset of the rest, so peak memory stays at 2**20 floats a worker.
+    # A block's terms are low_sign / (low_sums + high_sum), made in the
+    # worker's reused buffer, and its sum takes the high subset's sign
+    # after: a sign flip is exact and pairwise summation commutes with it,
+    # so the result is the sum of (low_sign * high_sign) / P(J) bit for bit.
     low_sums, low_sign = _subset_sums(p[:20])
-    terms = np.empty_like(low_sums)
-    total = 0.0
-    # Overflow is refused below; 1/0 is the empty subset's term, dropped.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for bits, (high_sum, high_sign) in enumerate(zip(*_subset_sums(p[20:]))):
-            np.add(low_sums, high_sum, out=terms)
+    high_sums, high_signs = _subset_sums(p[20:])
+    worker = threading.local()
+
+    def block_sum(bits: int) -> float:
+        terms = getattr(worker, "terms", None)
+        if terms is None:
+            terms = worker.terms = np.empty_like(low_sums)
+        # Overflow is refused below; 1/0 is the empty subset's term, dropped.
+        # numpy keeps error state per thread, so each block sets its own.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            np.add(low_sums, high_sums[bits], out=terms)
             np.divide(low_sign, terms, out=terms)
-            block = float(np.sum(terms[1:] if bits == 0 else terms))
-            total += block if high_sign > 0 else -block
+            return float(np.sum(terms[1:] if bits == 0 else terms))
+
+    total = 0.0
+    for block, high_sign in zip(_map_in_order(block_sum, range(high_sums.size)), high_signs):
+        total += block if high_sign > 0 else -block
     if not math.isfinite(total):
         raise ValueError("the subset sum leaves float range: a probability is too small")
     # signs carry (-1)**|J|; the expectation wants (-1)**(|J|+1).
@@ -398,17 +464,19 @@ def simulate_expected_draws(
     Trial i consumes the SplitMix64 stream keyed by (seed, i), so each
     trial's draw sequence is exactly what a one-at-a-time simulation
     would use; deterministic for a given seed. Trials run in batches of
-    ``_SAMPLER_BATCH``, one after another, and the trials of a batch
-    advance in lockstep, with finished trials dropped as they complete.
-    A step draws ``max(1, _SAMPLER_STEP_DRAWS // live)`` counters of each
-    of the live trials: one while more than 2**11 are live, a block of
-    them in the tail, where a rare coupon keeps a few trials drawing.
-    The rows of a block are OR-ed into each trial's coupons in counter
-    order, so a trial completes at the exact draw it would alone. Each
-    draw's coupon is read from a guide table (see
-    :class:`_CouponLookup`). A run holds 8 bytes per trial, for the
-    completion counts, plus one batch's working arrays (a few MB) and
-    the 512 KiB guide table, whatever the trial count.
+    ``_SAMPLER_BATCH``, one batch per worker thread at a time
+    (:func:`_map_in_order`), and the trials of a batch advance in
+    lockstep, with finished trials dropped as they complete. The first
+    step draws m counters of each trial, since none completes sooner;
+    every later step draws ``max(8, _SAMPLER_STEP_DRAWS // live)`` of
+    each live trial: 8 while more than 2**9 are live, a longer block in
+    the tail, where a rare coupon keeps a few trials drawing. The rows of
+    a block are OR-ed into each trial's coupons in counter order, so a
+    trial completes at the exact draw it would alone. Each draw's coupon
+    is read from a guide table (see :class:`_CouponLookup`). A run holds
+    8 bytes per trial, for the completion counts, plus one batch's
+    working arrays (about 1 MiB each) per worker and the 512 KiB guide
+    table, whatever the trial count.
     """
     check_trial_count(trials)
     dist = _coerce_distribution(probabilities)
@@ -425,14 +493,17 @@ def simulate_expected_draws(
     lookup = _CouponLookup(_coupon_thresholds(p))
     full = np.uint64((1 << m) - 1)
 
-    for start in range(0, trials, _SAMPLER_BATCH):
+    def run_batch(start: int) -> None:
+        # Fills completions[start:start + _SAMPLER_BATCH], which no other
+        # batch touches.
         index = np.arange(start, min(start + _SAMPLER_BATCH, trials))
         keys = derive_key_array(seed, index)
         seen = np.zeros(index.size, dtype=np.uint64)
         t = 0  # draws each live trial has made
         while index.size:
-            # Row r of a step holds every live trial's draw t + r + 1.
-            width = max(1, _SAMPLER_STEP_DRAWS // index.size)
+            # No trial completes in fewer than m draws, so the first step
+            # draws m. Row r of a step holds every live trial's draw t + r + 1.
+            width = max(8, _SAMPLER_STEP_DRAWS // index.size) if t else m
             counters = np.arange(t + 1, t + width + 1, dtype=np.uint64)[:, None]
             found = lookup.bits(stream_u64(keys, counters))
             found[0] |= seen
@@ -448,6 +519,8 @@ def simulate_expected_draws(
                 seen = seen[keep]
                 index = index[keep]
             t += width
+
+    _map_in_order(run_batch, range(0, trials, _SAMPLER_BATCH))
 
     mean = float(completions.mean())
     if trials > 1:

@@ -52,7 +52,12 @@ MAX_TRIALS = 10**7
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a ``uint64`` array (wrapping mod 2**64):
     scrambles each 64-bit value into a 64-bit value."""
-    z = np.array(z, dtype=np.uint64)  # 0-d stays an array, so products wrap silently
+    return _mixed(np.array(z, dtype=np.uint64))  # 0-d stays an array, so products wrap silently
+
+
+def _mixed(z: np.ndarray) -> np.ndarray:
+    """:func:`mix64_array` done in place on ``z``, a ``uint64`` array the
+    caller owns; returns ``z``."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX_MUL_1)
     z ^= z >> np.uint64(27)
@@ -71,7 +76,7 @@ def stream_u64(keys: int | np.ndarray, counters: int | np.ndarray) -> np.ndarray
     """
     keys = np.asarray(keys, dtype=np.uint64)
     counters = np.asarray(counters, dtype=np.uint64)
-    return mix64_array(keys + counters * np.uint64(GAMMA))
+    return _mixed(np.asarray(keys + counters * np.uint64(GAMMA)))  # a fresh sum, mixed in place
 
 
 def check_probabilities(values: Sequence[float], noun: str) -> None:

@@ -1,7 +1,11 @@
 """Collector expectations against brute-force and closed-form oracles."""
 
+import concurrent.futures
+import itertools
 import math
 import random
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
@@ -334,7 +338,9 @@ def power_law(count, exponent=1.0):
 
 class TestPinnedMonteCarlo:
     """Exact results recorded before the guide table and the trial
-    batches went in; the sampler must keep reproducing them."""
+    batches went in; the sampler must keep reproducing them. The
+    one-small-batch-boundary case was recorded with 2**16-trial batches,
+    before they shrank to 2**14."""
 
     @pytest.mark.parametrize(
         "dist, trials, seed, mean, std_error, minimum, maximum",
@@ -343,10 +349,12 @@ class TestPinnedMonteCarlo:
              "0x1.e9b17df19d66bp+5", "0x1.2634817940466p-5", 11, 509),
             (power_law(25), 100_000, 2025,
              "0x1.e2e421c044285p+7", "0x1.3bd0bb08aa951p-2", 54, 1114),
-            (dice_sum_distribution(), _SAMPLER_BATCH + 3, 2026,
+            (dice_sum_distribution(), 2**16 + 3, 2026,
              "0x1.e9a3231696bc4p+5", "0x1.1fda8bd4de97fp-3", 11, 440),
+            (dice_sum_distribution(), 2**14 + 3, 2027,
+             "0x1.ef068bb173ae9p+5", "0x1.24dd26d8bd9bcp-2", 11, 409),
         ],
-        ids=["dice", "power-law-25", "one-batch-boundary"],
+        ids=["dice", "power-law-25", "one-batch-boundary", "one-small-batch-boundary"],
     )
     def test_recorded_results(self, dist, trials, seed, mean, std_error, minimum, maximum):
         sample = simulate_expected_draws(dist, trials, seed)
@@ -442,6 +450,116 @@ class TestGuideLookup:
             (0.5, 0.3, 0.1, 0.05, 0.02, 0.01, 0.005, 0.001, 3e-4, 1e-4)
         )
         assert_matches_sequential(dist, 10, seed=77)
+
+
+class TestWorkerCount:
+    """Blocks run on one thread per usable core, and the count changes no
+    bit of any result."""
+
+    @pytest.mark.parametrize(
+        "dist, trials, seed",
+        [
+            (dice_sum_distribution(), 100_000, 4),
+            (CouponDistribution(TestRareCouponTail.PROBABILITIES), 10, 1),
+            (CouponDistribution.uniform(64), 2 * _SAMPLER_BATCH + 5, 6),
+        ],
+        ids=["dice", "rare-tail", "sixty-four-equal"],
+    )
+    def test_monte_carlo_is_the_same_on_any_count(self, monkeypatch, dist, trials, seed):
+        results = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fomo.collector, "_usable_cores", lambda w=workers: w)
+            results.append(simulate_expected_draws(dist, trials, seed))
+        assert results[1] == results[0] and results[2] == results[0]
+
+    @pytest.mark.parametrize(
+        "dist",
+        [dice_sum_distribution(), power_law(22), power_law(25)],
+        ids=["dice", "power-law-22", "power-law-25"],
+    )
+    def test_exact_is_the_same_on_any_count(self, monkeypatch, dist):
+        values = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fomo.collector, "_usable_cores", lambda w=workers: w)
+            values.append(expected_draws_unequal_exact(dist).hex())
+        assert values[1] == values[0] and values[2] == values[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_an_error_in_a_batch_stops_the_run(self, monkeypatch, workers):
+        # stream_u64 raises on its 30th call, in an early batch of 20.
+        # Batches start in order, and after the error only the batches
+        # the other workers hold (or are taking up) may run.
+        monkeypatch.setattr(fomo.collector, "_usable_cores", lambda: workers)
+        derive = fomo.collector.derive_key_array
+        calls = itertools.count(1)
+        batch = threading.local()
+        starts, failed_in = [], []
+
+        def keyed(seed, index):
+            batch.start = int(index[0])
+            starts.append(batch.start)
+            return derive(seed, index)
+
+        def failing(keys, counters):
+            if next(calls) == 30:
+                failed_in.append(batch.start)
+                raise RuntimeError("planted")
+            return stream_u64(keys, counters)
+
+        monkeypatch.setattr(fomo.collector, "derive_key_array", keyed)
+        monkeypatch.setattr(fomo.collector, "stream_u64", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="planted"):
+            simulate_expected_draws(dice_sum_distribution(), 20 * _SAMPLER_BATCH, seed=2)
+        assert threading.active_count() == before
+        assert max(starts) <= failed_in[0] + (workers - 1) * 2 * _SAMPLER_BATCH
+        assert len(starts) < 10
+
+    def test_no_block_starts_after_an_error(self, monkeypatch):
+        # Block 1 raises while block 0 still runs and the caller waits on
+        # block 0's result; the worker that raised must not go on to the
+        # blocks after it.
+        monkeypatch.setattr(fomo.collector, "_usable_cores", lambda: 2)
+        raised = threading.Event()
+        ran = []
+
+        def block(item):
+            ran.append(item)
+            if item == 1:
+                raised.set()
+                raise RuntimeError("planted")
+            if item == 0:
+                assert raised.wait(timeout=10)
+                time.sleep(0.1)  # long beside the error reaching the pool
+
+        with pytest.raises(RuntimeError, match="planted"):
+            fomo.collector._map_in_order(block, range(10))
+        assert sorted(ran) == [0, 1]
+
+    def test_an_interrupt_in_the_caller_cancels_the_waiting_blocks(self, monkeypatch):
+        monkeypatch.setattr(fomo.collector, "_usable_cores", lambda: 2)
+        ran = []
+
+        def interrupted(future, timeout=None):
+            raise KeyboardInterrupt
+
+        def block(item):
+            ran.append(item)
+            time.sleep(0.2)  # long beside submitting the rest and cancelling
+
+        # The caller is interrupted while it waits for the first result.
+        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            fomo.collector._map_in_order(block, range(50))
+        assert threading.active_count() == before
+        assert len(ran) <= 2
+
+    def test_no_thread_outlives_a_run(self):
+        before = threading.active_count()
+        simulate_expected_draws(dice_sum_distribution(), 3 * _SAMPLER_BATCH, seed=5)
+        expected_draws_unequal_exact(power_law(22))
+        assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("batches", [2, 32])

@@ -1,5 +1,6 @@
 """The package namespace re-exports each submodule's public names once,
-importing the CLI stays cheap, and every cap has its row in the README."""
+importing the CLI stays cheap, every cap has its row in the README, and
+no module reads the environment."""
 
 import ast
 import os
@@ -43,6 +44,27 @@ def run_python(code, cwd=None):
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is most of the import time, and only the integral route needs it.
     run_python("import sys, fomo.cli; assert 'scipy' not in sys.modules")
+
+
+def test_cli_import_leaves_concurrent_futures_unloaded():
+    # The collector routes import the thread pool when they have more than
+    # one block and more than one core; every other command skips it.
+    run_python("import sys, fomo.cli; assert 'concurrent.futures' not in sys.modules")
+
+
+def test_no_module_reads_the_environment():
+    # A run is set by its arguments alone: no environment variable, such
+    # as a thread count, may change what or how it computes.
+    package = Path(fomo.__file__).parent
+    reads = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("environ", "environb", "getenv"))
+        or (isinstance(node, ast.ImportFrom) and node.module == "os"
+            and {"environ", "environb", "getenv"} & {alias.name for alias in node.names})
+    ]
+    assert reads == []
 
 
 def test_every_benchmark_hook_resolves():
