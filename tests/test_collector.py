@@ -4,6 +4,7 @@ import concurrent.futures
 import itertools
 import math
 import random
+import sys
 import threading
 import time
 import tracemalloc
@@ -452,9 +453,22 @@ class TestGuideLookup:
         assert_matches_sequential(dist, 10, seed=77)
 
 
+@pytest.fixture
+def fast_switching():
+    """Threads hand over the interpreter lock every 10 us, so an update
+    lost between workers would show."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
 class TestWorkerCount:
     """Blocks run on one thread per usable core, and the count changes no
-    bit of any result."""
+    bit of any result: 1, 2 and 3 workers, the last more than a 2-core
+    machine runs at once."""
 
     @pytest.mark.parametrize(
         "dist, trials, seed",
@@ -465,6 +479,7 @@ class TestWorkerCount:
         ],
         ids=["dice", "rare-tail", "sixty-four-equal"],
     )
+    @pytest.mark.usefixtures("fast_switching")
     def test_monte_carlo_is_the_same_on_any_count(self, monkeypatch, dist, trials, seed):
         results = []
         for workers in (1, 2, 3):
@@ -477,6 +492,7 @@ class TestWorkerCount:
         [dice_sum_distribution(), power_law(22), power_law(25)],
         ids=["dice", "power-law-22", "power-law-25"],
     )
+    @pytest.mark.usefixtures("fast_switching")
     def test_exact_is_the_same_on_any_count(self, monkeypatch, dist):
         values = []
         for workers in (1, 2, 3):
