@@ -342,7 +342,7 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     # malloc keeps the draw blocks' pages in its heap instead of returning
     # them and faulting them in again each round (0.5 s of a fresh
     # process's first 10^6 documents on a 2-core guest).
-    doc_ids = _numbered_ids(doc_count)
+    doc_ids = np.strings.add("d", np.arange(doc_count).astype(StringDType()))
     block = max(1, BLOCK_DRAWS // m)
     lengths = np.empty(doc_count, dtype=np.int64)
     topic_blocks = []
@@ -379,20 +379,6 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
         indices=np.concatenate(topic_blocks),
         topic_count=m,
     )
-
-
-def _numbered_ids(count: int) -> np.ndarray:
-    """``"d0"`` to ``"d<count - 1>"`` as a StringDType array, built from
-    digit bytes for each digit count in turn, which is faster than adding
-    "d" to the numbers cast to strings."""
-    blocks = []
-    for width in range(1, len(str(count - 1)) + 1):
-        numbers = np.arange(10 ** (width - 1) if width > 1 else 0, min(count, 10**width))
-        grid = np.empty((numbers.size, width + 1), np.uint8)
-        grid[:, 0] = ord("d")
-        grid[:, 1:] = _digits(numbers, width)
-        blocks.append(grid.view(f"S{width + 1}").ravel().astype(StringDType()))
-    return np.concatenate(blocks)
 
 
 def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:

@@ -140,11 +140,11 @@ def derive_key(seed: int, index: int) -> int:
 
 
 def fisher_yates(
-    n: int, keys: np.ndarray
-) -> Generator[tuple[np.ndarray, np.ndarray, np.ndarray], np.ndarray | None, None]:
+    n: int, keys: np.ndarray, limit: int
+) -> Generator[tuple[np.ndarray, ...], np.ndarray | None, None]:
     """Uniform random permutations of ``range(n)``, one per key, drawn in
-    lockstep and yielded front to back, at most ``CHUNK`` positions of
-    each permutation a step.
+    lockstep and yielded front to back, a step fixing at most ``CHUNK``
+    positions of each and ``limit`` in all (but at least one a row).
 
     Knuth's Algorithm P (TAOCP Vol. 2, 3.4.2) fixing positions from the
     front: position i swaps in ``j = i + u % (n - i)`` for the next draw
@@ -152,13 +152,13 @@ def fisher_yates(
     the largest multiple of ``n - i`` below 2**64 is rejected and the
     next one taken, so every ``j`` in [i, n) is exactly equally likely.
 
-    Each step yields ``(rows, counts, picked)``: row ``rows[k]`` (an index
-    into ``keys``) fixed its next ``counts[k]`` positions, 0 to ``CHUNK``
-    (fewer near the end of a permutation, see ``REPLAYS``),
-    to the ``int32`` items that follow in ``picked``, the rows' runs
-    joined in order. Sending a boolean array aligned with ``rows`` stops
-    the rows it marks; a row stopped early has yielded the prefix its
-    full shuffle produces.
+    Each step yields ``(rows, counts, picked, places)``: row ``rows[k]``
+    (an index into ``keys``) fixed its next ``counts[k]`` positions, 0 to
+    ``CHUNK`` (fewer near the end of a permutation, see ``REPLAYS``), to
+    the ``int32`` items that follow in ``picked``, the rows' runs joined
+    in order, and ``places`` holds the 1-based position of each. Sending
+    a boolean array aligned with ``rows`` stops the rows it marks; a row
+    stopped early has yielded the prefix its full shuffle produces.
 
     A step reads each row's draws in one array call, with the rejection
     test on the whole run: a run ends at its first rejected draw, that
@@ -179,11 +179,11 @@ def fisher_yates(
     position = np.zeros(rows.size, dtype=np.int64)
     counter = np.ones(rows.size, dtype=np.uint64)
     while rows.size:
-        # The run spans at most the fewest positions any row has left, and is
-        # short enough that the swaps a step replays, about
-        # rows * width**2 / left, stay near REPLAYS.
+        # The run spans at most the fewest positions any row has left, keeps
+        # the step within limit, and is short enough that the swaps a step
+        # replays, about rows * width**2 / left, stay near REPLAYS.
         left = n - int(position.max())
-        width = min(CHUNK, left, max(1, math.isqrt(REPLAYS * left // rows.size)))
+        width = max(1, min(CHUNK, left, limit // rows.size, math.isqrt(REPLAYS * left // rows.size)))
         columns = np.arange(width)
         positions = position[:, None] + columns
         remaining = n - positions
@@ -202,10 +202,11 @@ def fisher_yates(
         # A swap whose target is a later position of its row's run.
         inside = (targets < (position + accepted)[:, None]) & (targets != positions)
         base = (rows * n)[:, None]
-        sources, targets, inside = (positions + base).ravel(), (targets + base).ravel(), inside.ravel()
+        places, sources = (positions + 1).ravel(), (positions + base).ravel()
+        targets, inside = (targets + base).ravel(), inside.ravel()
         if suspects.size:
             run = (columns < accepted[:, None]).ravel()
-            sources, targets, inside = sources[run], targets[run], inside[run]
+            places, sources, targets, inside = places[run], sources[run], targets[run], inside[run]
         picked, carried = items[targets], items[sources]
         items[targets] = carried
         # Replay in order the swaps with a target inside their row's run, the
@@ -228,7 +229,7 @@ def fisher_yates(
                 value[j] = value[i]
             picked[replay] = fixed
             items[list(value)] = list(value.values())
-        stop = (yield rows, accepted, picked) if picked.size else None
+        stop = (yield rows, accepted, picked, places) if picked.size else None
         position += accepted
         counter += np.minimum(accepted + 1, width).astype(np.uint64)  # and the rejected draw, if any
         live = position < n

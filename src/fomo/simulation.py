@@ -133,6 +133,8 @@ class SimulationSummary:
             raise ValueError("summary counts, seed and completion positions must be integers")
         if not self.min_completion <= min(inner) <= max(inner) <= self.max_completion:
             raise ValueError("summary mean and percentiles must lie in min..max_completion")
+        if not all(0 < r <= 1 for r in self.recall_at.values()):
+            raise ValueError("summary recall_at values must be in (0, 1]")
         if self.percentiles.keys() != self.recall_at.keys():
             raise ValueError("summary percentiles and recall_at must have the same quantiles")
         _checked_quantiles(self.percentiles, len(self.histogram))
@@ -252,12 +254,10 @@ def _first_sightings(
     first = np.zeros((trials, topic_count), dtype=np.int32)  # below n < 2**31 (fisher_yates)
     flat_first = first.reshape(-1)  # trial b's topic t at b * topic_count + t
     found = np.zeros(trials, dtype=np.int64)  # topics seen per trial
-    scanned = np.zeros(trials, dtype=np.int64)  # documents scanned per trial
-    run_start = np.empty(trials, dtype=np.int64)  # each trial's first document in the step
     finished = None
     while True:
         try:
-            rows, counts, docs = steps.send(finished)
+            rows, counts, docs, places = steps.send(finished)
         except StopIteration:
             break
         docs = docs.astype(np.intp)  # once, for both gathers
@@ -272,13 +272,9 @@ def _first_sightings(
         finished = None
         if unseen.size:
             new, earliest = np.unique(keys[unseen], return_index=True)
-            row = new // topic_count
-            run_start[rows] = np.cumsum(counts) - counts
-            step_docs = np.searchsorted(doc_ends, unseen[earliest], side="right")
-            flat_first[new] = scanned[row] - run_start[row] + step_docs + 1
-            found += np.bincount(row, minlength=trials)
+            flat_first[new] = places[np.searchsorted(doc_ends, unseen[earliest], side="right")]
+            found += np.bincount(new // topic_count, minlength=trials)
             finished = found[rows] == needed
-        scanned[rows] += counts
     return first
 
 
@@ -301,21 +297,27 @@ def shuffle_trial(corpus: Corpus, trial_seed: int) -> TrialResult:
     return next(_trial_batch(corpus, np.array([trial_seed], dtype=np.uint64)))
 
 
+def _step_limit(corpus: Corpus) -> int:
+    """Most positions a lockstep step scans over all its trials: ``TRIAL_BATCH_BYTES``
+    at about 64 bytes of step arrays a position and 64 a topic id it stores."""
+    return TRIAL_BATCH_BYTES * len(corpus) // (64 * (len(corpus) + corpus.indices.size))
+
+
 def _batch_size(corpus: Corpus) -> int:
     """Trials to run in lockstep: as many as ``TRIAL_BATCH_BYTES`` holds at
     4 bytes a document (the items) and 4 a topic id (the first positions)
-    per trial, plus 256 for its share of a step's arrays (about 300 bytes
-    a trial when the runs are one position long, as on a corpus of a few
-    documents), and at least one."""
-    per_trial = 4 * (len(corpus) + corpus.topic_count) + 256
-    return max(1, TRIAL_BATCH_BYTES // per_trial)
+    per trial, no more than the step limit (so one position each fits a
+    step), and at least one."""
+    per_trial = 4 * (len(corpus) + corpus.topic_count)
+    return max(1, min(TRIAL_BATCH_BYTES // per_trial, _step_limit(corpus)))
 
 
 def _trial_batch(corpus: Corpus, keys: np.ndarray) -> Iterator[TrialResult]:
     """The trials keyed by ``keys``, run in lockstep when first read. Each
     ``first_seen`` lists its trial's topics in order of appearance: by
     position, then by topic id (the sort is stable over ascending ids)."""
-    first = _first_sightings(corpus, fisher_yates(len(corpus), keys), keys.size)
+    steps = fisher_yates(len(corpus), keys, _step_limit(corpus))
+    first = _first_sightings(corpus, steps, keys.size)
     present = np.flatnonzero(first[0])  # a trial sees every topic present, and no other
     topics = present[np.argsort(first[:, present], axis=1, kind="stable")]
     positions = np.take_along_axis(first, topics, axis=1)
@@ -327,13 +329,8 @@ def _trial_batch(corpus: Corpus, keys: np.ndarray) -> Iterator[TrialResult]:
 def completion_topics(result: TrialResult) -> tuple[int, ...]:
     """Topics first sighted exactly at the completion position (the ones
     that kept the scan going; usually a single rare topic)."""
-    return tuple(
-        sorted(
-            t
-            for t, pos in result.first_seen.items()
-            if pos == result.completion_position
-        )
-    )
+    last = result.completion_position
+    return tuple(sorted(t for t, pos in result.first_seen.items() if pos == last))
 
 
 def run_trials(corpus: Corpus, trial_count: int, master_seed: int) -> Iterator[TrialResult]:
@@ -349,11 +346,6 @@ def run_trials(corpus: Corpus, trial_count: int, master_seed: int) -> Iterator[T
         for start in range(0, trial_count, size)
         for trial in _trial_batch(corpus, keys[start : start + size])
     )
-
-
-def _nearest_rank(sorted_values: np.ndarray, q: float) -> int:
-    rank = max(1, math.ceil(q * len(sorted_values)))
-    return int(sorted_values[rank - 1])
 
 
 def _equal_width_histogram(
@@ -379,6 +371,8 @@ def _checked_quantiles(quantiles: Sequence[float], bin_count: int) -> tuple[floa
     for q in quantiles:
         if not 0.0 < q < 1.0:
             raise ValueError(f"quantiles must be in (0, 1), got {q}")
+    if len(set(quantiles)) < len(quantiles):
+        raise ValueError(f"each quantile may be asked once, got {list(quantiles)}")
     if not 1 <= bin_count <= MAX_BIN_COUNT:
         raise ValueError(f"bin_count must be in 1..{MAX_BIN_COUNT}, got {bin_count}")
     return quantiles
@@ -404,7 +398,7 @@ def summarize(
     if not completions.size:
         raise ValueError("need at least one trial")
     completions.sort()
-    percentiles = {q: _nearest_rank(completions, q) for q in quantiles}
+    percentiles = {q: int(completions[math.ceil(q * completions.size) - 1]) for q in quantiles}
     return SimulationSummary(
         trial_count=completions.size,
         seed=master_seed,
@@ -436,24 +430,29 @@ def completion_vs_analytic(
     """Put simulated completion next to the independent-sightings model.
 
     Requires the summary to carry the 0.5 quantile (the default set
-    does). The analytic median inverts the with-replacement coverage
-    product at the corpus's observed prevalences; the analytic mean is
-    the collector expectation for the same prevalence vector.
+    does) and to be of this corpus, as :func:`summarize` makes it. The
+    analytic median inverts the with-replacement coverage product at the
+    corpus's observed prevalences; the analytic mean is the collector
+    expectation for the same prevalence vector.
     """
+    n = len(corpus)
     if 0.5 not in summary.percentiles:
         raise ValueError("summary must include the 0.5 quantile for comparison")
+    if summary.max_completion > n:
+        raise ValueError(f"summary max_completion {summary.max_completion} exceeds corpus size {n}")
+    if summary.recall_at != {q: p / n for q, p in summary.percentiles.items()}:
+        raise ValueError(f"summary recall_at must be its percentiles / corpus size {n}")
     prevalences = corpus.empirical_prevalences().values()  # in topic order
     analytic_median = completion_quantile(prevalences, 0.5)
     analytic_mean = expected_draws_unequal_sum(prevalences)
     empirical_median = summary.percentiles[0.5]
     empirical_mean = summary.mean_completion
     return AnalyticComparison(
-        corpus_documents=len(corpus),
+        corpus_documents=n,
         topics_present=len(corpus.topics_present),
         empirical_median=empirical_median,
         analytic_median=analytic_median,
-        median_relative_difference=abs(analytic_median - empirical_median)
-        / empirical_median,
+        median_relative_difference=abs(analytic_median - empirical_median) / empirical_median,
         empirical_mean=empirical_mean,
         analytic_mean=analytic_mean,
         mean_relative_difference=abs(analytic_mean - empirical_mean) / empirical_mean,

@@ -11,11 +11,13 @@ import csv
 import hashlib
 import io
 import itertools
+import json
 import math
 import random
 import time
 
 import pytest
+from byte_manifest import MANIFEST, run_cases
 from corpus_documents import Document, corpus_from_documents, documents_of
 
 from fomo.analytic import RecallScenario, fomo_confidence
@@ -329,6 +331,14 @@ def test_golden_study_corpus_and_curve(study_experiment, tmp_path, capsys):
 def test_golden_table_csv(capsys):
     assert main(["table"]) == 0
     assert sha256_text(capsys.readouterr().out) == GOLDEN_TABLE_CSV
+
+
+def test_byte_manifest(study_experiment, tmp_path, monkeypatch):
+    # Every command's stdout and written files, in both formats, against
+    # the digests tests/byte_manifest.py recorded.
+    _, corpus, _, _, _ = study_experiment
+    monkeypatch.chdir(tmp_path)
+    assert run_cases(corpus) == json.loads(MANIFEST.read_text())
 
 
 # -- 7: determinism ----------------------------------------------------------

@@ -124,6 +124,10 @@ class TestMissedSetSize:
         with pytest.raises(ValueError):
             missed_set_size(100, 0.0)
 
+    def test_rejects_an_empty_production(self):
+        with pytest.raises(ValueError, match="^n_identified must be >= 1, got 0$"):
+            missed_set_size(0, 0.5)
+
     @given(
         st.one_of(
             st.integers(1, 10**6),
@@ -171,6 +175,14 @@ class TestNovelTopicProb:
     def test_no_underflow_for_tiny_prevalence_huge_set(self):
         value = novel_topic_prob_in_missed(1e-12, 10**10)
         assert value == pytest.approx(-math.expm1(-1e-2), rel=1e-9)
+
+    def test_rejects_a_prevalence_outside_zero_to_one(self):
+        with pytest.raises(ValueError, match=r"^prevalence must be in \[0, 1\], got 1.5$"):
+            novel_topic_prob_in_missed(1.5, 3)
+
+    def test_rejects_a_negative_missed_count(self):
+        with pytest.raises(ValueError, match="^missed_count must be >= 0, got -1$"):
+            novel_topic_prob_in_missed(0.5, -1)
 
 
 class TestFomoConfidence:
@@ -328,6 +340,11 @@ class TestScenarioValidation:
                 prob_in_missed=0.5,
                 fomo_confidence=0.2,  # above 1 - 0.95
             )
+
+    def test_row_rejects_a_probability_outside_zero_to_one(self):
+        scenario = RecallScenario(100, 0.8, 0.95)
+        with pytest.raises(ValueError, match=r"^prob_in_missed out of \[0, 1\]: 1.5$"):
+            FomoRow(scenario, 0.01, 25, prob_in_missed=1.5, fomo_confidence=0.01)
 
 
 class TestFormatting:

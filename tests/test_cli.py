@@ -342,6 +342,15 @@ VALID_SUMMARY = {
     "histogram": [{"lower": 3.0, "upper": 3.0, "count": 4}],
 }
 
+# VALID_SUMMARY's completions moved from 3 to 5.
+FIVE = {
+    "min_completion": 5,
+    "max_completion": 5,
+    "mean_completion": 5.0,
+    "percentiles": {"0.5": 5},
+    "histogram": [{"lower": 5.0, "upper": 5.0, "count": 4}],
+}
+
 TOO_LARGE = "1000000000000"
 DEEPLY_NESTED = "[" * 100_000 + "]" * 100_000
 HUGE_INTEGER = 10**400  # 401 digits, beyond float range
@@ -581,6 +590,23 @@ MALFORMED_INPUTS = {
     "bound-huge-produced": ("", ["bound", "--produced", str(HUGE_INTEGER)]),
     "table-subnormal-recall": ("", ["table", "--produced", "1", "--recall", "5e-324"]),
     "bound-subnormal-confidence": ("", ["bound", "--produced", "1", "--confidence", "1e-320"]),
+    # Summaries of another corpus: recall above 1, a completion past the
+    # three documents of {corpus}, and a recall other than 3 / 3.
+    "summary-recall-above-one": (
+        json.dumps({**VALID_SUMMARY, **FIVE, "recall_at": {"0.5": 2.5}}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-completion-beyond-the-corpus": (
+        json.dumps({**VALID_SUMMARY, **FIVE}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "summary-recall-not-of-the-corpus": (
+        json.dumps({**VALID_SUMMARY, "recall_at": {"0.5": 0.5}}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
+    "simulate-repeated-quantile": (
+        "", ["simulate", "--corpus", "{corpus}", "--quantiles", "0.5,0.2,0.50"]
+    ),
     "summary-two-spellings-of-one-quantile": (
         json.dumps(
             {**VALID_SUMMARY, "percentiles": {"0.5": 3, "0.50": 3},
@@ -639,6 +665,41 @@ def test_valid_summary_compares(capsys, tiny_corpus, tmp_path):
         capsys, "compare", "--corpus", str(tiny_corpus), "--summary", str(path)
     )
     assert (code, err) == (0, "")
+
+
+@pytest.mark.parametrize(
+    "case, line",
+    [
+        ("summary-recall-above-one", "summary recall_at values must be in (0, 1]"),
+        ("summary-completion-beyond-the-corpus", "summary max_completion 5 exceeds corpus size 3"),
+        (
+            "summary-recall-not-of-the-corpus",
+            "summary recall_at must be its percentiles / corpus size 3",
+        ),
+        ("simulate-repeated-quantile", "each quantile may be asked once, got [0.5, 0.2, 0.5]"),
+    ],
+)
+def test_a_summary_of_another_corpus_or_a_repeated_quantile_is_named(
+    case, line, capsys, tiny_corpus, tmp_path
+):
+    contents, argv = MALFORMED_INPUTS[case]
+    path = tmp_path / "input"
+    path.write_text(contents, encoding="utf-8")
+    argv = [a.format(file=path, corpus=tiny_corpus) for a in argv]
+    assert run_cli(capsys, *argv) == (1, "", f"error: {line}\n")
+
+
+@pytest.mark.parametrize(
+    "error, line",
+    [(MemoryError("cannot allocate 8 TiB"), "error: out of memory (cannot allocate 8 TiB)\n"),
+     (MemoryError(), "error: out of memory\n")],
+)
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch, error, line):
+    def out_of_memory(args):
+        raise error
+
+    monkeypatch.setattr(fomo.cli, "_cmd_bound", out_of_memory)
+    assert run_cli(capsys, "bound", "--produced", "10") == (1, "", line)
 
 
 def test_huge_declared_topic_count_fails_at_once(capsys, tmp_path):

@@ -325,6 +325,11 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             simulate_expected_draws(dice_sum_distribution(), 0, seed=1)
 
+    def test_one_trial_has_no_standard_error(self):
+        sample = simulate_expected_draws(dice_sum_distribution(), 1, seed=1)
+        assert sample.std_error == 0.0
+        assert sample.trials == 1 and sample.mean == sample.minimum == sample.maximum
+
     def test_rejects_trials_above_the_cap(self):
         with pytest.raises(ValueError, match=str(MAX_TRIALS)):
             simulate_expected_draws(dice_sum_distribution(), MAX_TRIALS + 1, seed=1)
@@ -469,6 +474,13 @@ class TestWorkerCount:
     """Blocks run on one thread per usable core, and the count changes no
     bit of any result: 1, 2 and 3 workers, the last more than a 2-core
     machine runs at once."""
+
+    @pytest.mark.parametrize("cpu_count, cores", [(3, 3), (None, 1)])
+    def test_usable_cores_without_an_affinity_mask(self, monkeypatch, cpu_count, cores):
+        # Where os has no sched_getaffinity, the CPU count, or 1 if unknown.
+        monkeypatch.delattr(fomo.collector.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(fomo.collector.os, "cpu_count", lambda: cpu_count)
+        assert fomo.collector._usable_cores() == cores
 
     @pytest.mark.parametrize(
         "dist, trials, seed",

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import re
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -220,6 +221,19 @@ class TestCorpusInvariants:
         with pytest.raises(ValueError):
             corpus_from_documents((Document("a", (3,)),), topic_count=3)
 
+    @pytest.mark.parametrize(
+        "indptr, indices, topic_count, message",
+        [
+            ([0, 1], [0], 0, "topic_count must be >= 1, got 0"),
+            ([0, 1], [0.0], 2, "topic ids must be integers, got float64"),
+            ([0, 2], [0], 2, "indptr must hold 2 offsets from 0 to 1"),
+            ([1, 1], [0], 2, "indptr must hold 2 offsets from 0 to 1"),
+        ],
+    )
+    def test_rejects_a_bad_count_id_type_or_indptr(self, indptr, indices, topic_count, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Corpus(np.array(["a"]), np.array(indptr), np.array(indices), topic_count)
+
     def test_rejects_unsorted_or_duplicate_topics(self):
         with pytest.raises(ValueError):
             corpus_from_documents((Document("a", (1, 0)),), topic_count=3)
@@ -404,6 +418,16 @@ class TestSaveLoad:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"format":"something-else","version":1}\n', encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="line 1"):
+            load_corpus(path)
+
+    def test_unsupported_version_rejected(self, tmp_path):
+        path = tmp_path / "v2.jsonl"
+        path.write_text(
+            '{"format":"fomo-corpus","version":2,"topic_count":2}\n'
+            '{"doc_id":"a","topics":[0]}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(CorpusFormatError, match="^line 1: unsupported version 2$"):
             load_corpus(path)
 
     def test_header_without_documents_rejected(self, tmp_path):

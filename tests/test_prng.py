@@ -159,14 +159,22 @@ def test_next_below_rejects_nonpositive():
         SplitMix64(1).next_below(0)
 
 
-def permutations(n, keys):
+# A step limit no test's batch reaches.
+NO_LIMIT = 2**20
+
+
+def permutations(n, keys, limit=NO_LIMIT):
     """fisher_yates's runs joined row by row, one permutation per key; each
-    step checked to yield int32 items in runs of at most CHUNK positions."""
+    step checked to yield int32 items in runs of at most CHUNK positions,
+    at most ``limit`` in all (or one a row), each with its 1-based place."""
     joined = [[] for _ in keys]
-    for rows, counts, picked in fisher_yates(n, np.array(keys, dtype=np.uint64)):
+    for rows, counts, picked, places in fisher_yates(n, np.array(keys, dtype=np.uint64), limit):
         assert picked.dtype == np.int32 and picked.size == counts.sum() > 0
         assert 0 <= counts.min() and counts.max() <= CHUNK
-        for row, run in zip(rows.tolist(), np.split(picked, np.cumsum(counts)[:-1])):
+        assert picked.size <= max(limit, rows.size) and places.shape == picked.shape
+        ends = np.cumsum(counts)[:-1]
+        for row, run, at in zip(rows.tolist(), np.split(picked, ends), np.split(places, ends)):
+            assert at.tolist() == list(range(len(joined[row]) + 1, len(joined[row]) + run.size + 1))
             joined[row] += run.tolist()
     return joined
 
@@ -205,21 +213,31 @@ def test_fisher_yates_matches_in_place_reference():
         assert permutations(n, keys) == expected
 
 
+@pytest.mark.parametrize("limit", [0, 1, 2, 5, 64, 1000])
+def test_a_step_limit_keeps_the_permutations(limit):
+    # Fewer positions a step, down to one a row (limit 0, 1 and 2 fall
+    # below the three rows), leave every permutation as it was.
+    keys = (0, 7, 2**64 - 1)
+    for n in (1, 2, 9, 600, 1537):
+        expected = [in_place_permutation(n, SplitMix64(key)) for key in keys]
+        assert permutations(n, keys, limit) == expected
+
+
 def test_fisher_yates_refuses_more_items_than_int32_holds():
     with pytest.raises(ValueError, match="2\\*\\*31"):
-        next(fisher_yates(2**31, np.array([1], dtype=np.uint64)))
+        next(fisher_yates(2**31, np.array([1], dtype=np.uint64), NO_LIMIT))
 
 
 def test_fisher_yates_rows_stop_when_told():
     # Stopping one row leaves the others' permutations as they were.
     keys = [3, 4, 5]
     full = permutations(3000, keys)
-    steps = fisher_yates(3000, np.array(keys, dtype=np.uint64))
+    steps = fisher_yates(3000, np.array(keys, dtype=np.uint64), NO_LIMIT)
     joined = [[] for _ in keys]
     stop = None
     while True:
         try:
-            rows, counts, picked = steps.send(stop)
+            rows, counts, picked, _ = steps.send(stop)
         except StopIteration:
             break
         for row, run in zip(rows.tolist(), np.split(picked, np.cumsum(counts)[:-1])):

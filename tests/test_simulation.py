@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import dataclasses
 import math
 import random
+import re
 import tracemalloc
 from types import SimpleNamespace
 
@@ -17,7 +19,7 @@ from splitmix64_oracle import SplitMix64, in_place_fisher_yates
 
 from fomo.corpus import generate_corpus, zipf_prevalences
 import fomo.simulation
-from fomo.prng import CHUNK, MAX_TRIALS, derive_key
+from fomo.prng import CHUNK, MAX_TRIALS, derive_key, derive_key_array, fisher_yates
 from fomo.simulation import (
     HistogramBin,
     _equal_width_histogram,
@@ -31,6 +33,18 @@ from fomo.simulation import (
     summarize,
     summary_from_json,
 )
+
+
+class CorpusShape:
+    """What _batch_size and _step_limit read of a corpus: its document
+    count, its topic count and its stored topic ids."""
+
+    def __init__(self, documents, topic_count, topic_ids):
+        self.documents, self.topic_count = documents, topic_count
+        self.indices = np.empty(topic_ids, dtype=np.int32)
+
+    def __len__(self):
+        return self.documents
 
 
 def corpus_from_topic_sets(topic_sets, topic_count=None):
@@ -54,9 +68,11 @@ def scripted_steps(orders, sizes, reads):
     while live:
         counts = [min(sizes[(step + r) % len(sizes)], len(orders[r]) - done[r]) for r in live]
         picked = [d for r, c in zip(live, counts) for d in orders[r][done[r] : done[r] + c]]
+        places = [p for r, c in zip(live, counts) for p in range(done[r] + 1, done[r] + c + 1)]
         stop = None
         if picked:
-            stop = yield np.array(live), np.array(counts), np.array(picked, dtype=np.int32)
+            step_arrays = np.array(counts), np.array(picked, dtype=np.int32), np.array(places)
+            stop = yield np.array(live), *step_arrays
         for r, c in zip(live, counts):
             reads[r].append((done[r], done[r] + c))
             done[r] += c
@@ -365,7 +381,7 @@ class TestRunShuffles:
 
         corpus = corpus_from_topic_sets([{0}])
         monkeypatch.setattr(fomo.simulation, "_trial_batch", batch)
-        monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", 2 * (4 + 1 + 8 + 256))
+        monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", 2 * 64 * (1 + 1))
         trials = run_trials(corpus, 5, master_seed=5)
         assert batches == []
         keys = [derive_key(5, i) for i in range(5)]
@@ -373,9 +389,10 @@ class TestRunShuffles:
         assert list(trials) == keys[1:]
         assert batches == [keys[:2], keys[2:4], keys[4:]]
 
-    @pytest.mark.parametrize("budget", [1, 3 * (4 * 41 + 6 + 8 * 6 + 256), 10**6])
+    @pytest.mark.parametrize("budget", [1, 3 * 4 * (41 + 6), 10**6])
     def test_batches_equal_trials_run_alone(self, monkeypatch, budget):
-        # Batches of 1, 3 and all 40 trials, the last batch of three short.
+        # Batches of 1, 3 and all 40 trials, the last batch of three short;
+        # the batch of three takes steps of 4 positions in all.
         corpus = corpus_from_topic_sets([{i % 5} for i in range(40)] + [{5}], topic_count=6)
         monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", budget)
         alone = [shuffle_trial(corpus, derive_key(10, i)) for i in range(40)]
@@ -386,13 +403,42 @@ class TestRunShuffles:
         assert batched == alone
 
     def test_batch_size_from_the_byte_budget(self, monkeypatch):
-        # 4 bytes a document, 4 a topic id and 256 more, per trial.
-        size = fomo.simulation._batch_size
+        # 4 bytes a document and 4 a topic id per trial, and at most the step
+        # limit: 64 bytes a position and 64 a stored topic id.
+        size, limit = fomo.simulation._batch_size, fomo.simulation._step_limit
         assert size(corpus_from_topic_sets([{0}, {5}], topic_count=10**6)) == 2
-        assert size(corpus_from_topic_sets([{t} for t in range(2000)])) == 2**23 // 16256
-        assert size(corpus_from_topic_sets([{0}, {0}, {1}])) == 2**23 // 276
+        assert size(corpus_from_topic_sets([{t} for t in range(2000)])) == 2**23 // 16000
+        three = corpus_from_topic_sets([{0}, {0}, {1}])
+        assert size(three) == limit(three) == 2**23 * 3 // (64 * 6) == 65536
+        dense = corpus_from_topic_sets([range(500)] * 500)
+        assert size(dense) == limit(dense) == 2**23 * 500 // (64 * 500 * 501) == 261
         monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", 10)
         assert size(corpus_from_topic_sets([{0}, {0}])) == 1
+
+    @pytest.mark.parametrize(
+        "documents, topic_ids, batch", [(120_000, 144_965, 17), (10**6, 1_207_750, 2)]
+    )
+    def test_study_and_ingest_steps_take_whole_chunks(self, documents, topic_ids, batch):
+        # The study and ingest corpora (generation seed 7): the step limit,
+        # about 59,000 positions, stays far above a batch's runs of CHUNK.
+        shape = CorpusShape(documents, 64, topic_ids)
+        limit = fomo.simulation._step_limit(shape)
+        assert fomo.simulation._batch_size(shape) == batch and limit > 50_000
+        steps = fisher_yates(documents, derive_key_array(11, np.arange(batch)), limit)
+        assert next(steps)[1].tolist() == [CHUNK] * batch
+
+    def test_a_batch_of_a_dense_corpus_stays_near_the_budget(self):
+        # Every document holds all 500 topics, so each position of a step
+        # scans 500 topic ids. A batch sized by items and first positions
+        # alone (1,971 trials) held about 291 MiB in its first step.
+        corpus = corpus_from_topic_sets([range(500)] * 500)
+        tracemalloc.start()
+        try:
+            run_shuffles(corpus, fomo.simulation._batch_size(corpus), master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * fomo.simulation.TRIAL_BATCH_BYTES
 
     def test_run_trials_checks_its_count_at_the_call(self, monkeypatch):
         def no_keys(*args):
@@ -460,7 +506,12 @@ class TestRunShuffles:
         ACCESSION_TOPIC_SETS,
         st.integers(1, 40),
         st.integers(0, 2**64 - 1),
-        st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=5),
+        st.lists(
+            st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+            min_size=1,
+            max_size=5,
+            unique=True,
+        ),
         st.integers(1, 200),
     )
     @settings(max_examples=100, deadline=None)
@@ -474,6 +525,18 @@ class TestRunShuffles:
         corpus = corpus_from_topic_sets([{0}])
         with pytest.raises(ValueError):
             run_shuffles(corpus, 5, 1, quantiles=(bad_quantile,))
+
+    @pytest.mark.parametrize(
+        "quantiles, message",
+        [
+            ((), "need at least one quantile"),
+            ((0.5, 0.2, 0.5), "each quantile may be asked once, got [0.5, 0.2, 0.5]"),
+        ],
+    )
+    def test_rejects_no_quantile_or_a_repeated_one(self, quantiles, message):
+        corpus = corpus_from_topic_sets([{0}])
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_shuffles(corpus, 5, 1, quantiles=quantiles)
 
     def test_rejects_bad_bin_and_trial_counts(self):
         corpus = corpus_from_topic_sets([{0}])
@@ -538,6 +601,19 @@ def test_summary_from_json_takes_one_spelling_per_quantile(key):
         summary_from_json(text.replace('"0.5"', json.dumps(key)))
 
 
+def test_summary_from_json_refuses_another_version():
+    text = run_shuffles(corpus_from_topic_sets([{0}]), 2, master_seed=1).to_json()
+    with pytest.raises(ValueError, match="^unsupported summary version 2$"):
+        summary_from_json(text.replace('"version":1', '"version":2'))
+
+
+@pytest.mark.parametrize("recall", [0.0, 1.5, 2.5])
+def test_a_summary_recall_lies_in_zero_to_one(recall):
+    summary = run_shuffles(corpus_from_topic_sets([{0}, {1}]), 4, master_seed=1)
+    with pytest.raises(ValueError, match=r"^summary recall_at values must be in \(0, 1\]$"):
+        dataclasses.replace(summary, recall_at={**summary.recall_at, 0.5: recall})
+
+
 class TestCompletionVsAnalytic:
     def test_single_document_corpus(self):
         corpus = corpus_from_topic_sets([{0}])
@@ -552,6 +628,17 @@ class TestCompletionVsAnalytic:
         summary = run_shuffles(corpus, 20, master_seed=2, quantiles=(0.25, 0.75))
         with pytest.raises(ValueError, match="0.5"):
             completion_vs_analytic(corpus, summary)
+
+    def test_refuses_a_summary_of_another_corpus(self):
+        two = corpus_from_topic_sets([{0}, {1}])
+        three = corpus_from_topic_sets([{0}, {1}, {0}])
+        summary = run_shuffles(three, 20, master_seed=2)  # completes at 2 or 3
+        with pytest.raises(ValueError, match="^summary max_completion 3 exceeds corpus size 2$"):
+            completion_vs_analytic(two, summary)
+        summary = run_shuffles(two, 20, master_seed=2)  # completes at 2: recall 1.0
+        message = "^summary recall_at must be its percentiles / corpus size 3$"
+        with pytest.raises(ValueError, match=message):
+            completion_vs_analytic(three, summary)
 
     def test_replacement_model_never_finishes_sooner(self):
         # scanning without replacement is stochastically faster, so the
