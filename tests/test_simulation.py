@@ -1,8 +1,8 @@
 """Shuffle engine: hand traces, permutation oracles, determinism."""
 
+import dataclasses
 import itertools
 import json
-import dataclasses
 import math
 import random
 import re
