@@ -131,12 +131,8 @@ def _map_in_order(function: Callable[[int], _R], items: Sequence[int]) -> list[_
             failed.set()
             raise
 
-    pool = ThreadPoolExecutor(workers)
-    try:
-        futures = [pool.submit(run, item) for item in items]
-        return [future.result() for future in futures]
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(run, items))
 
 
 class SubsetLimitError(ValueError):
@@ -370,14 +366,10 @@ def completion_quantile(probabilities: ProbabilityVector, q: float) -> int:
     log_miss = np.log1p(-partial)  # log(1 - p_i)
 
     def coverage(t: int) -> float:
-        if partial.size == 0:
-            return 1.0
         unseen = np.exp(t * log_miss)  # (1 - p_i)**t
-        return math.exp(float(np.sum(np.log1p(-unseen))))
+        return math.exp(float(np.sum(np.log1p(-unseen))))  # 1.0 with no partial topic
 
-    if coverage(1) >= q:
-        return 1
-    hi = 2
+    hi = 1
     while coverage(hi) < q:
         hi *= 2
     lo = hi // 2  # coverage(lo) < q <= coverage(hi)
@@ -450,9 +442,8 @@ class _CouponLookup:
         bits = self.guide[(draws >> _GUIDE_SHIFT).view(np.int64)]
         flat = bits.reshape(-1)
         edge = np.flatnonzero(flat == _GUIDE_SENTINEL)
-        if edge.size:
-            found = np.searchsorted(self.thresholds, draws.reshape(-1)[edge], side="right")
-            flat[edge] = self.bit[found]
+        found = np.searchsorted(self.thresholds, draws.reshape(-1)[edge], side="right")
+        flat[edge] = self.bit[found]
         return bits
 
 

@@ -174,8 +174,16 @@ class Corpus:
     topic_count: int
 
     def __post_init__(self) -> None:
-        if self.topic_count < 1:
-            raise ValueError(f"topic_count must be >= 1, got {self.topic_count}")
+        # The header's rule: an integer >= 1, a numpy integer stored as int.
+        try:
+            topic_count = operator.index(self.topic_count)
+        except TypeError:
+            topic_count = None
+        if topic_count is None or isinstance(self.topic_count, bool):
+            raise ValueError(f"topic_count must be an integer, got {self.topic_count!r}")
+        if topic_count < 1:
+            raise ValueError(f"topic_count must be >= 1, got {topic_count}")
+        object.__setattr__(self, "topic_count", topic_count)
         doc_ids = _frozen(self.doc_ids, StringDType())
         indptr = _frozen(self.indptr, np.int64)
         indices = np.asarray(self.indices)
@@ -368,8 +376,7 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
             round_index += 1
         doc = np.concatenate(docs)
         topic = np.concatenate(topics)
-        if len(docs) > 1:  # a document's hits all come from one round
-            topic = topic[np.argsort(doc, kind="stable")]
+        topic = topic[np.argsort(doc, kind="stable")]  # a document's hits all come from one round
         lengths[start:stop] = np.bincount(doc, minlength=stop - start)
         topic_blocks.append(topic.astype(np.int32))
 

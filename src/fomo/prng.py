@@ -17,16 +17,14 @@ operation, and :func:`mix64_array` is the finalizer. :func:`check_probabilities`
 states the rule every probability meets, :func:`u64_thresholds` turns them
 into the integer cut-offs a draw is compared against, :func:`check_seed` and
 :func:`check_trial_count` state the range of a seed and of a trial count,
-:func:`derive_key_array` keys independent streams (one per document, one per
-trial), and :func:`fisher_yates` draws permutations in lockstep, ``CHUNK``
-positions of each at a time. The sequential form (a state advanced by ``GAMMA`` per call) is
+and :func:`derive_key_array` keys independent streams (one per document, one
+per trial). The sequential form (a state advanced by ``GAMMA`` per call) is
 kept only in the tests, as the oracle these are checked against.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Generator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -37,11 +35,6 @@ GAMMA = 0x9E3779B97F4A7C15
 
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
 _MIX_MUL_2 = 0x94D049BB133111EB
-
-# Most positions of a row fisher_yates draws, and yields, per array step.
-CHUNK = 512
-# About how many swaps of a step fisher_yates may replay one at a time.
-REPLAYS = 128
 
 # Most trials one run takes, shuffle or Monte Carlo: ten times the largest
 # count in use, and checked before the run's keys or counts (8 bytes a
@@ -137,103 +130,3 @@ def derive_key(seed: int, index: int) -> int:
     if index < 0:
         raise ValueError(f"stream index must be >= 0, got {index}")
     return int(derive_key_array(seed, np.array([index]))[0])
-
-
-def fisher_yates(
-    n: int, keys: np.ndarray, limit: int
-) -> Generator[tuple[np.ndarray, ...], np.ndarray | None, None]:
-    """Uniform random permutations of ``range(n)``, one per key, drawn in
-    lockstep and yielded front to back, a step fixing at most ``CHUNK``
-    positions of each and ``limit`` in all (but at least one a row).
-
-    Knuth's Algorithm P (TAOCP Vol. 2, 3.4.2) fixing positions from the
-    front: position i swaps in ``j = i + u % (n - i)`` for the next draw
-    ``u`` of the stream keyed by the row's key, where a draw at or above
-    the largest multiple of ``n - i`` below 2**64 is rejected and the
-    next one taken, so every ``j`` in [i, n) is exactly equally likely.
-
-    Each step yields ``(rows, counts, picked, places)``: row ``rows[k]``
-    (an index into ``keys``) fixed its next ``counts[k]`` positions, 0 to
-    ``CHUNK`` (fewer near the end of a permutation, see ``REPLAYS``), to
-    the ``int32`` items that follow in ``picked``, the rows' runs joined
-    in order, and ``places`` holds the 1-based position of each. Sending
-    a boolean array aligned with ``rows`` stops the rows it marks; a row
-    stopped early has yielded the prefix its full shuffle produces.
-
-    A step reads each row's draws in one array call, with the rejection
-    test on the whole run: a run ends at its first rejected draw, that
-    counter is skipped and the next run starts at the same position,
-    which consumes the stream exactly as drawing one position at a time
-    does. The items sit in one (rows, n) array, and a step's swaps act on
-    it at once at flat indices ``row * n + i``, each reading both items
-    as they stood before the step; the few swaps that share an index
-    with another swap of the step are then replayed one by one.
-    """
-    keys = np.asarray(keys, dtype=np.uint64)
-    if not 0 <= n < 2**31:
-        raise ValueError(f"fisher_yates shuffles fewer than 2**31 items, got {n}")
-    items = np.empty((keys.size, n), dtype=np.int32)  # items and positions fit int32
-    items[:] = np.arange(n, dtype=np.int32)
-    items = items.ravel()  # row r's item now at position i is items[r * n + i], i >= its position
-    rows = np.arange(keys.size if n else 0)
-    position = np.zeros(rows.size, dtype=np.int64)
-    counter = np.ones(rows.size, dtype=np.uint64)
-    while rows.size:
-        # The run spans at most the fewest positions any row has left, keeps
-        # the step within limit, and is short enough that the swaps a step
-        # replays, about rows * width**2 / left, stay near REPLAYS.
-        left = n - int(position.max())
-        width = max(1, min(CHUNK, left, limit // rows.size, math.isqrt(REPLAYS * left // rows.size)))
-        columns = np.arange(width)
-        positions = position[:, None] + columns
-        remaining = n - positions
-        draws = stream_u64(keys[rows, None], counter[:, None] + columns.astype(np.uint64))
-        # A draw is rejected only at or above 2**64 - excess, with excess below
-        # n - i <= n, so only the few draws at or above 2**64 - n need the test.
-        suspects = np.flatnonzero(draws >= np.uint64(2**64 - n))
-        accepted = np.full(rows.size, width)
-        if suspects.size:
-            row, column = np.divmod(suspects, width)
-            excess = remaining.ravel()[suspects].astype(np.uint64)
-            excess = (0 - excess) % excess  # 2**64 mod (n - i)
-            rejected = (excess != 0) & (draws.ravel()[suspects] >= 0 - excess)
-            np.minimum.at(accepted, row[rejected], column[rejected])
-        targets = positions + (draws % remaining.view(np.uint64)).view(np.int64)
-        # A swap whose target is a later position of its row's run.
-        inside = (targets < (position + accepted)[:, None]) & (targets != positions)
-        base = (rows * n)[:, None]
-        places, sources = (positions + 1).ravel(), (positions + base).ravel()
-        targets, inside = (targets + base).ravel(), inside.ravel()
-        if suspects.size:
-            run = (columns < accepted[:, None]).ravel()
-            places, sources, targets, inside = places[run], sources[run], targets[run], inside[run]
-        picked, carried = items[targets], items[sources]
-        items[targets] = carried
-        # Replay in order the swaps with a target inside their row's run, the
-        # swaps at the positions those name (the run's swaps are consecutive),
-        # and the swaps sharing a target.
-        ranked = np.argsort(targets)
-        shared = np.flatnonzero(targets[ranked[1:]] == targets[ranked[:-1]])
-        inside = np.flatnonzero(inside)
-        named = inside + (targets[inside] - sources[inside])
-        replay = np.zeros(targets.size, dtype=bool)
-        replay[np.concatenate([inside, named, ranked[shared], ranked[shared + 1]])] = True
-        replay = np.flatnonzero(replay)
-        if replay.size:
-            at, to = targets[replay].tolist(), sources[replay].tolist()
-            value = dict(zip(at, picked[replay].tolist()))  # items as they stood before the step
-            value.update(zip(to, carried[replay].tolist()))
-            fixed = []
-            for j, i in zip(at, to):
-                fixed.append(value[j])
-                value[j] = value[i]
-            picked[replay] = fixed
-            items[list(value)] = list(value.values())
-        stop = (yield rows, accepted, picked, places) if picked.size else None
-        position += accepted
-        counter += np.minimum(accepted + 1, width).astype(np.uint64)  # and the rejected draw, if any
-        live = position < n
-        if stop is not None:
-            live &= ~stop
-        if not live.all():
-            rows, position, counter = rows[live], position[live], counter[live]

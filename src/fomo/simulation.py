@@ -12,12 +12,12 @@ level each percentile corresponds to.
 Determinism contract: trial i permutes with the Fisher-Yates shuffle
 driven by the SplitMix64 stream keyed by (master_seed, i), so its result
 depends only on the seed and i; :func:`run_trials` derives every trial's
-key in one array call. Trials run in lockstep batches: each step of the
-batch shuffle hands every unfinished trial's next run of at most
-:data:`~fomo.prng.CHUNK` positions to the scan at once, and a trial is
-abandoned after the run holding its completion position; the emitted
-prefix is identical to what a full shuffle would have produced, however
-the trials are batched.
+key in one array call. Trials run in lockstep batches that one byte budget
+sizes (:func:`_batch_plan`): each step of :func:`fisher_yates` hands every
+unfinished trial's next run of at most ``CHUNK`` positions to the scan at
+once, and a trial is abandoned after the run holding its completion
+position; the emitted prefix is identical to what a full shuffle would
+have produced, however the trials are batched.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 
 from .collector import completion_quantile, expected_draws_unequal_sum
 from .corpus import Corpus
-from .prng import check_trial_count, derive_key_array, fisher_yates
+from .prng import check_seed, check_trial_count, derive_key_array, stream_u64
 
 __all__ = [
     "CoverageCurve",
@@ -55,8 +55,12 @@ SUMMARY_VERSION = 1
 
 DEFAULT_QUANTILES = (0.10, 0.20, 0.50, 0.95)
 DEFAULT_BIN_COUNT = 20
-# The bytes a batch of lockstep shuffle trials holds (see _batch_size).
+# The bytes a batch of lockstep shuffle trials holds (see _batch_plan).
 TRIAL_BATCH_BYTES = 2**23
+# Most positions of a row fisher_yates draws, and yields, per array step.
+CHUNK = 512
+# About how many swaps of a step fisher_yates may replay one at a time.
+REPLAYS = 128
 # The histogram's bin limit, the same order as the Monte Carlo collector's
 # 1/p <= 10**6 cap; checked before any trial runs.
 MAX_BIN_COUNT = 10**6
@@ -131,6 +135,7 @@ class SimulationSummary:
             )
         if not all(type(v) is int for v in [*ints, *self.percentiles.values()]):
             raise ValueError("summary counts, seed and completion positions must be integers")
+        check_seed(self.seed)
         if not self.min_completion <= min(inner) <= max(inner) <= self.max_completion:
             raise ValueError("summary mean and percentiles must lie in min..max_completion")
         if not all(0 < r <= 1 for r in self.recall_at.values()):
@@ -237,11 +242,111 @@ class AnalyticComparison:
     mean_relative_difference: float
 
 
+def fisher_yates(
+    n: int, keys: np.ndarray, limit: int
+) -> Generator[tuple[np.ndarray, ...], np.ndarray | None, None]:
+    """Uniform random permutations of ``range(n)``, one per key, drawn in
+    lockstep and yielded front to back, a step fixing at most ``CHUNK``
+    positions of each and ``limit`` in all (but at least one a row).
+
+    Knuth's Algorithm P (TAOCP Vol. 2, 3.4.2) fixing positions from the
+    front: position i swaps in ``j = i + u % (n - i)`` for the next draw
+    ``u`` of the stream keyed by the row's key, where a draw at or above
+    the largest multiple of ``n - i`` below 2**64 is rejected and the
+    next one taken, so every ``j`` in [i, n) is exactly equally likely.
+
+    Each step yields ``(rows, counts, picked, places)``: row ``rows[k]``
+    (an index into ``keys``) fixed its next ``counts[k]`` positions, 0 to
+    ``CHUNK`` (fewer near the end of a permutation, see ``REPLAYS``), to
+    the ``int32`` items that follow in ``picked``, the rows' runs joined
+    in order, and ``places`` holds the 1-based position of each. Sending
+    a boolean array aligned with ``rows`` stops the rows it marks; a row
+    stopped early has yielded the prefix its full shuffle produces.
+
+    A step reads each row's draws in one array call, with the rejection
+    test on the whole run: a run ends at its first rejected draw, that
+    counter is skipped and the next run starts at the same position,
+    which consumes the stream exactly as drawing one position at a time
+    does. The items sit in one (rows, n) array, and a step's swaps act on
+    it at once at flat indices ``row * n + i``, each reading both items
+    as they stood before the step; the few swaps that share an index
+    with another swap of the step are then replayed one by one.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    if not 0 <= n < 2**31:
+        raise ValueError(f"fisher_yates shuffles fewer than 2**31 items, got {n}")
+    items = np.empty((keys.size, n), dtype=np.int32)  # items and positions fit int32
+    items[:] = np.arange(n, dtype=np.int32)
+    items = items.ravel()  # row r's item now at position i is items[r * n + i], i >= its position
+    rows = np.arange(keys.size if n else 0)
+    position = np.zeros(rows.size, dtype=np.int64)
+    counter = np.ones(rows.size, dtype=np.uint64)
+    while rows.size:
+        # The run spans at most the fewest positions any row has left, keeps
+        # the step within limit, and is short enough that the swaps a step
+        # replays, about rows * width**2 / left, stay near REPLAYS.
+        left = n - int(position.max())
+        width = max(1, min(CHUNK, left, limit // rows.size, math.isqrt(REPLAYS * left // rows.size)))
+        columns = np.arange(width)
+        positions = position[:, None] + columns
+        remaining = n - positions
+        draws = stream_u64(keys[rows, None], counter[:, None] + columns.astype(np.uint64))
+        # A draw is rejected only at or above 2**64 - excess, with excess below
+        # n - i <= n, so only the few draws at or above 2**64 - n need the test.
+        suspects = np.flatnonzero(draws >= np.uint64(2**64 - n))
+        accepted = np.full(rows.size, width)
+        if suspects.size:
+            row, column = np.divmod(suspects, width)
+            excess = remaining.ravel()[suspects].astype(np.uint64)
+            excess = (0 - excess) % excess  # 2**64 mod (n - i)
+            rejected = (excess != 0) & (draws.ravel()[suspects] >= 0 - excess)
+            np.minimum.at(accepted, row[rejected], column[rejected])
+        targets = positions + (draws % remaining.view(np.uint64)).view(np.int64)
+        # A swap whose target is a later position of its row's run.
+        inside = (targets < (position + accepted)[:, None]) & (targets != positions)
+        base = (rows * n)[:, None]
+        places, sources = (positions + 1).ravel(), (positions + base).ravel()
+        targets, inside = (targets + base).ravel(), inside.ravel()
+        if suspects.size:
+            run = (columns < accepted[:, None]).ravel()
+            places, sources, targets, inside = places[run], sources[run], targets[run], inside[run]
+        picked, carried = items[targets], items[sources]
+        items[targets] = carried
+        # Replay in order the swaps with a target inside their row's run, the
+        # swaps at the positions those name (the run's swaps are consecutive),
+        # and the swaps sharing a target.
+        ranked = np.argsort(targets)
+        shared = np.flatnonzero(targets[ranked[1:]] == targets[ranked[:-1]])
+        inside = np.flatnonzero(inside)
+        named = inside + (targets[inside] - sources[inside])
+        replay = np.zeros(targets.size, dtype=bool)
+        replay[np.concatenate([inside, named, ranked[shared], ranked[shared + 1]])] = True
+        replay = np.flatnonzero(replay)
+        if replay.size:
+            at, to = targets[replay].tolist(), sources[replay].tolist()
+            value = dict(zip(at, picked[replay].tolist()))  # items as they stood before the step
+            value.update(zip(to, carried[replay].tolist()))
+            fixed = []
+            for j, i in zip(at, to):
+                fixed.append(value[j])
+                value[j] = value[i]
+            picked[replay] = fixed
+            items[list(value)] = list(value.values())
+        stop = (yield rows, accepted, picked, places) if picked.size else None
+        position += accepted
+        counter += np.minimum(accepted + 1, width).astype(np.uint64)  # and the rejected draw, if any
+        live = position < n
+        if stop is not None:
+            live &= ~stop
+        if not live.all():
+            rows, position, counter = rows[live], position[live], counter[live]
+
+
 def _first_sightings(
     corpus: Corpus, steps: Generator[tuple[np.ndarray, ...], np.ndarray | None, None], trials: int
 ) -> np.ndarray:
     """Scan ``trials`` document orders in lockstep, ``steps`` yielding them
-    as :func:`~fomo.prng.fisher_yates` does, and stop each once every
+    as :func:`fisher_yates` does, and stop each once every
     topic present has been seen in it.
 
     Returns a (trials, topic_count) ``int32`` array: entry (b, t) is the
@@ -291,32 +396,30 @@ def scan_accession(corpus: Corpus) -> CoverageCurve:
 
 
 def shuffle_trial(corpus: Corpus, trial_seed: int) -> TrialResult:
-    """Scan the corpus in the uniformly random :func:`~fomo.prng.fisher_yates`
+    """Scan the corpus in the uniformly random :func:`fisher_yates`
     order keyed by ``trial_seed``, drawn a run at a time and abandoned once
     every topic present has been seen: a batch of one trial."""
     return next(_trial_batch(corpus, np.array([trial_seed], dtype=np.uint64)))
 
 
-def _step_limit(corpus: Corpus) -> int:
-    """Most positions a lockstep step scans over all its trials: ``TRIAL_BATCH_BYTES``
-    at about 64 bytes of step arrays a position and 64 a topic id it stores."""
-    return TRIAL_BATCH_BYTES * len(corpus) // (64 * (len(corpus) + corpus.indices.size))
-
-
-def _batch_size(corpus: Corpus) -> int:
-    """Trials to run in lockstep: as many as ``TRIAL_BATCH_BYTES`` holds at
-    4 bytes a document (the items) and 4 a topic id (the first positions)
-    per trial, no more than the step limit (so one position each fits a
-    step), and at least one."""
-    per_trial = 4 * (len(corpus) + corpus.topic_count)
-    return max(1, min(TRIAL_BATCH_BYTES // per_trial, _step_limit(corpus)))
+def _batch_plan(corpus: Corpus) -> tuple[int, int]:
+    """Trials to run in lockstep and the most positions a step scans over
+    them all, each within ``TRIAL_BATCH_BYTES``: a trial at 4 bytes a
+    document (items), 4 a topic id (first positions) and 24 a topic present
+    (the copy, order, ids and positions that sort them), a step at about 64
+    bytes a position and 64 a topic id stored. At least one trial, and at
+    most the step limit, so one position each fits a step."""
+    n = len(corpus)
+    step_limit = TRIAL_BATCH_BYTES * n // (64 * (n + corpus.indices.size))
+    per_trial = 4 * (n + corpus.topic_count) + 24 * len(corpus.topics_present)
+    return max(1, min(TRIAL_BATCH_BYTES // per_trial, step_limit)), step_limit
 
 
 def _trial_batch(corpus: Corpus, keys: np.ndarray) -> Iterator[TrialResult]:
     """The trials keyed by ``keys``, run in lockstep when first read. Each
     ``first_seen`` lists its trial's topics in order of appearance: by
     position, then by topic id (the sort is stable over ascending ids)."""
-    steps = fisher_yates(len(corpus), keys, _step_limit(corpus))
+    steps = fisher_yates(len(corpus), keys, _batch_plan(corpus)[1])
     first = _first_sightings(corpus, steps, keys.size)
     present = np.flatnonzero(first[0])  # a trial sees every topic present, and no other
     topics = present[np.argsort(first[:, present], axis=1, kind="stable")]
@@ -336,11 +439,11 @@ def completion_topics(result: TrialResult) -> tuple[int, ...]:
 def run_trials(corpus: Corpus, trial_count: int, master_seed: int) -> Iterator[TrialResult]:
     """Independent shuffle trials, trial i keyed by (master_seed, i). The
     count and seed are checked, and the keys derived, at the call; the
-    trials run in lockstep batches (:func:`_batch_size`), each when the
+    trials run in lockstep batches (:func:`_batch_plan`), each when the
     returned iterator reaches its first trial."""
     check_trial_count(trial_count)
     keys = derive_key_array(master_seed, np.arange(trial_count))
-    size = _batch_size(corpus)
+    size = _batch_plan(corpus)[0]
     return (
         trial
         for start in range(0, trial_count, size)
@@ -390,10 +493,11 @@ def summarize(
     Builds an equal-width histogram of the completion positions over
     [min, max], nearest-rank percentiles for the requested quantiles,
     and the corresponding recall fractions. Reads ``results`` once, after
-    checking the options, and keeps only the completion positions, in one
+    checking the options and the seed, and keeps only the completion positions, in one
     ``int64`` array.
     """
     quantiles = _checked_quantiles(quantiles, bin_count)
+    check_seed(master_seed)
     completions = np.fromiter((r.completion_position for r in results), dtype=np.int64)
     if not completions.size:
         raise ValueError("need at least one trial")

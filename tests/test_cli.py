@@ -438,6 +438,10 @@ MALFORMED_INPUTS = {
         json.dumps({k: v for k, v in VALID_SUMMARY.items() if k != "trial_count"}),
         ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
     ),
+    "summary-negative-seed": (
+        json.dumps({**VALID_SUMMARY, "seed": -1}),
+        ["compare", "--corpus", "{corpus}", "--summary", "{file}"],
+    ),
     "summary-text-percentile": (
         json.dumps({**VALID_SUMMARY, "percentiles": {"0.5": "x"}}),
         ["compare", "--corpus", "{corpus}", "--summary", "{file}"],

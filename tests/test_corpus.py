@@ -234,6 +234,18 @@ class TestCorpusInvariants:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Corpus(np.array(["a"]), np.array(indptr), np.array(indices), topic_count)
 
+    def test_a_numpy_topic_count_is_stored_as_int(self, tmp_path):
+        corpus = Corpus(np.array(["a"]), np.array([0, 1]), np.array([2]), np.int64(3))
+        assert type(corpus.topic_count) is int
+        save_corpus(corpus, tmp_path / "corpus.jsonl")
+        assert load_corpus(tmp_path / "corpus.jsonl") == corpus
+
+    @pytest.mark.parametrize("topic_count", [3.0, True, "3", np.True_])
+    def test_rejects_a_topic_count_that_is_no_integer(self, topic_count):
+        message = f"topic_count must be an integer, got {topic_count!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Corpus(np.array(["a"]), np.array([0, 1]), np.array([0]), topic_count)
+
     def test_rejects_unsorted_or_duplicate_topics(self):
         with pytest.raises(ValueError):
             corpus_from_documents((Document("a", (1, 0)),), topic_count=3)

@@ -3,6 +3,7 @@ importing the CLI stays cheap, every cap has its row in the README, and
 no module reads the environment."""
 
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -78,6 +79,26 @@ def test_every_benchmark_hook_resolves():
         "assert targets and not missing, missing"
     )
     run_python(check, cwd=Path(__file__).parents[1] / "perfbench")
+
+
+def test_every_name_the_readme_cites_resolves():
+    # README cites module attributes as `module.NAME` or `fomo.module.NAME`;
+    # a name moved or renamed must take its citations along.
+    package = Path(fomo.__file__).parent
+    readme = (package.parents[1] / "README.md").read_text(encoding="utf-8")
+    modules = {source.stem for source in package.glob("*.py")}
+    cited = {
+        (module, name)
+        for module, name in re.findall(r"`(?:fomo\.)?(\w+)\.(\w+)`", readme)
+        if module in modules
+    }
+    assert len(cited) >= 25
+    missing = [
+        f"{module}.{name}"
+        for module, name in sorted(cited)
+        if not hasattr(importlib.import_module(f"fomo.{module}"), name)
+    ]
+    assert missing == []
 
 
 def test_every_cap_has_a_size_drivers_row():

@@ -6,20 +6,19 @@ import numpy as np
 import pytest
 from splitmix64_oracle import SplitMix64, in_place_fisher_yates, mix64
 
-import fomo.prng
+import fomo.simulation
 from fomo.prng import (
-    CHUNK,
     GAMMA,
     MASK64,
     MAX_TRIALS,
     check_trial_count,
     derive_key,
     derive_key_array,
-    fisher_yates,
     mix64_array,
     stream_u64,
     u64_thresholds,
 )
+from fomo.simulation import CHUNK, fisher_yates
 
 # Published SplitMix64 outputs for seed 1234567 (reference C implementation).
 REFERENCE_SEED = 1234567
@@ -297,7 +296,7 @@ def test_planted_rejections_match_the_sequential_loop(planted, monkeypatch):
     # A real rejection has chance below n / 2**64 per draw, so plant them:
     # 2**64 - 1 is rejected wherever n - i is not a power of two.
     keys = (0, 7, 2**64 - 1)
-    monkeypatch.setattr(fomo.prng, "stream_u64", planted_stream(dict.fromkeys(keys, planted)))
+    monkeypatch.setattr(fomo.simulation, "stream_u64", planted_stream(dict.fromkeys(keys, planted)))
     n = 1500
     for key in keys:
         assert permutation(n, key) == planted_permutation(n, key, planted)
@@ -309,7 +308,7 @@ def test_planted_rejections_in_some_rows_of_a_batch(monkeypatch):
     # last draw of its first chunk and of its second, and 2**64 - 1 none.
     n = 1500
     planted = {0: {1, 1499}, 7: {CHUNK, 2 * CHUNK}, 2**64 - 1: set()}
-    monkeypatch.setattr(fomo.prng, "stream_u64", planted_stream(planted))
+    monkeypatch.setattr(fomo.simulation, "stream_u64", planted_stream(planted))
     expected = [planted_permutation(n, key, at) for key, at in planted.items()]
     assert permutations(n, list(planted)) == expected
 

@@ -19,12 +19,14 @@ from splitmix64_oracle import SplitMix64, in_place_fisher_yates
 
 from fomo.corpus import generate_corpus, zipf_prevalences
 import fomo.simulation
-from fomo.prng import CHUNK, MAX_TRIALS, derive_key, derive_key_array, fisher_yates
+from fomo.prng import MAX_TRIALS, derive_key, derive_key_array
 from fomo.simulation import (
+    CHUNK,
     HistogramBin,
     _equal_width_histogram,
     completion_topics,
     completion_vs_analytic,
+    fisher_yates,
     read_json,
     run_shuffles,
     run_trials,
@@ -36,12 +38,13 @@ from fomo.simulation import (
 
 
 class CorpusShape:
-    """What _batch_size and _step_limit read of a corpus: its document
-    count, its topic count and its stored topic ids."""
+    """What _batch_plan reads of a corpus: its document count, its topic
+    count, its stored topic ids and the topics present."""
 
-    def __init__(self, documents, topic_count, topic_ids):
+    def __init__(self, documents, topic_count, topic_ids, present):
         self.documents, self.topic_count = documents, topic_count
         self.indices = np.empty(topic_ids, dtype=np.int32)
+        self.topics_present = range(present)
 
     def __len__(self):
         return self.documents
@@ -389,10 +392,10 @@ class TestRunShuffles:
         assert list(trials) == keys[1:]
         assert batches == [keys[:2], keys[2:4], keys[4:]]
 
-    @pytest.mark.parametrize("budget", [1, 3 * 4 * (41 + 6), 10**6])
+    @pytest.mark.parametrize("budget", [1, 3 * (4 * (41 + 6) + 24 * 6), 10**6])
     def test_batches_equal_trials_run_alone(self, monkeypatch, budget):
         # Batches of 1, 3 and all 40 trials, the last batch of three short;
-        # the batch of three takes steps of 4 positions in all.
+        # the batch of three takes steps of 7 positions in all.
         corpus = corpus_from_topic_sets([{i % 5} for i in range(40)] + [{5}], topic_count=6)
         monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", budget)
         alone = [shuffle_trial(corpus, derive_key(10, i)) for i in range(40)]
@@ -403,27 +406,29 @@ class TestRunShuffles:
         assert batched == alone
 
     def test_batch_size_from_the_byte_budget(self, monkeypatch):
-        # 4 bytes a document and 4 a topic id per trial, and at most the step
-        # limit: 64 bytes a position and 64 a stored topic id.
-        size, limit = fomo.simulation._batch_size, fomo.simulation._step_limit
-        assert size(corpus_from_topic_sets([{0}, {5}], topic_count=10**6)) == 2
-        assert size(corpus_from_topic_sets([{t} for t in range(2000)])) == 2**23 // 16000
+        # 4 bytes a document, 4 a topic id and 24 a topic present per trial,
+        # and at most the step limit: 64 bytes a position and 64 a stored
+        # topic id.
+        plan = fomo.simulation._batch_plan
+        assert plan(corpus_from_topic_sets([{0}, {5}], topic_count=10**6))[0] == 2
+        own_topics = corpus_from_topic_sets([{t} for t in range(2000)])
+        assert plan(own_topics)[0] == 2**23 // (4 * 4000 + 24 * 2000) == 131
         three = corpus_from_topic_sets([{0}, {0}, {1}])
-        assert size(three) == limit(three) == 2**23 * 3 // (64 * 6) == 65536
+        assert plan(three) == (65536, 2**23 * 3 // (64 * 6)) == (65536, 65536)
         dense = corpus_from_topic_sets([range(500)] * 500)
-        assert size(dense) == limit(dense) == 2**23 * 500 // (64 * 500 * 501) == 261
+        assert plan(dense) == (261, 2**23 * 500 // (64 * 500 * 501)) == (261, 261)
         monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", 10)
-        assert size(corpus_from_topic_sets([{0}, {0}])) == 1
+        assert plan(corpus_from_topic_sets([{0}, {0}]))[0] == 1
 
     @pytest.mark.parametrize(
-        "documents, topic_ids, batch", [(120_000, 144_965, 17), (10**6, 1_207_750, 2)]
+        "documents, topic_ids, batch, limit",
+        [(120_000, 144_965, 17, 59_361), (10**6, 1_207_750, 2, 59_369)],
     )
-    def test_study_and_ingest_steps_take_whole_chunks(self, documents, topic_ids, batch):
+    def test_study_and_ingest_steps_take_whole_chunks(self, documents, topic_ids, batch, limit):
         # The study and ingest corpora (generation seed 7): the step limit,
         # about 59,000 positions, stays far above a batch's runs of CHUNK.
-        shape = CorpusShape(documents, 64, topic_ids)
-        limit = fomo.simulation._step_limit(shape)
-        assert fomo.simulation._batch_size(shape) == batch and limit > 50_000
+        shape = CorpusShape(documents, 64, topic_ids, present=64)
+        assert fomo.simulation._batch_plan(shape) == (batch, limit)
         steps = fisher_yates(documents, derive_key_array(11, np.arange(batch)), limit)
         assert next(steps)[1].tolist() == [CHUNK] * batch
 
@@ -434,7 +439,20 @@ class TestRunShuffles:
         corpus = corpus_from_topic_sets([range(500)] * 500)
         tracemalloc.start()
         try:
-            run_shuffles(corpus, fomo.simulation._batch_size(corpus), master_seed=3)
+            run_shuffles(corpus, fomo.simulation._batch_plan(corpus)[0], master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * fomo.simulation.TRIAL_BATCH_BYTES
+
+    def test_a_batch_that_sorts_many_topics_stays_near_the_budget(self):
+        # 2,000 documents, each holding its own topic: sorting each trial's
+        # topics by position takes 24 bytes a topic present. A batch sized
+        # without them (524 trials) traced 20.2 MiB.
+        corpus = corpus_from_topic_sets([{t} for t in range(2000)])
+        tracemalloc.start()
+        try:
+            run_shuffles(corpus, 524, master_seed=3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -459,7 +477,7 @@ class TestRunShuffles:
         # map would add some 11 KB a trial. Both counts fill whole lockstep
         # batches, which hold the same arrays however many trials there are.
         corpus = corpus_from_topic_sets([{i % 200} for i in range(20_000)])
-        batch = fomo.simulation._batch_size(corpus)
+        batch = fomo.simulation._batch_plan(corpus)[0]
         peaks = []
         for trials in (batch, 4 * batch):
             tracemalloc.start()
@@ -537,6 +555,21 @@ class TestRunShuffles:
         corpus = corpus_from_topic_sets([{0}])
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_shuffles(corpus, 5, 1, quantiles=quantiles)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**70, 10**400])
+    def test_summarize_refuses_a_seed_out_of_range_before_any_trial(self, seed):
+        # A summary stores its seed as given, so the seed meets check_seed's
+        # range like the keys' seed; 10**400 would not read back from JSON.
+        def no_trial():
+            raise AssertionError("a trial was read before the seed was checked")
+            yield
+
+        with pytest.raises(ValueError, match=r"^seed must be in 0\.\.2\*\*64-1, got "):
+            summarize(no_trial(), 10, seed)
+        summary = run_shuffles(corpus_from_topic_sets([{0}]), 3, master_seed=2**64 - 1)
+        assert summary_from_json(summary.to_json()) == summary
+        with pytest.raises(ValueError, match=r"^seed must be in 0\.\.2\*\*64-1, got "):
+            dataclasses.replace(summary, seed=seed)
 
     def test_rejects_bad_bin_and_trial_counts(self):
         corpus = corpus_from_topic_sets([{0}])
