@@ -26,6 +26,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import Any, Callable, Iterable, NoReturn, Sequence
 
@@ -377,9 +378,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Open every output path before any work, so a bad one fails first.
+    A file that exists is left as it is; one the check makes is removed."""
+    for name in ("out", "output", "summary_json", "histogram_csv"):
+        path = getattr(args, name, None)
+        if path is None:
+            continue
+        try:
+            open(path, "xb").close()
+        except FileExistsError:
+            open(path, "ab").close()
+        else:
+            os.remove(path)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_outputs(args)
         return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

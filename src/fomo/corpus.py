@@ -150,12 +150,13 @@ def _frozen(values, dtype) -> np.ndarray:
 def _first_disordered(indices: np.ndarray, indptr: np.ndarray, limit: int) -> int | None:
     """The first document whose topic ids are not strictly increasing
     within ``0..limit-1``, or None. Every document must be nonempty."""
-    bad = (indices < 0) | (indices >= limit)
-    falls = indices[1:] <= indices[:-1]
-    falls[indptr[1:-1] - 1] = False  # a document may start below the last one's end
-    bad[1:] |= falls
-    first = np.flatnonzero(bad)[:1]
-    return int(np.searchsorted(indptr, first[0], side="right")) - 1 if first.size else None
+    bad = np.empty(indices.size, bool)
+    np.less_equal(indices[1:], indices[:-1], out=bad[1:])
+    bad[indptr[:-1]] = False  # a document may start below the last one's end
+    bad |= indices < 0
+    bad |= indices >= limit
+    first = int(bad.argmax())
+    return int(np.searchsorted(indptr, first, side="right")) - 1 if bad[first] else None
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -185,18 +186,19 @@ class Corpus:
             raise ValueError(f"topic_count must be >= 1, got {topic_count}")
         object.__setattr__(self, "topic_count", topic_count)
         doc_ids = _frozen(self.doc_ids, StringDType())
-        indptr = _frozen(self.indptr, np.int64)
+        indptr = np.asarray(self.indptr)
         indices = np.asarray(self.indices)
         n = doc_ids.size
         if not n:
             raise ValueError("a corpus must contain at least one document")
-        if indices.size and indices.dtype.kind not in "iu":
-            raise ValueError(f"topic ids must be integers, got {indices.dtype}")
+        for array, name in ((indptr, "indptr offsets"), (indices, "topic ids")):
+            if array.size and array.dtype.kind not in "iu":
+                raise ValueError(f"{name} must be integers, got {array.dtype}")
+        indptr = _frozen(indptr, np.int64)
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
             raise ValueError(f"indptr must hold {n + 1} offsets from 0 to {indices.size}")
-        empty = np.flatnonzero(np.diff(indptr) < 1)
-        if empty.size:
-            d = int(empty[0])
+        d = int((indptr[1:] <= indptr[:-1]).argmax())  # the first empty document, if any
+        if indptr[d + 1] <= indptr[d]:
             raise ValueError(f"document {d} ({doc_ids[d]!r}) has no topics")
         limit = min(self.topic_count, MAX_TOPIC_ID + 1)
         d = _first_disordered(indices, indptr, limit)
@@ -206,23 +208,8 @@ class Corpus:
                 f"document {d}: topic ids must be strictly increasing within "
                 f"0..{limit - 1}, got {topics}"
             )
-        self._store(doc_ids, indptr, indices)
-
-    @classmethod
-    def _checked(
-        cls, doc_ids: np.ndarray, indptr: np.ndarray, indices: np.ndarray, topic_count: int
-    ) -> "Corpus":
-        """A corpus of arrays already known to meet every rule that
-        __post_init__ checks, stored without checking them again (load_corpus
-        checks each block of a file as it reads it)."""
-        corpus = object.__new__(cls)
-        object.__setattr__(corpus, "topic_count", topic_count)
-        corpus._store(doc_ids, indptr, indices)
-        return corpus
-
-    def _store(self, doc_ids: np.ndarray, indptr: np.ndarray, indices: np.ndarray) -> None:
-        object.__setattr__(self, "doc_ids", _frozen(doc_ids, StringDType()))
-        object.__setattr__(self, "indptr", _frozen(indptr, np.int64))
+        object.__setattr__(self, "doc_ids", doc_ids)
+        object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", _frozen(indices, np.int32))
 
     def __len__(self) -> int:
@@ -743,6 +730,7 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
             id_blocks.append(ids)
     if len(ends) == 1:
         raise CorpusFormatError("corpus file contains a header but no documents")
-    indptr = np.frombuffer(ends, np.int64)
+    doc_ids = np.concatenate(id_blocks)
+    del id_blocks
     indices = np.frombuffer(topics, np.intc)
-    return Corpus._checked(np.concatenate(id_blocks), indptr, indices, topic_count)
+    return Corpus(doc_ids, np.frombuffer(ends, np.int64), indices, topic_count)

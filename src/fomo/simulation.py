@@ -493,11 +493,13 @@ def summarize(
     Builds an equal-width histogram of the completion positions over
     [min, max], nearest-rank percentiles for the requested quantiles,
     and the corresponding recall fractions. Reads ``results`` once, after
-    checking the options and the seed, and keeps only the completion positions, in one
-    ``int64`` array.
+    checking the options, the seed and ``n_docs``, and keeps only the
+    completion positions, in one ``int64`` array.
     """
     quantiles = _checked_quantiles(quantiles, bin_count)
     check_seed(master_seed)
+    if n_docs < 1:
+        raise ValueError(f"n_docs must be >= 1, got {n_docs}")
     completions = np.fromiter((r.completion_position for r in results), dtype=np.int64)
     if not completions.size:
         raise ValueError("need at least one trial")

@@ -300,6 +300,52 @@ class TestGenCorpus:
         assert "error:" in err
 
 
+class TestOutputPaths:
+    def test_gen_corpus_checks_its_output_before_generating(self, capsys, monkeypatch, tmp_path):
+        def no_corpus(*args):
+            raise AssertionError("a corpus was generated before its output path was checked")
+
+        monkeypatch.setattr(fomo.cli, "generate_corpus", no_corpus)
+        missing = tmp_path / "missing" / "c.jsonl"
+        code, out, err = run_cli(
+            capsys,
+            "gen-corpus", "--docs", "1000000", "--topics", "64",
+            "--max-prev", "0.36", "--min-prev", "0.0001", "--out", str(missing),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+
+    def test_simulate_writes_no_output_when_a_later_one_is_bad(
+        self, capsys, monkeypatch, tiny_corpus, tmp_path
+    ):
+        def no_corpus(path):
+            raise AssertionError("the corpus was loaded before the output paths were checked")
+
+        monkeypatch.setattr(fomo.cli, "load_corpus", no_corpus)
+        summary = tmp_path / "ok.json"
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--corpus", str(tiny_corpus), "--trials", "5",
+            "--summary-json", str(summary), "--output", str(tmp_path / "missing" / "o.csv"),
+        )
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno 2] No such file or directory: ")
+        assert list(tmp_path.iterdir()) == [tiny_corpus]
+
+    def test_an_existing_output_is_left_untouched(self, capsys, tiny_corpus, tmp_path):
+        summary = tmp_path / "ok.json"
+        summary.write_text("kept", encoding="utf-8")
+        before = summary.stat()
+        code, _, _ = run_cli(
+            capsys,
+            "simulate", "--corpus", str(tiny_corpus), "--trials", "5",
+            "--summary-json", str(summary), "--histogram-csv", str(tmp_path),
+        )
+        assert code == 1
+        assert summary.read_text(encoding="utf-8") == "kept"
+        assert summary.stat().st_mtime_ns == before.st_mtime_ns
+
+
 class TestCompare:
     def test_report_has_median_and_mean_rows(self, capsys, tmp_path):
         corpus_path = tmp_path / "c.jsonl"

@@ -234,6 +234,12 @@ class TestCorpusInvariants:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             Corpus(np.array(["a"]), np.array(indptr), np.array(indices), topic_count)
 
+    def test_rejects_offsets_that_are_no_integers(self):
+        # Cast to int64, 1.7 would read as 1.
+        message = "indptr offsets must be integers, got float64"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Corpus(["a", "b"], [0, 1.7, 3.0], [0, 1, 2], 3)
+
     def test_a_numpy_topic_count_is_stored_as_int(self, tmp_path):
         corpus = Corpus(np.array(["a"]), np.array([0, 1]), np.array([2]), np.int64(3))
         assert type(corpus.topic_count) is int
@@ -301,6 +307,24 @@ class TestCorpusInvariants:
         assert corpus.doc_ids is doc_ids
         assert corpus.indptr is indptr
         assert corpus.indices is indices
+
+    def test_checks_hold_bool_masks_only(self):
+        # 10^6 documents holding 1.2 * 10^6 topic ids, built as arrays whose
+        # dtypes fit: the checks' masks take about 2.3 MiB. An int64
+        # temporary a document, as np.diff(indptr) made, would take 7.6 more.
+        n = 10**6
+        lengths = np.ones(n, np.int64)
+        lengths[::5] = 2
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        indices = (np.arange(indptr[-1]) - np.repeat(indptr[:-1], lengths)).astype(np.int32)
+        doc_ids = np.strings.add("d", np.arange(n).astype(StringDType()))
+        tracemalloc.start()
+        try:
+            Corpus(doc_ids, indptr, indices, topic_count=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_topics_present_and_counts(self):
         corpus = corpus_from_documents(
@@ -798,8 +822,8 @@ def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus, dat
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
 def test_topic_ids_are_checked_once_per_block(tmp_path, block_bytes):
-    # The saved-form check of each block is the only one: the loaded
-    # arrays are not checked again when the corpus is built.
+    # Each block is checked as it is read, and the joined arrays once
+    # more, as any corpus is, when the corpus is built.
     corpus = generate_corpus(300, zipf_prevalences(8, 0.5, 0.05), seed=4)
     path = tmp_path / "checked.jsonl"
     save_corpus(corpus, path)
@@ -812,7 +836,7 @@ def test_topic_ids_are_checked_once_per_block(tmp_path, block_bytes):
             blocks = sum(1 for _ in fomo.corpus._line_blocks(fh))
     assert blocks > 1 if block_bytes < BLOCK_BYTES else blocks == 1
     assert loaded == corpus
-    assert check.call_count == blocks
+    assert check.call_count == blocks + 1
     for array in (loaded.doc_ids, loaded.indptr, loaded.indices):
         assert not array.flags.writeable
     assert (loaded.indptr.dtype, loaded.indices.dtype) == (np.int64, np.int32)

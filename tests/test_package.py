@@ -1,6 +1,6 @@
 """The package namespace re-exports each submodule's public names once,
-importing the CLI stays cheap, every cap has its row in the README, and
-no module reads the environment."""
+importing the CLI stays cheap, every cap has its row in the README, no
+module reads the environment, and none builds an unchecked instance."""
 
 import ast
 import importlib
@@ -66,6 +66,20 @@ def test_no_module_reads_the_environment():
             and {"environ", "environb", "getenv"} & {alias.name for alias in node.names})
     ]
     assert reads == []
+
+
+def test_no_module_calls_object_new():
+    # object.__new__ builds an instance without __post_init__, so no rule
+    # a constructor checks would hold for it.
+    package = Path(fomo.__file__).parent
+    calls = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "__new__"
+        and isinstance(node.value, ast.Name) and node.value.id == "object"
+    ]
+    assert calls == []
 
 
 def test_every_benchmark_hook_resolves():

@@ -472,6 +472,15 @@ class TestRunShuffles:
         with pytest.raises(ValueError, match="^need at least one trial$"):
             summarize([], 10, 1)
 
+    @pytest.mark.parametrize("n_docs", [0, -3])
+    def test_summarize_refuses_no_documents_before_any_trial(self, n_docs):
+        def no_trial():
+            raise AssertionError("a trial was read before n_docs was checked")
+            yield
+
+        with pytest.raises(ValueError, match=f"^n_docs must be >= 1, got {n_docs}$"):
+            summarize(no_trial(), n_docs, 1)
+
     def test_memory_stays_flat_as_trials_grow(self):
         # 200 topics over 20,000 documents: holding each trial's first_seen
         # map would add some 11 KB a trial. Both counts fill whole lockstep
