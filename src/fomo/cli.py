@@ -17,7 +17,7 @@ Subcommands:
 
 Validation failures, a malformed command line included, and inputs too
 large to allocate exit with status 1 and a one-line ``error: ...``
-diagnostic on stderr.
+diagnostic on stderr. Every output path is opened before any work.
 """
 
 from __future__ import annotations

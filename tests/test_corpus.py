@@ -310,8 +310,8 @@ class TestCorpusInvariants:
 
     def test_checks_hold_bool_masks_only(self):
         # 10^6 documents holding 1.2 * 10^6 topic ids, built as arrays whose
-        # dtypes fit: the checks' masks take about 2.3 MiB. An int64
-        # temporary a document, as np.diff(indptr) made, would take 7.6 more.
+        # dtypes fit: the checks' masks take about 2.3 MiB, and one int64
+        # temporary a document would take 7.6 MiB more.
         n = 10**6
         lengths = np.ones(n, np.int64)
         lengths[::5] = 2
