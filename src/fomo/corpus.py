@@ -287,9 +287,12 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     """Draw a synthetic multi-label corpus from a prevalence vector.
 
     Each document includes each topic independently with its prevalence;
-    documents that come out empty are redrawn until nonempty (which
-    inflates every marginal by 1 / (1 - P(empty)) - negligible when the
-    prevalences sum to around 1). Document d is named ``d<d>``.
+    documents that come out empty are redrawn until nonempty, which
+    scales every marginal by 1 / (1 - P(empty)). The factor is far from 1
+    when the prevalences sum to 1 or less: at the study calibration,
+    ``zipf_prevalences(64, 0.36, 1 / 8571)``, they sum to 0.609, P(empty)
+    is 0.4958 and the factor is 1.98, so the most common topic is in about
+    0.71 of the documents. Document d is named ``d<d>``.
 
     Document d's draws come from the SplitMix64 stream keyed by
     (seed, d): redraw round r tests topic i with draw number r*m + i + 1.

@@ -11,13 +11,10 @@ level each percentile corresponds to.
 
 Determinism contract: trial i permutes with the Fisher-Yates shuffle
 driven by the SplitMix64 stream keyed by (master_seed, i), so its result
-depends only on the seed and i; :func:`run_trials` derives every trial's
-key in one array call. Trials run in lockstep batches that one byte budget
-sizes (:func:`_batch_plan`): each step of :func:`fisher_yates` hands every
-unfinished trial's next run of at most ``CHUNK`` positions to the scan at
-once, and a trial is abandoned after the run holding its completion
-position; the emitted prefix is identical to what a full shuffle would
-have produced, however the trials are batched.
+depends only on the seed and i, however :func:`_first_positions` batches
+the trials in lockstep (:func:`_batch_plan`). It yields each batch's first
+positions as one array; a :class:`TrialResult` is built from a row only
+where a caller asks for one.
 """
 
 from __future__ import annotations
@@ -26,7 +23,9 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from typing import Generator, Iterable, Iterator, Mapping, Sequence
+from functools import partial
+from itertools import chain
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -346,8 +345,7 @@ def _first_sightings(
     corpus: Corpus, steps: Generator[tuple[np.ndarray, ...], np.ndarray | None, None], trials: int
 ) -> np.ndarray:
     """Scan ``trials`` document orders in lockstep, ``steps`` yielding them
-    as :func:`fisher_yates` does, and stop each once every
-    topic present has been seen in it.
+    as :func:`fisher_yates` does, and stop each once it has seen every topic present.
 
     Returns a (trials, topic_count) ``int32`` array: entry (b, t) is the
     1-based position where topic t first appeared in trial b, and 0 for a
@@ -395,38 +393,42 @@ def scan_accession(corpus: Corpus) -> CoverageCurve:
     )
 
 
-def shuffle_trial(corpus: Corpus, trial_seed: int) -> TrialResult:
-    """Scan the corpus in the uniformly random :func:`fisher_yates`
-    order keyed by ``trial_seed``, drawn a run at a time and abandoned once
-    every topic present has been seen: a batch of one trial."""
-    return next(_trial_batch(corpus, np.array([trial_seed], dtype=np.uint64)))
-
-
 def _batch_plan(corpus: Corpus) -> tuple[int, int]:
     """Trials to run in lockstep and the most positions a step scans over
     them all, each within ``TRIAL_BATCH_BYTES``: a trial at 4 bytes a
-    document (items), 4 a topic id (first positions) and 24 a topic present
-    (the copy, order, ids and positions that sort them), a step at about 64
+    document (items) and 4 a topic id (first positions), a step at about 64
     bytes a position and 64 a topic id stored. At least one trial, and at
     most the step limit, so one position each fits a step."""
     n = len(corpus)
     step_limit = TRIAL_BATCH_BYTES * n // (64 * (n + corpus.indices.size))
-    per_trial = 4 * (n + corpus.topic_count) + 24 * len(corpus.topics_present)
-    return max(1, min(TRIAL_BATCH_BYTES // per_trial, step_limit)), step_limit
+    trials = TRIAL_BATCH_BYTES // (4 * (n + corpus.topic_count))
+    return max(1, min(trials, step_limit)), step_limit
 
 
-def _trial_batch(corpus: Corpus, keys: np.ndarray) -> Iterator[TrialResult]:
-    """The trials keyed by ``keys``, run in lockstep when first read. Each
-    ``first_seen`` lists its trial's topics in order of appearance: by
-    position, then by topic id (the sort is stable over ascending ids)."""
-    steps = fisher_yates(len(corpus), keys, _batch_plan(corpus)[1])
-    first = _first_sightings(corpus, steps, keys.size)
+def _first_positions(corpus: Corpus, keys: np.ndarray) -> Iterator[np.ndarray]:
+    """The (trials, topic_count) first positions of each lockstep batch
+    (:func:`_batch_plan`) of the trials keyed by ``keys``, run when read."""
+    size, step_limit = _batch_plan(corpus)
+    for start in range(0, keys.size, size):
+        batch = keys[start : start + size]
+        yield _first_sightings(corpus, fisher_yates(len(corpus), batch, step_limit), batch.size)
+
+
+def _trial_results(first: np.ndarray) -> Iterator[TrialResult]:
+    """A batch's trials, built row by row; each ``first_seen`` lists its
+    topics by position, then by topic id (a stable sort of ascending ids)."""
     present = np.flatnonzero(first[0])  # a trial sees every topic present, and no other
-    topics = present[np.argsort(first[:, present], axis=1, kind="stable")]
-    positions = np.take_along_axis(first, topics, axis=1)
-    for row_topics, row_positions in zip(topics, positions):
-        first_seen = dict(zip(row_topics.tolist(), row_positions.tolist()))
-        yield TrialResult(completion_position=int(row_positions[-1]), first_seen=first_seen)
+    for row in first:
+        topics = present[np.argsort(row[present], kind="stable")]
+        positions = row[topics]
+        yield TrialResult(int(positions[-1]), dict(zip(topics.tolist(), positions.tolist())))
+
+
+def shuffle_trial(corpus: Corpus, trial_seed: int) -> TrialResult:
+    """Scan the corpus in the uniformly random :func:`fisher_yates`
+    order keyed by ``trial_seed``, drawn a run at a time and abandoned once
+    every topic present has been seen: a batch of one trial."""
+    return next(_trial_results(next(_first_positions(corpus, np.uint64([trial_seed])))))
 
 
 def completion_topics(result: TrialResult) -> tuple[int, ...]:
@@ -439,16 +441,11 @@ def completion_topics(result: TrialResult) -> tuple[int, ...]:
 def run_trials(corpus: Corpus, trial_count: int, master_seed: int) -> Iterator[TrialResult]:
     """Independent shuffle trials, trial i keyed by (master_seed, i). The
     count and seed are checked, and the keys derived, at the call; the
-    trials run in lockstep batches (:func:`_batch_plan`), each when the
+    trials run in lockstep batches (:func:`_first_positions`), each when the
     returned iterator reaches its first trial."""
     check_trial_count(trial_count)
     keys = derive_key_array(master_seed, np.arange(trial_count))
-    size = _batch_plan(corpus)[0]
-    return (
-        trial
-        for start in range(0, trial_count, size)
-        for trial in _trial_batch(corpus, keys[start : start + size])
-    )
+    return chain.from_iterable(map(_trial_results, _first_positions(corpus, keys)))
 
 
 def _equal_width_histogram(
@@ -481,6 +478,31 @@ def _checked_quantiles(quantiles: Sequence[float], bin_count: int) -> tuple[floa
     return quantiles
 
 
+def _summary(
+    read: Callable[[], np.ndarray], n_docs: int, seed: int, quantiles: Sequence[float], bins: int
+) -> SimulationSummary:
+    """The summary of the positions ``read()`` returns, called once the checks pass."""
+    quantiles = _checked_quantiles(quantiles, bins)
+    check_seed(seed)
+    if n_docs < 1:
+        raise ValueError(f"n_docs must be >= 1, got {n_docs}")
+    completions = read()
+    if not completions.size:
+        raise ValueError("need at least one trial")
+    completions.sort()
+    percentiles = {q: int(completions[math.ceil(q * completions.size) - 1]) for q in quantiles}
+    return SimulationSummary(
+        trial_count=completions.size,
+        seed=seed,
+        histogram=_equal_width_histogram(completions, bins),
+        percentiles=percentiles,
+        min_completion=int(completions[0]),
+        max_completion=int(completions[-1]),
+        mean_completion=int(completions.sum()) / completions.size,
+        recall_at={q: percentiles[q] / n_docs for q in quantiles},
+    )
+
+
 def summarize(
     results: Iterable[TrialResult],
     n_docs: int,
@@ -496,25 +518,8 @@ def summarize(
     checking the options, the seed and ``n_docs``, and keeps only the
     completion positions, in one ``int64`` array.
     """
-    quantiles = _checked_quantiles(quantiles, bin_count)
-    check_seed(master_seed)
-    if n_docs < 1:
-        raise ValueError(f"n_docs must be >= 1, got {n_docs}")
-    completions = np.fromiter((r.completion_position for r in results), dtype=np.int64)
-    if not completions.size:
-        raise ValueError("need at least one trial")
-    completions.sort()
-    percentiles = {q: int(completions[math.ceil(q * completions.size) - 1]) for q in quantiles}
-    return SimulationSummary(
-        trial_count=completions.size,
-        seed=master_seed,
-        histogram=_equal_width_histogram(completions, bin_count),
-        percentiles=percentiles,
-        min_completion=int(completions[0]),
-        max_completion=int(completions[-1]),
-        mean_completion=int(completions.sum()) / completions.size,
-        recall_at={q: percentiles[q] / n_docs for q in quantiles},
-    )
+    read = partial(np.fromiter, (r.completion_position for r in results), np.int64)
+    return _summary(read, n_docs, master_seed, quantiles, bin_count)
 
 
 def run_shuffles(
@@ -524,10 +529,16 @@ def run_shuffles(
     quantiles: Sequence[float] = DEFAULT_QUANTILES,
     bin_count: int = DEFAULT_BIN_COUNT,
 ) -> SimulationSummary:
-    """:func:`summarize` of :func:`run_trials`; bad options fail before
-    any trial runs."""
-    trials = run_trials(corpus, trial_count, master_seed)
-    return summarize(trials, len(corpus), master_seed, quantiles, bin_count)
+    """:func:`summarize` of :func:`run_trials`, read from each batch's row
+    maxima with no :class:`TrialResult` built; bad options fail first."""
+    check_trial_count(trial_count)
+    keys = derive_key_array(master_seed, np.arange(trial_count))
+
+    def completions() -> np.ndarray:  # map drops each batch before the next one runs
+        maxima = map(lambda first: first.max(axis=1), _first_positions(corpus, keys))
+        return np.concatenate(list(maxima), dtype=np.int64)
+
+    return _summary(completions, len(corpus), master_seed, quantiles, bin_count)
 
 
 def completion_vs_analytic(

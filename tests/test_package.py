@@ -1,6 +1,7 @@
 """The package namespace re-exports each submodule's public names once,
 importing the CLI stays cheap, every cap has its row in the README, no
-module reads the environment, and none builds an unchecked instance."""
+module reads the environment, none builds an unchecked instance, and one
+function owns trial batches."""
 
 import ast
 import importlib
@@ -80,6 +81,19 @@ def test_no_module_calls_object_new():
         and isinstance(node.value, ast.Name) and node.value.id == "object"
     ]
     assert calls == []
+
+
+def test_one_owner_of_trial_batches():
+    # _first_positions alone plans lockstep batches and shuffles them; a
+    # second caller would size or run its batches another way.
+    package = Path(fomo.__file__).parent
+    calls = [
+        node.func.id
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert (calls.count("_batch_plan"), calls.count("fisher_yates")) == (1, 1)
 
 
 def test_every_benchmark_hook_resolves():

@@ -172,7 +172,8 @@ class TestFirstSightings:
     @settings(max_examples=100, deadline=None)
     def test_batch_trials_match_the_oracle_order(self, topic_sets, keys):
         corpus = corpus_from_topic_sets(topic_sets, topic_count=41)
-        batch = fomo.simulation._trial_batch(corpus, np.array(keys, dtype=np.uint64))
+        batches = fomo.simulation._first_positions(corpus, np.array(keys, dtype=np.uint64))
+        batch = itertools.chain.from_iterable(map(fomo.simulation._trial_results, batches))
         for key, result in zip(keys, batch, strict=True):
             expected = first_sightings_oracle(corpus, oracle_order(len(corpus), key))
             assert list(result.first_seen.items()) == list(expected.items())
@@ -354,11 +355,23 @@ class TestRunShuffles:
         expected = summarize(results, len(corpus), 10, (0.3, 0.5), 7)
         assert run_shuffles(corpus, 120, 10, (0.3, 0.5), 7) == expected
 
+    def test_builds_no_trial_objects(self, monkeypatch):
+        # The summary reads each batch's row maxima; a TrialResult, and its
+        # topic-to-position dict, is built only for a caller of run_trials.
+        class NoTrial:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("run_shuffles built a TrialResult")
+
+        corpus = corpus_from_topic_sets([{i % 5} for i in range(40)] + [{5}], topic_count=6)
+        expected = summarize(run_trials(corpus, 120, master_seed=10), len(corpus), 10)
+        monkeypatch.setattr(fomo.simulation, "TrialResult", NoTrial)
+        assert run_shuffles(corpus, 120, master_seed=10) == expected
+
     def test_bad_options_fail_before_any_trial(self, monkeypatch):
         def no_trial(*args):
             raise AssertionError("a trial ran before the options were checked")
 
-        monkeypatch.setattr(fomo.simulation, "_trial_batch", no_trial)
+        monkeypatch.setattr(fomo.simulation, "_first_positions", no_trial)
         corpus = corpus_from_topic_sets([{0}])
         with pytest.raises(ValueError):
             run_shuffles(corpus, 5, 1, quantiles=(1.5,))
@@ -369,33 +382,36 @@ class TestRunShuffles:
         def no_trial(*args):
             raise AssertionError("a trial ran before the bin count was checked")
 
-        monkeypatch.setattr(fomo.simulation, "_trial_batch", no_trial)
+        monkeypatch.setattr(fomo.simulation, "_first_positions", no_trial)
         corpus = corpus_from_topic_sets([{0}])
         with pytest.raises(ValueError, match=str(fomo.simulation.MAX_BIN_COUNT)):
             run_shuffles(corpus, 5, 1, bin_count=10**6 + 1)
 
     def test_run_trials_runs_no_trial_until_read(self, monkeypatch):
         # Batches of two trials: reading trial 0 runs only the first batch.
+        # Each batch shuffles its own keys in one fisher_yates call.
         batches = []
+        shuffle = fomo.simulation.fisher_yates
 
-        def batch(corpus, keys):
+        def batch(n, keys, limit):
             batches.append(keys.tolist())
-            yield from keys.tolist()
+            return shuffle(n, keys, limit)
 
         corpus = corpus_from_topic_sets([{0}])
-        monkeypatch.setattr(fomo.simulation, "_trial_batch", batch)
+        keys = [derive_key(5, i) for i in range(5)]
+        alone = [shuffle_trial(corpus, key) for key in keys]
+        monkeypatch.setattr(fomo.simulation, "fisher_yates", batch)
         monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", 2 * 64 * (1 + 1))
         trials = run_trials(corpus, 5, master_seed=5)
         assert batches == []
-        keys = [derive_key(5, i) for i in range(5)]
-        assert next(trials) == keys[0] and batches == [keys[:2]]
-        assert list(trials) == keys[1:]
+        assert next(trials) == alone[0] and batches == [keys[:2]]
+        assert list(trials) == alone[1:]
         assert batches == [keys[:2], keys[2:4], keys[4:]]
 
-    @pytest.mark.parametrize("budget", [1, 3 * (4 * (41 + 6) + 24 * 6), 10**6])
+    @pytest.mark.parametrize("budget", [1, 3 * 4 * (41 + 6), 10**6])
     def test_batches_equal_trials_run_alone(self, monkeypatch, budget):
         # Batches of 1, 3 and all 40 trials, the last batch of three short;
-        # the batch of three takes steps of 7 positions in all.
+        # the batch of three takes steps of 3 positions in all.
         corpus = corpus_from_topic_sets([{i % 5} for i in range(40)] + [{5}], topic_count=6)
         monkeypatch.setattr(fomo.simulation, "TRIAL_BATCH_BYTES", budget)
         alone = [shuffle_trial(corpus, derive_key(10, i)) for i in range(40)]
@@ -406,13 +422,12 @@ class TestRunShuffles:
         assert batched == alone
 
     def test_batch_size_from_the_byte_budget(self, monkeypatch):
-        # 4 bytes a document, 4 a topic id and 24 a topic present per trial,
-        # and at most the step limit: 64 bytes a position and 64 a stored
-        # topic id.
+        # 4 bytes a document and 4 a topic id per trial, and at most the
+        # step limit: 64 bytes a position and 64 a stored topic id.
         plan = fomo.simulation._batch_plan
         assert plan(corpus_from_topic_sets([{0}, {5}], topic_count=10**6))[0] == 2
         own_topics = corpus_from_topic_sets([{t} for t in range(2000)])
-        assert plan(own_topics)[0] == 2**23 // (4 * 4000 + 24 * 2000) == 131
+        assert plan(own_topics)[0] == 2**23 // (4 * 4000) == 524
         three = corpus_from_topic_sets([{0}, {0}, {1}])
         assert plan(three) == (65536, 2**23 * 3 // (64 * 6)) == (65536, 65536)
         dense = corpus_from_topic_sets([range(500)] * 500)
@@ -456,6 +471,21 @@ class TestRunShuffles:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 2 * fomo.simulation.TRIAL_BATCH_BYTES
+
+    def test_reading_trials_one_at_a_time_stays_near_the_budget(self):
+        # The same 2,000 own-topic documents, all 524 trials of one batch
+        # read through run_trials: each trial's topics are sorted from its
+        # own row, so the sort adds a row's worth of bytes, not a batch's.
+        corpus = corpus_from_topic_sets([{t} for t in range(2000)])
+        assert fomo.simulation._batch_plan(corpus)[0] == 524
+        tracemalloc.start()
+        try:
+            read = sum(len(trial.first_seen) for trial in run_trials(corpus, 524, master_seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert read == 524 * 2000
         assert peak < 2 * fomo.simulation.TRIAL_BATCH_BYTES
 
     def test_run_trials_checks_its_count_at_the_call(self, monkeypatch):
