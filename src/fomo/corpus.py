@@ -288,8 +288,8 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
 
     Each document includes each topic independently with its prevalence;
     documents that come out empty are redrawn until nonempty, which
-    scales every marginal by 1 / (1 - P(empty)). The factor is far from 1
-    when the prevalences sum to 1 or less: at the study calibration,
+    scales every marginal by 1 / (1 - P(empty)). The factor is near 1
+    only when the prevalences sum well above 1: at the study calibration,
     ``zipf_prevalences(64, 0.36, 1 / 8571)``, they sum to 0.609, P(empty)
     is 0.4958 and the factor is 1.98, so the most common topic is in about
     0.71 of the documents. Document d is named ``d<d>``.
