@@ -24,10 +24,11 @@ Three routes to the same expectation:
   holds 8 bytes per trial plus one batch per worker.
 
 The exact and Monte Carlo routes split their work into independent
-blocks (high subsets, trial batches) and run them on one thread per
-usable core (:func:`_map_in_order`); numpy releases the interpreter lock
-inside each block's array calls, and the results are combined in block
-order, so the worker count changes no bit.
+blocks (high subsets, trial batches) and run them through the package's
+one block map, :func:`fomo.prng._map_in_order`, on one thread per usable
+core, the caller among them; numpy releases the interpreter lock inside
+each block's array calls, and the results are combined in block order,
+so the worker count changes no bit.
 
 :func:`completion_quantile` inverts the independent-sightings coverage
 curve prod(1 - (1-p_i)^t) instead, the cheap stand-in for percentiles of
@@ -37,15 +38,19 @@ a document scan.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Sequence, TypeVar, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .prng import (
-    check_probabilities, check_trial_count, derive_key_array, stream_u64, u64_thresholds
+    _map_in_order,
+    check_probabilities,
+    check_trial_count,
+    derive_key_array,
+    stream_u64,
+    u64_thresholds,
 )
 
 __all__ = [
@@ -91,48 +96,6 @@ _GUIDE_SENTINEL = np.uint64(2**64 - 1)
 # A trial needs about 1/p_min draws, so rarer coupons could keep the
 # sampler busy for days; the integral route has no such limit.
 _SAMPLER_RAREST_LIMIT = 10**6
-
-
-_R = TypeVar("_R")
-
-
-def _usable_cores() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_in_order(function: Callable[[int], _R], items: Sequence[int]) -> list[_R]:
-    """``[function(item) for item in items]``, on one thread per usable
-    core (at most one per item).
-
-    The items must be independent blocks whose work is mostly numpy
-    calls, which release the interpreter lock. An exception in a block
-    propagates once the blocks in flight have finished; after it, or an
-    interrupt in the caller, the blocks not yet started never run, and
-    no thread outlives the call.
-    """
-    workers = min(_usable_cores(), len(items))
-    if workers <= 1:
-        return [function(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    failed = threading.Event()
-
-    def run(item: int) -> _R | None:
-        if failed.is_set():
-            # Blocks start in input order, so this result comes after the
-            # error that is raised instead.
-            return None
-        try:
-            return function(item)
-        except BaseException:
-            failed.set()
-            raise
-
-    with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(run, items))
 
 
 class SubsetLimitError(ValueError):

@@ -50,8 +50,11 @@ from json.encoder import encode_basestring
 
 import numpy as np
 from numpy.dtypes import StringDType
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .prng import check_probabilities, derive_key_array, stream_u64, u64_thresholds
+from .prng import (
+    _map_in_order, check_probabilities, derive_key_array, stream_u64, u64_thresholds
+)
 
 __all__ = [
     "TopicDistribution",
@@ -236,13 +239,15 @@ class Corpus:
     @cached_property
     def _topic_counts(self) -> np.ndarray:
         # Sized by the declared topic_count, as is per-topic state built on
-        # it (a trial's first positions), so that count is capped here.
+        # it (a trial's first positions), so that count is capped here. A
+        # count is at most the document count, and 2**31 documents would
+        # hold over 48 GiB of ids and offsets, so int32 holds it.
         if self.topic_count > MAX_ZIPF_TOPICS:
             raise ValueError(
                 f"topic_count {self.topic_count} is above the limit of {MAX_ZIPF_TOPICS} "
                 f"topics that per-topic counts are built for"
             )
-        return np.bincount(self.indices, minlength=self.topic_count)
+        return np.bincount(self.indices, minlength=self.topic_count).astype(np.int32)
 
     @cached_property
     def absent_topics(self) -> tuple[int, ...]:
@@ -297,7 +302,10 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     Document d's draws come from the SplitMix64 stream keyed by
     (seed, d): redraw round r tests topic i with draw number r*m + i + 1.
     Generation is therefore order-independent and reproducible across
-    platforms; blocks of ``max(1, BLOCK_DRAWS // m)`` documents are drawn.
+    platforms. Blocks of ``max(1, BLOCK_DRAWS // m)`` documents are drawn
+    on every usable core through ``prng._map_in_order`` and joined in
+    document order, so the corpus is the same to the byte on any number
+    of cores; BLOCK_DRAWS bounds each worker's working memory.
 
     Raises:
         ValueError: for a doc_count outside 1..MAX_DOCUMENTS, when
@@ -343,8 +351,10 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     doc_ids = np.strings.add("d", np.arange(doc_count).astype(StringDType()))
     block = max(1, BLOCK_DRAWS // m)
     lengths = np.empty(doc_count, dtype=np.int64)
-    topic_blocks = []
-    for start in range(0, doc_count, block):
+
+    def draw_block(start: int) -> np.ndarray:
+        # The topic ids of documents start:stop in document order; writes
+        # lengths[start:stop], which no other block touches.
         stop = min(start + block, doc_count)
         keys = derive_key_array(seed, np.arange(start, stop, dtype=np.uint64))
         # Each round's (document, topic) hits, in order within the round; a
@@ -368,8 +378,9 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
         topic = np.concatenate(topics)
         topic = topic[np.argsort(doc, kind="stable")]  # a document's hits all come from one round
         lengths[start:stop] = np.bincount(doc, minlength=stop - start)
-        topic_blocks.append(topic.astype(np.int32))
+        return topic.astype(np.int32)
 
+    topic_blocks = _map_in_order(draw_block, range(0, doc_count, block))
     return Corpus(
         doc_ids=doc_ids,
         indptr=np.concatenate(([0], np.cumsum(lengths))),
@@ -640,10 +651,49 @@ def _saved_lines(text: str) -> tuple[np.ndarray, ...] | None:
     topics = np.add.reduceat(values, np.concatenate(([0], separators[:-1] + 1)), dtype=np.intc)
     line_ends = np.flatnonzero(kind[separators] == 3) + 1
 
-    # The ids, each followed by its closing quote.
-    quoted = buf[_spans(buf.size, starts + len(_HEAD), middles + 1)].tobytes()
-    ids = np.array(quoted.decode().split('"')[:-1], dtype=StringDType())
-    return ids, topics, line_ends
+    firsts = starts + len(_HEAD)
+    return _id_array(buf, firsts, middles - firsts), topics, line_ends
+
+
+def _id_array(buf: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The UTF-8 ids at ``buf[firsts[i]:firsts[i] + widths[i]]``, none
+    holding a byte below 0x20, as ``StringDType``.
+
+    Runs of ids are copied into NUL-padded (rows, widest) ``uint8`` grids
+    (see _grid_rows), each viewed as fixed-width bytes and cast, which
+    decodes UTF-8 and drops the padding; no id loses a byte, since none
+    holds a NUL. An id too wide for a grid of its own is decoded alone, so
+    a long id costs about its own bytes.
+    """
+    # Zeros after the block, so that a grid row read from any id's start
+    # stays inside the array; no grid is wider than this.
+    padded = np.concatenate((buf, np.zeros(buf.size // 129, np.uint8)))
+    runs = []
+    start = 0
+    while start < widths.size:
+        rows = _grid_rows(widths[start:], buf.size)
+        if rows:
+            run = widths[start : start + rows]
+            width = max(1, int(run.max()))
+            grid = sliding_window_view(padded, width)[firsts[start : start + rows]]
+            grid.T[np.arange(width)[:, None] >= run] = 0  # the bytes after each id
+            runs.append(grid.view(f"S{width}")[:, 0].astype(StringDType()))
+        else:
+            rows = 1
+            lone = buf[firsts[start] : firsts[start] + widths[start]]
+            runs.append(np.array([lone.tobytes().decode()], StringDType()))
+        start += rows
+    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+
+
+def _grid_rows(widths: np.ndarray, budget: int) -> int:
+    """The leading ids of ``widths`` bytes that one grid of _id_array
+    takes: the most whose count plus 128, times their widest width, fits
+    ``budget`` bytes; 0 if the first id alone does not fit. numpy casts
+    fixed-width bytes to ``StringDType`` through a buffer of 128 elements,
+    so the grid and that buffer stay within the budget."""
+    widest = np.maximum.accumulate(widths[:budget]).clip(1)
+    return int(np.count_nonzero(widest * np.arange(129, widest.size + 129) <= budget))
 
 
 def _parsed_lines(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ...]:

@@ -20,11 +20,21 @@ into the integer cut-offs a draw is compared against, :func:`check_seed` and
 and :func:`derive_key_array` keys independent streams (one per document, one
 per trial). The sequential form (a state advanced by ``GAMMA`` per call) is
 kept only in the tests, as the oracle these are checked against.
+
+Because a stream is read from (key, counter) alone, work keyed by stream
+splits into independent blocks. :func:`_map_in_order` is the package's
+one block map: it runs such blocks on one thread per usable core, the
+calling thread among them, and returns their results in block order, so
+the worker count changes no bit. Corpus generation and the collector's
+exact and Monte Carlo routes run through it.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+import os
+import threading
+from collections.abc import Callable, Sequence
+from typing import TypeVar
 
 import numpy as np
 
@@ -130,3 +140,62 @@ def derive_key(seed: int, index: int) -> int:
     if index < 0:
         raise ValueError(f"stream index must be >= 0, got {index}")
     return int(derive_key_array(seed, np.array([index]))[0])
+
+
+_R = TypeVar("_R")
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_in_order(function: Callable[[int], _R], items: Sequence[int]) -> list[_R]:
+    """``[function(item) for item in items]``, on one thread per usable
+    core (at most one per item), the calling thread one of them.
+
+    The items must be independent blocks whose work is mostly numpy
+    calls, which release the interpreter lock. The caller and ``workers -
+    1`` threads take the items in order from one shared counter, and each
+    result goes to its own index. After an error in a block, or an
+    interrupt in the caller, no block not yet started runs; the error of
+    the first failed item is raised once the blocks in flight have
+    finished, and no thread outlives the call.
+    """
+    workers = min(_usable_cores(), len(items))
+    if workers <= 1:
+        return [function(item) for item in items]
+    results: list = [None] * len(items)
+    errors: dict[int, BaseException] = {}
+    order = iter(range(len(items)))
+    taking = threading.Lock()
+    stop = threading.Event()
+
+    def work() -> None:
+        while not stop.is_set():
+            with taking:
+                index = next(order, None)
+            if index is None:
+                return
+            try:
+                results[index] = function(items[index])
+            except BaseException as exc:  # raised again by the caller, below
+                errors[index] = exc
+                stop.set()
+
+    started = []
+    try:
+        for _ in range(workers - 1):
+            thread = threading.Thread(target=work)
+            thread.start()
+            started.append(thread)
+        work()
+    finally:
+        stop.set()
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results

@@ -1,6 +1,5 @@
 """Collector expectations against brute-force and closed-form oracles."""
 
-import concurrent.futures
 import itertools
 import math
 import random
@@ -18,6 +17,7 @@ from hypothesis import strategies as st
 from splitmix64_oracle import SplitMix64
 
 import fomo.collector
+import fomo.prng
 from fomo.collector import (
     _SAMPLER_BATCH,
     _SAMPLER_STEP_DRAWS,
@@ -32,6 +32,9 @@ from fomo.collector import (
     expected_draws_unequal_exact,
     expected_draws_unequal_sum,
     simulate_expected_draws,
+)
+from fomo.corpus import (
+    BLOCK_DRAWS, TopicDistribution, generate_corpus, zipf_prevalences
 )
 from fomo.prng import MASK64, MAX_TRIALS, derive_key, stream_u64
 
@@ -471,16 +474,17 @@ def fast_switching():
 
 
 class TestWorkerCount:
-    """Blocks run on one thread per usable core, and the count changes no
-    bit of any result: 1, 2 and 3 workers, the last more than a 2-core
+    """Blocks of the one block map, ``prng._map_in_order``, run on one
+    thread per usable core, the caller among them, and the count changes
+    no bit of any result: 1, 2 and 3 workers, the last more than a 2-core
     machine runs at once."""
 
     @pytest.mark.parametrize("cpu_count, cores", [(3, 3), (None, 1)])
     def test_usable_cores_without_an_affinity_mask(self, monkeypatch, cpu_count, cores):
         # Where os has no sched_getaffinity, the CPU count, or 1 if unknown.
-        monkeypatch.delattr(fomo.collector.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(fomo.collector.os, "cpu_count", lambda: cpu_count)
-        assert fomo.collector._usable_cores() == cores
+        monkeypatch.delattr(fomo.prng.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(fomo.prng.os, "cpu_count", lambda: cpu_count)
+        assert fomo.prng._usable_cores() == cores
 
     @pytest.mark.parametrize(
         "dist, trials, seed",
@@ -495,7 +499,7 @@ class TestWorkerCount:
     def test_monte_carlo_is_the_same_on_any_count(self, monkeypatch, dist, trials, seed):
         results = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(fomo.collector, "_usable_cores", lambda w=workers: w)
+            monkeypatch.setattr(fomo.prng, "_usable_cores", lambda w=workers: w)
             results.append(simulate_expected_draws(dist, trials, seed))
         assert results[1] == results[0] and results[2] == results[0]
 
@@ -508,7 +512,7 @@ class TestWorkerCount:
     def test_exact_is_the_same_on_any_count(self, monkeypatch, dist):
         values = []
         for workers in (1, 2, 3):
-            monkeypatch.setattr(fomo.collector, "_usable_cores", lambda w=workers: w)
+            monkeypatch.setattr(fomo.prng, "_usable_cores", lambda w=workers: w)
             values.append(expected_draws_unequal_exact(dist).hex())
         assert values[1] == values[0] and values[2] == values[0]
 
@@ -517,7 +521,7 @@ class TestWorkerCount:
         # stream_u64 raises on its 30th call, in an early batch of 20.
         # Batches start in order, and after the error only the batches
         # the other workers hold (or are taking up) may run.
-        monkeypatch.setattr(fomo.collector, "_usable_cores", lambda: workers)
+        monkeypatch.setattr(fomo.prng, "_usable_cores", lambda: workers)
         derive = fomo.collector.derive_key_array
         calls = itertools.count(1)
         batch = threading.local()
@@ -547,7 +551,7 @@ class TestWorkerCount:
         # Block 1 raises while block 0 still runs and the caller waits on
         # block 0's result; the worker that raised must not go on to the
         # blocks after it.
-        monkeypatch.setattr(fomo.collector, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(fomo.prng, "_usable_cores", lambda: 2)
         raised = threading.Event()
         ran = []
 
@@ -561,25 +565,24 @@ class TestWorkerCount:
                 time.sleep(0.1)  # long beside the error reaching the pool
 
         with pytest.raises(RuntimeError, match="planted"):
-            fomo.collector._map_in_order(block, range(10))
+            fomo.prng._map_in_order(block, range(10))
         assert sorted(ran) == [0, 1]
 
     def test_an_interrupt_in_the_caller_cancels_the_waiting_blocks(self, monkeypatch):
-        monkeypatch.setattr(fomo.collector, "_usable_cores", lambda: 2)
+        monkeypatch.setattr(fomo.prng, "_usable_cores", lambda: 2)
         ran = []
-
-        def interrupted(future, timeout=None):
-            raise KeyboardInterrupt
 
         def block(item):
             ran.append(item)
-            time.sleep(0.2)  # long beside submitting the rest and cancelling
+            # The caller is interrupted in its own first block, while the
+            # other worker runs one that is long beside that.
+            if threading.current_thread() is threading.main_thread():
+                raise KeyboardInterrupt
+            time.sleep(0.2)
 
-        # The caller is interrupted while it waits for the first result.
-        monkeypatch.setattr(concurrent.futures.Future, "result", interrupted)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            fomo.collector._map_in_order(block, range(50))
+            fomo.prng._map_in_order(block, range(50))
         assert threading.active_count() == before
         assert len(ran) <= 2
 
@@ -587,7 +590,30 @@ class TestWorkerCount:
         before = threading.active_count()
         simulate_expected_draws(dice_sum_distribution(), 3 * _SAMPLER_BATCH, seed=5)
         expected_draws_unequal_exact(power_law(22))
+        generate_corpus(3 * BLOCK_DRAWS // 64, zipf_prevalences(64, 0.36, 1 / 8571), seed=5)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            zipf_prevalences(64, 0.36, 1 / 8571),
+            TopicDistribution((1.0, *zipf_prevalences(63, 0.36, 1 / 8571).prevalences)),
+        ],
+        ids=["study-calibration", "one-certain-topic"],
+    )
+    @pytest.mark.usefixtures("fast_switching")
+    def test_generation_is_the_same_on_any_count(self, monkeypatch, dist):
+        # Three blocks of 4,096 documents and part of a fourth.
+        doc_count = 3 * BLOCK_DRAWS // 64 + 17
+        corpora = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fomo.prng, "_usable_cores", lambda w=workers: w)
+            corpora.append(generate_corpus(doc_count, dist, seed=8))
+        first = corpora[0]
+        for corpus in corpora[1:]:
+            assert np.array_equal(corpus.indptr, first.indptr)
+            assert np.array_equal(corpus.indices, first.indices)
+            assert np.array_equal(corpus.doc_ids, first.doc_ids)
 
 
 @pytest.mark.parametrize("batches", [2, 32])

@@ -334,6 +334,11 @@ class TestCorpusInvariants:
         assert corpus.topic_counts() == [2, 0, 1, 0]
         assert corpus.empirical_prevalences() == {0: 1.0, 2: 0.5}
 
+    def test_per_topic_counts_take_four_bytes_a_topic(self):
+        # Held for the corpus's life, sized by the declared topic count.
+        corpus = corpus_from_documents((Document("a", (0,)),), topic_count=MAX_ZIPF_TOPICS)
+        assert corpus._topic_counts.dtype == np.int32
+        assert corpus.topic_counts()[:2] == [1, 0] and type(corpus.topic_counts()[0]) is int
 
     def test_per_topic_counts_refuse_a_declared_count_above_the_cap(self):
         corpus = corpus_from_documents((Document("a", (0,)),), topic_count=MAX_ZIPF_TOPICS + 1)
@@ -818,6 +823,38 @@ def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus, dat
         ):
             assert load_corpus(path) == corpus
             assert load_corpus(listed) == corpus
+
+
+def test_an_id_grid_takes_the_ids_that_fit_the_block():
+    # k ids of widest width w take (k + 128) * w bytes of grid and cast
+    # buffer; a grid takes the most leading ids that fit the budget, and
+    # none if the first id alone does not.
+    widths = np.array([7] * 50)
+    assert fomo.corpus._grid_rows(widths, 178 * 7) == 50
+    assert fomo.corpus._grid_rows(widths, 178 * 7 - 1) == 49
+    assert fomo.corpus._grid_rows(widths, 129 * 7) == 1
+    assert fomo.corpus._grid_rows(widths, 129 * 7 - 1) == 0
+    assert fomo.corpus._grid_rows(np.array([0, 0, 3, 1]), 131 * 3) == 3  # an empty id is 1 wide
+
+
+@pytest.mark.parametrize("width", [1, 2, 40, 1_000])
+def test_saved_ids_load_in_grids_and_a_wide_id_alone(width):
+    # An id wider than a 129th of its block's bytes is decoded alone; the
+    # others go through grids. Both keep every byte, UTF-8 and empty ids too.
+    ids = ["", "é", "d7", "ド" * width, "\U0001f600", *(f"d{d}" for d in range(300))]
+    text = "".join('{"doc_id":"%s","topics":[0]}\n' % doc_id for doc_id in ids)
+    alone = 129 * 3 * width > len(text.encode())
+    grid_rows, taken = fomo.corpus._grid_rows, []
+
+    def recorded(widths, budget):
+        taken.append(grid_rows(widths, budget))
+        return taken[-1]
+
+    with mock.patch("fomo.corpus._grid_rows", recorded):
+        loaded = fomo.corpus._saved_lines(text)[0]
+    assert loaded.tolist() == ids
+    assert (0 in taken) == alone
+    assert sum(taken) == len(ids) - alone
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)

@@ -1,7 +1,7 @@
 """The package namespace re-exports each submodule's public names once,
 importing the CLI stays cheap, every cap has its row in the README, no
-module reads the environment, none builds an unchecked instance, and one
-function owns trial batches."""
+module reads the environment, none builds an unchecked instance, one
+function owns trial batches and one starts threads."""
 
 import ast
 import importlib
@@ -49,9 +49,30 @@ def test_cli_import_leaves_scipy_unloaded():
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():
-    # The collector routes import the thread pool when they have more than
-    # one block and more than one core; every other command skips it.
+    # No module uses a thread pool: prng._map_in_order starts its own
+    # threads, so no command loads concurrent.futures.
     run_python("import sys, fomo.cli; assert 'concurrent.futures' not in sys.modules")
+
+
+def test_one_owner_of_threads():
+    # prng._map_in_order alone starts threads, and no module imports
+    # concurrent.futures; a second owner would run blocks without its
+    # order, error and interrupt rules.
+    package = Path(fomo.__file__).parent
+    starters, pools = [], []
+    for source in sorted(package.glob("*.py")):
+        for statement in ast.parse(source.read_text(encoding="utf-8")).body:
+            for node in ast.walk(statement):
+                if isinstance(node, ast.Call) and "Thread" in (
+                    getattr(node.func, "attr", None), getattr(node.func, "id", None)
+                ):
+                    starters.append(f"{source.stem}.{getattr(statement, 'name', None)}")
+                if isinstance(node, ast.Import):
+                    pools += [alias.name for alias in node.names]
+                if isinstance(node, ast.ImportFrom):
+                    pools.append(node.module or "")
+    assert starters == ["prng._map_in_order"]
+    assert [name for name in pools if name.startswith("concurrent")] == []
 
 
 def test_no_module_reads_the_environment():

@@ -461,9 +461,9 @@ class TestRunShuffles:
         assert peak < 2 * fomo.simulation.TRIAL_BATCH_BYTES
 
     def test_a_batch_that_sorts_many_topics_stays_near_the_budget(self):
-        # 2,000 documents, each holding its own topic: sorting each trial's
-        # topics by position takes 24 bytes a topic present. A batch sized
-        # without them (524 trials) traced 20.2 MiB.
+        # 2,000 documents, each holding its own topic: all 524 trials run as
+        # one run_shuffles batch, whose items, first positions and step
+        # arrays trace about 10.2 MiB.
         corpus = corpus_from_topic_sets([{t} for t in range(2000)])
         tracemalloc.start()
         try:
