@@ -50,7 +50,6 @@ from json.encoder import encode_basestring
 
 import numpy as np
 from numpy.dtypes import StringDType
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .prng import (
     _map_in_order, check_probabilities, derive_key_array, stream_u64, u64_thresholds
@@ -659,25 +658,26 @@ def _id_array(buf: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> np.nda
     """The UTF-8 ids at ``buf[firsts[i]:firsts[i] + widths[i]]``, none
     holding a byte below 0x20, as ``StringDType``.
 
-    Runs of ids are copied into NUL-padded (rows, widest) ``uint8`` grids
-    (see _grid_rows), each viewed as fixed-width bytes and cast, which
-    decodes UTF-8 and drops the padding; no id loses a byte, since none
-    holds a NUL. An id too wide for a grid of its own is decoded alone, so
-    a long id costs about its own bytes.
+    Runs of ids are read as 8-byte words into NUL-padded (rows, words)
+    grids (see _grid_rows), each viewed as fixed-width bytes and cast,
+    which decodes UTF-8 and drops the padding; no id loses a byte, since
+    none holds a NUL. An id too wide for a grid of its own is decoded
+    alone, so a long id costs about its own bytes.
     """
-    # Zeros after the block, so that a grid row read from any id's start
-    # stays inside the array; no grid is wider than this.
-    padded = np.concatenate((buf, np.zeros(buf.size // 129, np.uint8)))
+    # Zeros after the block, so that every word a grid reads lies inside.
+    words = _words(np.concatenate((buf, np.zeros(buf.size // 129, np.uint8))))
+    # keep[j] keeps a word's first j bytes, in memory order.
+    keep = np.frombuffer(b"".join(b"\xff" * j + bytes(8 - j) for j in range(9)), np.uint64)
     runs = []
     start = 0
     while start < widths.size:
         rows = _grid_rows(widths[start:], buf.size)
         if rows:
-            run = widths[start : start + rows]
-            width = max(1, int(run.max()))
-            grid = sliding_window_view(padded, width)[firsts[start : start + rows]]
-            grid.T[np.arange(width)[:, None] >= run] = 0  # the bytes after each id
-            runs.append(grid.view(f"S{width}")[:, 0].astype(StringDType()))
+            run = widths[start : start + rows, None]
+            at = np.arange(0, int(run.max()) + 1, 8)  # each row's word offsets
+            grid = words[firsts[start : start + rows, None] + at]
+            grid &= keep[np.clip(run - at, 0, 8)]
+            runs.append(grid.view(f"S{grid.itemsize * at.size}")[:, 0].astype(StringDType()))
         else:
             rows = 1
             lone = buf[firsts[start] : firsts[start] + widths[start]]
@@ -688,12 +688,15 @@ def _id_array(buf: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> np.nda
 
 def _grid_rows(widths: np.ndarray, budget: int) -> int:
     """The leading ids of ``widths`` bytes that one grid of _id_array
-    takes: the most whose count plus 128, times their widest width, fits
+    takes: the most whose count plus 128, times the bytes of a row (the
+    widest id's width rounded down to 8-byte words, plus one word), fits
     ``budget`` bytes; 0 if the first id alone does not fit. numpy casts
     fixed-width bytes to ``StringDType`` through a buffer of 128 elements,
     so the grid and that buffer stay within the budget."""
-    widest = np.maximum.accumulate(widths[:budget]).clip(1)
-    return int(np.count_nonzero(widest * np.arange(129, widest.size + 129) <= budget))
+    if (widths.size + 128) * (widths.max() // 8 * 8 + 8) <= budget:
+        return widths.size
+    row_bytes = np.maximum.accumulate(widths[:budget]) // 8 * 8 + 8
+    return int(np.count_nonzero(row_bytes * np.arange(129, row_bytes.size + 129) <= budget))
 
 
 def _parsed_lines(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ...]:

@@ -826,24 +826,24 @@ def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus, dat
 
 
 def test_an_id_grid_takes_the_ids_that_fit_the_block():
-    # k ids of widest width w take (k + 128) * w bytes of grid and cast
-    # buffer; a grid takes the most leading ids that fit the budget, and
-    # none if the first id alone does not.
+    # k ids whose widest is w bytes take (k + 128) * (w // 8 * 8 + 8) bytes
+    # of grid and cast buffer; a grid takes the most leading ids that fit
+    # the budget, and none if the first id alone does not.
     widths = np.array([7] * 50)
-    assert fomo.corpus._grid_rows(widths, 178 * 7) == 50
-    assert fomo.corpus._grid_rows(widths, 178 * 7 - 1) == 49
-    assert fomo.corpus._grid_rows(widths, 129 * 7) == 1
-    assert fomo.corpus._grid_rows(widths, 129 * 7 - 1) == 0
-    assert fomo.corpus._grid_rows(np.array([0, 0, 3, 1]), 131 * 3) == 3  # an empty id is 1 wide
+    assert fomo.corpus._grid_rows(widths, 178 * 8) == 50
+    assert fomo.corpus._grid_rows(widths, 178 * 8 - 1) == 49
+    assert fomo.corpus._grid_rows(widths, 129 * 8) == 1
+    assert fomo.corpus._grid_rows(widths, 129 * 8 - 1) == 0
+    assert fomo.corpus._grid_rows(np.array([0, 0, 8, 1]), 132 * 16 - 1) == 3
 
 
 @pytest.mark.parametrize("width", [1, 2, 40, 1_000])
 def test_saved_ids_load_in_grids_and_a_wide_id_alone(width):
-    # An id wider than a 129th of its block's bytes is decoded alone; the
-    # others go through grids. Both keep every byte, UTF-8 and empty ids too.
+    # An id whose grid row would take more than a 129th of its block's
+    # bytes is decoded alone; the others go through grids. Both keep every byte, UTF-8 and empty ids too.
     ids = ["", "é", "d7", "ド" * width, "\U0001f600", *(f"d{d}" for d in range(300))]
     text = "".join('{"doc_id":"%s","topics":[0]}\n' % doc_id for doc_id in ids)
-    alone = 129 * 3 * width > len(text.encode())
+    alone = 129 * (3 * width // 8 * 8 + 8) > len(text.encode())
     grid_rows, taken = fomo.corpus._grid_rows, []
 
     def recorded(widths, budget):
