@@ -664,8 +664,11 @@ def _id_array(buf: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> np.nda
     none holds a NUL. An id too wide for a grid of its own is decoded
     alone, so a long id costs about its own bytes.
     """
-    # Zeros after the block, so that every word a grid reads lies inside.
-    words = _words(np.concatenate((buf, np.zeros(buf.size // 129, np.uint8))))
+    # Every word a grid reads lies inside the block, or in zeros after it
+    # when some id is over 8 bytes wider than the last one.
+    end = firsts[-1] + widths.max() // 8 * 8 + 8
+    padded = buf if end <= buf.size else np.concatenate((buf, np.zeros(end - buf.size, np.uint8)))
+    words = _words(padded)
     # keep[j] keeps a word's first j bytes, in memory order.
     keep = np.frombuffer(b"".join(b"\xff" * j + bytes(8 - j) for j in range(9)), np.uint64)
     runs = []
