@@ -45,11 +45,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .prng import (
-    _map_in_order,
-    check_probabilities,
-    check_trial_count,
-    derive_key_array,
-    stream_u64,
+    _map_in_order, check_probabilities, check_trial_count, derive_key_array, stream_u64,
     u64_thresholds,
 )
 

@@ -664,8 +664,8 @@ def _id_array(buf: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> np.nda
     none holds a NUL. An id too wide for a grid of its own is decoded
     alone, so a long id costs about its own bytes.
     """
-    # Every word a grid reads lies inside the block, or in zeros after it
-    # when some id is over 8 bytes wider than the last one.
+    # Every word a grid reads lies inside the block, or in zeros appended
+    # when a row as wide as the widest would run past it from the last id.
     end = firsts[-1] + widths.max() // 8 * 8 + 8
     padded = buf if end <= buf.size else np.concatenate((buf, np.zeros(end - buf.size, np.uint8)))
     words = _words(padded)

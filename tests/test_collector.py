@@ -548,9 +548,8 @@ class TestWorkerCount:
         assert len(starts) < 10
 
     def test_no_block_starts_after_an_error(self, monkeypatch):
-        # Block 1 raises while block 0 still runs and the caller waits on
-        # block 0's result; the worker that raised must not go on to the
-        # blocks after it.
+        # Block 1 raises while block 0 still runs on the other worker;
+        # neither worker may go on to the blocks after them.
         monkeypatch.setattr(fomo.prng, "_usable_cores", lambda: 2)
         raised = threading.Event()
         ran = []
@@ -562,7 +561,7 @@ class TestWorkerCount:
                 raise RuntimeError("planted")
             if item == 0:
                 assert raised.wait(timeout=10)
-                time.sleep(0.1)  # long beside the error reaching the pool
+                time.sleep(0.1)  # long beside the error reaching the other worker
 
         with pytest.raises(RuntimeError, match="planted"):
             fomo.prng._map_in_order(block, range(10))

@@ -840,7 +840,8 @@ def test_an_id_grid_takes_the_ids_that_fit_the_block():
 @pytest.mark.parametrize("width", [1, 2, 40, 1_000])
 def test_saved_ids_load_in_grids_and_a_wide_id_alone(width):
     # An id whose grid row would take more than a 129th of its block's
-    # bytes is decoded alone; the others go through grids. Both keep every byte, UTF-8 and empty ids too.
+    # bytes is decoded alone; the others go through grids. Both keep every
+    # byte, UTF-8 and empty ids too.
     ids = ["", "é", "d7", "ド" * width, "\U0001f600", *(f"d{d}" for d in range(300))]
     text = "".join('{"doc_id":"%s","topics":[0]}\n' % doc_id for doc_id in ids)
     alone = 129 * (3 * width // 8 * 8 + 8) > len(text.encode())
