@@ -38,7 +38,6 @@ a document scan.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -225,22 +224,18 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
 
     # Subsets of the first 20 coupons are evaluated together, once per
     # subset of the rest, so peak memory stays at 2**20 floats a worker.
-    # A block's terms are low_sign / (low_sums + high_sum), made in the
-    # worker's reused buffer, and its sum takes the high subset's sign
+    # A block's terms are low_sign / (low_sums + high_sum), made in a
+    # fresh array a block, and its sum takes the high subset's sign
     # after: a sign flip is exact and pairwise summation commutes with it,
     # so the result is the sum of (low_sign * high_sign) / P(J) bit for bit.
     low_sums, low_sign = _subset_sums(p[:20])
     high_sums, high_signs = _subset_sums(p[20:])
-    worker = threading.local()
 
     def block_sum(bits: int) -> float:
-        terms = getattr(worker, "terms", None)
-        if terms is None:
-            terms = worker.terms = np.empty_like(low_sums)
         # Overflow is refused below; 1/0 is the empty subset's term, dropped.
         # numpy keeps error state per thread, so each block sets its own.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            np.add(low_sums, high_sums[bits], out=terms)
+            terms = low_sums + high_sums[bits]
             np.divide(low_sign, terms, out=terms)
             return float(np.sum(terms[1:] if bits == 0 else terms))
 

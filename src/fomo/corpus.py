@@ -400,23 +400,32 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
     Each block of lines is built as a (rows, width) byte grid, a line a
     row, with NUL bytes between its parts, and written as the grid's
     nonzero bytes; a saved line holds no NUL, which JSON writes as
-    ``\\u0000``. A block holds as many documents as fit SAVE_BLOCK_BYTES
-    of grid, at least one, counting an id by its characters (its UTF-8
-    bytes and escapes may widen a row up to six times).
+    ``\\u0000``. A block takes the documents _grid_rows gives it within
+    SAVE_BLOCK_BYTES, counting an id by its characters (its UTF-8 bytes
+    and escapes may widen a row up to six times). A document too wide for
+    a grid of its own is written by ``json.dumps`` as above.
     """
-    header = {
-        "format": CORPUS_FORMAT,
-        "version": CORPUS_VERSION,
-        "topic_count": corpus.topic_count,
-    }
+    header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "topic_count": corpus.topic_count}
     digits = len(str(min(corpus.topic_count, MAX_TOPIC_ID + 1) - 1))
+    slot = digits + 1  # a topic's digits and its "," or "]"
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
         start = 0
         while start < len(corpus):
-            stop = _save_block_end(corpus, start, digits + 1)
-            grid = _line_grid(corpus, start, stop, digits)
-            fh.write(grid[grid != 0])
+            # Every document a grid can take, and one more.
+            stop = min(len(corpus), start + 1 + SAVE_BLOCK_BYTES // (_FRAME + slot))
+            ids = np.strings.str_len(corpus.doc_ids[start:stop]) + 1  # and the closing quote
+            topics = np.diff(corpus.indptr[start : stop + 1])
+            rows = _grid_rows(_FRAME + ids + slot * topics, ids, SAVE_BLOCK_BYTES)
+            stop = start + max(rows, 1)
+            if rows:
+                grid = _line_grid(corpus, start, stop, digits)
+                fh.write(grid[grid != 0])
+            else:  # a line no grid holds, written as the docstring says
+                topics = corpus.indices[corpus.indptr[start] : corpus.indptr[stop]].tolist()
+                line = {"doc_id": corpus.doc_ids[start], "topics": topics}
+                fh.write(json.dumps(line, separators=(",", ":"), ensure_ascii=False).encode())
+                fh.write(b"\n")
             start = stop
 
 
@@ -427,21 +436,21 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
 # 9 digits; it compares the fixed parts as 8-byte words read at any byte.
 _HEAD = b'{"doc_id":"'
 _MIDDLE = b'","topics":['
-# A grid row's fixed bytes: _HEAD, the id's closing quote, the rest of
-# _MIDDLE and "}\n".
-_FRAME = len(_HEAD) + len(_MIDDLE) + 2
+# A grid row beside its id column and topic slots: _HEAD, _MIDDLE[1:], "}\n".
+_FRAME = len(_HEAD) + len(_MIDDLE) + 1
 
 
-def _save_block_end(corpus: Corpus, start: int, slot: int) -> int:
-    """The end of the save block from document ``start``: the most
-    documents, at least one, whose count times the widest of their grid
-    rows stays within SAVE_BLOCK_BYTES, with ``slot`` bytes a topic."""
-    stop = min(len(corpus), start + SAVE_BLOCK_BYTES // (_FRAME + slot))
-    widths = np.strings.str_len(corpus.doc_ids[start:stop])
-    widths += slot * np.diff(corpus.indptr[start : stop + 1])
-    widest = np.maximum.accumulate(widths) + _FRAME
-    fits = widest * np.arange(1, widest.size + 1) <= SAVE_BLOCK_BYTES
-    return start + max(1, int(np.count_nonzero(fits)))
+def _grid_rows(rows: np.ndarray, ids: np.ndarray, budget: int) -> int:
+    """The leading rows, of ``rows`` bytes with ``ids`` bytes of id column
+    each, that one grid of save_corpus or _id_array takes: the most whose
+    count times the widest row, plus 128 times the widest id column (numpy
+    casts an id column through a buffer of 128 elements), is at most
+    ``budget`` bytes. 0 if the first row alone is not: that line is written
+    by ``json.dumps``, or that id decoded alone."""
+    if rows.size * rows.max() + 128 * ids.max() <= budget:
+        return rows.size
+    grid = np.maximum.accumulate(rows) * np.arange(1, rows.size + 1)
+    return int(np.count_nonzero(grid + 128 * np.maximum.accumulate(ids) <= budget))
 
 
 def _line_grid(corpus: Corpus, start: int, stop: int, digits: int) -> np.ndarray:
@@ -658,15 +667,17 @@ def _id_array(buf: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> np.nda
     """The UTF-8 ids at ``buf[firsts[i]:firsts[i] + widths[i]]``, none
     holding a byte below 0x20, as ``StringDType``.
 
-    Runs of ids are read as 8-byte words into NUL-padded (rows, words)
-    grids (see _grid_rows), each viewed as fixed-width bytes and cast,
-    which decodes UTF-8 and drops the padding; no id loses a byte, since
-    none holds a NUL. An id too wide for a grid of its own is decoded
-    alone, so a long id costs about its own bytes.
+    Runs of ids are read as 8-byte words into NUL-padded grids sized by
+    _grid_rows, a row an id's width rounded down to words plus one word,
+    each viewed as fixed-width bytes and cast, which decodes UTF-8 and
+    drops the padding; no id loses a byte, since none holds a NUL. An id
+    too wide for a grid of its own is decoded alone, so a long id costs
+    about its own bytes.
     """
+    row_bytes = widths // 8 * 8 + 8
     # Every word a grid reads lies inside the block, or in zeros appended
     # when a row as wide as the widest would run past it from the last id.
-    end = firsts[-1] + widths.max() // 8 * 8 + 8
+    end = firsts[-1] + row_bytes.max()
     padded = buf if end <= buf.size else np.concatenate((buf, np.zeros(end - buf.size, np.uint8)))
     words = _words(padded)
     # keep[j] keeps a word's first j bytes, in memory order.
@@ -674,32 +685,18 @@ def _id_array(buf: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> np.nda
     runs = []
     start = 0
     while start < widths.size:
-        rows = _grid_rows(widths[start:], buf.size)
+        rows = _grid_rows(row_bytes[start:], row_bytes[start:], buf.size)
+        stop = start + max(rows, 1)
         if rows:
-            run = widths[start : start + rows, None]
-            at = np.arange(0, int(run.max()) + 1, 8)  # each row's word offsets
-            grid = words[firsts[start : start + rows, None] + at]
-            grid &= keep[np.clip(run - at, 0, 8)]
+            at = np.arange(0, row_bytes[start:stop].max(), 8)  # each row's word offsets
+            grid = words[firsts[start:stop, None] + at]
+            grid &= keep[np.clip(widths[start:stop, None] - at, 0, 8)]
             runs.append(grid.view(f"S{grid.itemsize * at.size}")[:, 0].astype(StringDType()))
         else:
-            rows = 1
             lone = buf[firsts[start] : firsts[start] + widths[start]]
             runs.append(np.array([lone.tobytes().decode()], StringDType()))
-        start += rows
+        start = stop
     return runs[0] if len(runs) == 1 else np.concatenate(runs)
-
-
-def _grid_rows(widths: np.ndarray, budget: int) -> int:
-    """The leading ids of ``widths`` bytes that one grid of _id_array
-    takes: the most whose count plus 128, times the bytes of a row (the
-    widest id's width rounded down to 8-byte words, plus one word), fits
-    ``budget`` bytes; 0 if the first id alone does not fit. numpy casts
-    fixed-width bytes to ``StringDType`` through a buffer of 128 elements,
-    so the grid and that buffer stay within the budget."""
-    if (widths.size + 128) * (widths.max() // 8 * 8 + 8) <= budget:
-        return widths.size
-    row_bytes = np.maximum.accumulate(widths[:budget]) // 8 * 8 + 8
-    return int(np.count_nonzero(row_bytes * np.arange(129, row_bytes.size + 129) <= budget))
 
 
 def _parsed_lines(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ...]:

@@ -353,7 +353,7 @@ def _first_sightings(
     once over the CSR rows, and an entry still 0 marks a topic not yet seen.
     """
     indptr, indices, topic_count = corpus.indptr, corpus.indices, corpus.topic_count
-    needed = len(corpus.topics_present)
+    needed = np.count_nonzero(corpus._topic_counts)
     first = np.zeros((trials, topic_count), dtype=np.int32)  # below n < 2**31 (fisher_yates)
     flat_first = first.reshape(-1)  # trial b's topic t at b * topic_count + t
     found = np.zeros(trials, dtype=np.int64)  # topics seen per trial
@@ -566,7 +566,7 @@ def completion_vs_analytic(
     empirical_mean = summary.mean_completion
     return AnalyticComparison(
         corpus_documents=n,
-        topics_present=len(corpus.topics_present),
+        topics_present=np.count_nonzero(corpus._topic_counts),
         empirical_median=empirical_median,
         analytic_median=analytic_median,
         median_relative_difference=abs(analytic_median - empirical_median) / empirical_median,

@@ -826,15 +826,28 @@ def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus, dat
 
 
 def test_an_id_grid_takes_the_ids_that_fit_the_block():
-    # k ids whose widest is w bytes take (k + 128) * (w // 8 * 8 + 8) bytes
-    # of grid and cast buffer; a grid takes the most leading ids that fit
-    # the budget, and none if the first id alone does not.
-    widths = np.array([7] * 50)
-    assert fomo.corpus._grid_rows(widths, 178 * 8) == 50
-    assert fomo.corpus._grid_rows(widths, 178 * 8 - 1) == 49
-    assert fomo.corpus._grid_rows(widths, 129 * 8) == 1
-    assert fomo.corpus._grid_rows(widths, 129 * 8 - 1) == 0
-    assert fomo.corpus._grid_rows(np.array([0, 0, 8, 1]), 132 * 16 - 1) == 3
+    # k rows whose widest takes w bytes, and whose widest id column takes
+    # v, take k * w + 128 * v bytes of grid and cast buffer; a grid takes
+    # the most leading rows that fit the budget, and none if the first row
+    # alone does not. A loaded id's row is its id column: its width
+    # rounded down to 8-byte words, plus one word.
+    rows = np.array([8] * 50)
+    assert fomo.corpus._grid_rows(rows, rows, 178 * 8) == 50
+    assert fomo.corpus._grid_rows(rows, rows, 178 * 8 - 1) == 49
+    assert fomo.corpus._grid_rows(rows, rows, 129 * 8) == 1
+    assert fomo.corpus._grid_rows(rows, rows, 129 * 8 - 1) == 0
+    rows = np.array([8, 8, 16, 8])
+    assert fomo.corpus._grid_rows(rows, rows, 132 * 16 - 1) == 3
+    # A saved line's row holds its frame and topic slots beside its id
+    # column, and only the id column is cast: a line of many topics keeps
+    # a grid of its own, a line of a wide id does not.
+    rows, ids = np.array([100, 30, 30, 500]), np.array([10, 2, 2, 2])
+    assert fomo.corpus._grid_rows(rows, ids, 4 * 500 + 128 * 10) == 4
+    assert fomo.corpus._grid_rows(rows, ids, 3 * 100 + 128 * 10) == 3
+    assert fomo.corpus._grid_rows(rows, ids, 3 * 100 + 128 * 10 - 1) == 2
+    assert fomo.corpus._grid_rows(rows, ids, 100 + 128 * 10 - 1) == 0
+    assert fomo.corpus._grid_rows(np.array([10**6]), np.array([8]), 2**20) == 1
+    assert fomo.corpus._grid_rows(np.array([10**4]), np.array([9_000]), 2**20) == 0
 
 
 @pytest.mark.parametrize("width", [1, 2, 40, 1_000])
@@ -847,8 +860,8 @@ def test_saved_ids_load_in_grids_and_a_wide_id_alone(width):
     alone = 129 * (3 * width // 8 * 8 + 8) > len(text.encode())
     grid_rows, taken = fomo.corpus._grid_rows, []
 
-    def recorded(widths, budget):
-        taken.append(grid_rows(widths, budget))
+    def recorded(rows, ids, budget):
+        taken.append(grid_rows(rows, ids, budget))
         return taken[-1]
 
     with mock.patch("fomo.corpus._grid_rows", recorded):
@@ -976,11 +989,13 @@ def saved_corpora(draw):
     return corpus_from_documents(documents, topic_count)
 
 
-@given(saved_corpora(), st.sampled_from([1, 300, SAVE_BLOCK_BYTES]))
+@given(saved_corpora(), st.sampled_from([1, 300, 2_000, SAVE_BLOCK_BYTES]))
 @settings(max_examples=300, deadline=None)
 def test_each_saved_line_is_json_dumps_of_its_document(tmp_path_factory, corpus, block_bytes):
-    # A budget of 1 or 300 bytes splits the corpus into blocks of one or a
-    # few documents.
+    # A budget of 1 byte sends every line to json.dumps, and one of 300
+    # bytes all but lines of an id of at most one character and few
+    # topics; 2,000 bytes give grids of short lines and send a long id or
+    # hundreds of topics to json.dumps.
     path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
     with mock.patch("fomo.corpus.SAVE_BLOCK_BYTES", block_bytes):
         save_corpus(corpus, path)
@@ -1006,6 +1021,22 @@ def test_saving_a_large_corpus_keeps_memory_bounded(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 6 * SAVE_BLOCK_BYTES
+
+
+def test_a_long_id_is_saved_within_a_few_times_its_bytes(tmp_path):
+    # A grid's id column is cast through a buffer of 128 of its rows, 128
+    # MiB for this 2**20-character id: its line is written by json.dumps.
+    long_id = Document("x" * 2**20, (0,))
+    corpus = corpus_from_documents((long_id, Document("d1", (1,))), 2)
+    path = tmp_path / "long_id.jsonl"
+    tracemalloc.start()
+    try:
+        save_corpus(corpus, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert load_corpus(path) == corpus
 
 
 def test_a_wide_line_costs_only_its_own_bytes(tmp_path):

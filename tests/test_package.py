@@ -1,7 +1,8 @@
 """The package namespace re-exports each submodule's public names once,
 importing the CLI stays cheap, every cap has its row in the README, no
 module reads the environment, none builds an unchecked instance, one
-function owns trial batches and one starts threads."""
+function owns trial batches, one starts threads and one sizes byte
+grids."""
 
 import ast
 import importlib
@@ -115,6 +116,21 @@ def test_one_owner_of_trial_batches():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     ]
     assert (calls.count("_batch_plan"), calls.count("fisher_yates")) == (1, 1)
+
+
+def test_one_rule_for_byte_grids():
+    # _grid_rows alone sizes the byte grids that save_corpus writes and
+    # _id_array reads; a rule of their own would size them another way.
+    package = Path(fomo.__file__).parent
+    callers = [
+        function.name
+        for source in sorted(package.glob("*.py"))
+        for function in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_grid_rows"
+    ]
+    assert sorted(callers) == ["_id_array", "save_corpus"]
 
 
 def test_every_benchmark_hook_resolves():

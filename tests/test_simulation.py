@@ -695,6 +695,19 @@ class TestCompletionVsAnalytic:
         assert report.median_relative_difference == 0.0
         assert report.analytic_mean == pytest.approx(1.0, rel=1e-9)
 
+    def test_counts_the_topics_present_without_their_set(self, monkeypatch):
+        # The scan and the comparison count the topics present from the
+        # per-topic counts; the set of their ids is built for no caller.
+        def no_set(corpus):
+            raise AssertionError("Corpus.topics_present was built")
+
+        corpus = corpus_from_topic_sets([{i % 5} for i in range(40)] + [{7}], topic_count=9)
+        expected = run_shuffles(corpus, 30, master_seed=3)
+        monkeypatch.setattr(fomo.corpus.Corpus, "topics_present", property(no_set))
+        summary = run_shuffles(corpus, 30, master_seed=3)
+        assert summary == expected
+        assert completion_vs_analytic(corpus, summary).topics_present == 6
+
     def test_requires_the_median_quantile(self):
         corpus = corpus_from_topic_sets([{0}, {1}])
         summary = run_shuffles(corpus, 20, master_seed=2, quantiles=(0.25, 0.75))
