@@ -415,8 +415,8 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
             # Every document a grid can take, and one more.
             stop = min(len(corpus), start + 1 + SAVE_BLOCK_BYTES // (_FRAME + slot))
             ids = np.strings.str_len(corpus.doc_ids[start:stop]) + 1  # and the closing quote
-            topics = np.diff(corpus.indptr[start : stop + 1])
-            rows = _grid_rows(_FRAME + ids + slot * topics, ids, SAVE_BLOCK_BYTES)
+            counts = np.diff(corpus.indptr[start : stop + 1])  # topics a document
+            rows = _grid_rows(_FRAME + ids + slot * counts, ids, SAVE_BLOCK_BYTES)
             stop = start + max(rows, 1)
             if rows:
                 grid = _line_grid(corpus, start, stop, digits)

@@ -566,7 +566,7 @@ def completion_vs_analytic(
     empirical_mean = summary.mean_completion
     return AnalyticComparison(
         corpus_documents=n,
-        topics_present=np.count_nonzero(corpus._topic_counts),
+        topics_present=int(np.count_nonzero(corpus._topic_counts)),
         empirical_median=empirical_median,
         analytic_median=analytic_median,
         median_relative_difference=abs(analytic_median - empirical_median) / empirical_median,

@@ -706,7 +706,8 @@ class TestCompletionVsAnalytic:
         monkeypatch.setattr(fomo.corpus.Corpus, "topics_present", property(no_set))
         summary = run_shuffles(corpus, 30, master_seed=3)
         assert summary == expected
-        assert completion_vs_analytic(corpus, summary).topics_present == 6
+        topics_present = completion_vs_analytic(corpus, summary).topics_present
+        assert (type(topics_present), topics_present) == (int, 6)
 
     def test_requires_the_median_quantile(self):
         corpus = corpus_from_topic_sets([{0}, {1}])
