@@ -14,7 +14,9 @@ Three routes to the same expectation:
 * :func:`expected_draws_unequal_sum` - the same expectation written as
   the integral of 1 - prod(1 - exp(-p_i u)) over u >= 0, which expands
   term by term into the subset sum but costs only O(m) per integrand
-  evaluation. Scales to any number of coupons.
+  evaluation. Scales to any number of coupons. Each panel is integrated
+  by :func:`fomo.quadpack.dqagse`, a port of QUADPACK's QAGS that
+  returns what scipy's ``quad`` does, bit for bit, without scipy.
 * :func:`simulate_expected_draws` - seeded Monte Carlo, the empirical
   check on both. Trials run in batches of ``_SAMPLER_BATCH`` (2**14),
   each batch's trials drawing in lockstep: m draws a trial in the first
@@ -160,12 +162,18 @@ def _probability_array(probabilities: ProbabilityVector) -> np.ndarray:
 
     Accepts a CouponDistribution or any plain sequence; the plain form need
     not sum below 1, so multi-label document prevalences (more than one
-    topic per document) can reuse the scan approximations here.
+    topic per document) can reuse the scan approximations here. A 1-D
+    float array is checked and returned as it is, with no Python float
+    built for each entry.
     """
     if isinstance(probabilities, CouponDistribution):
         return np.asarray(probabilities.probabilities, dtype=float)
-    values = tuple(float(p) for p in probabilities)
-    if not values:
+    array = isinstance(probabilities, np.ndarray)
+    if array and probabilities.dtype == float and probabilities.ndim == 1:
+        values = probabilities
+    else:
+        values = tuple(float(p) for p in probabilities)
+    if not len(values):
         raise ValueError("need at least one probability")
     check_probabilities(values, "probability {}")
     return np.asarray(values, dtype=float)
@@ -273,7 +281,7 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     approximation of a document scan rather than a draw-by-draw
     collector.
     """
-    from scipy import integrate  # most of the package's import time; only this needs it
+    from .quadpack import dqagse  # kept out of `import fomo.cli`: only this route needs it
 
     p = _probability_array(probabilities)
     p_min = float(p.min())
@@ -290,7 +298,7 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     edges = [0.0, 1.0 / p_max]
     while tail_bound(edges[-1]) > budget / 2.0:
         edges.append(edges[-1] * 2.0)
-    # quad evaluates a panel at (a + b) / 2, so the last a + b must be finite.
+    # dqagse evaluates a panel at (a + b) / 2, so the last a + b must be finite.
     if math.isinf(budget) or math.isinf(edges[-2] + edges[-1]):
         raise ValueError("the integral leaves float range: a probability is too small")
 
@@ -298,9 +306,7 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     total = 0.0
     with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives the integrand 1.0
         for a, b in zip(edges[:-1], edges[1:]):
-            value, _ = integrate.quad(
-                integrand, a, b, epsabs=panel_abs, epsrel=1e-13, limit=200
-            )
+            value, _, _, _ = dqagse(integrand, a, b, panel_abs, 1e-13, 200)
             total += value
     return total
 

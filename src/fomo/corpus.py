@@ -402,22 +402,32 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
     nonzero bytes; a saved line holds no NUL, which JSON writes as
     ``\\u0000``. A block takes the documents _grid_rows gives it within
     SAVE_BLOCK_BYTES, counting an id by its characters (its UTF-8 bytes
-    and escapes may widen a row up to six times). A document too wide for
-    a grid of its own is written by ``json.dumps`` as above.
+    and escapes may widen a row up to six times) and each topic by its
+    slot and the per-topic arrays _line_grid builds beside the grid. A
+    document too wide for a grid of its own is written by ``json.dumps``
+    as above.
     """
     header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "topic_count": corpus.topic_count}
     digits = len(str(min(corpus.topic_count, MAX_TOPIC_ID + 1) - 1))
     slot = digits + 1  # a topic's digits and its "," or "]"
+    # A topic's bytes in a block: its slot in the grid and, beside the grid,
+    # its row of _line_grid's `filled` and either of _digits' result and
+    # int32 temporaries (digits + 16 bytes) or of `row`, `slot` and the
+    # operand `slot` is made from (24 bytes).
+    topic = 2 * slot + max(digits + 16, 24)
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-        start = 0
+        most = SAVE_BLOCK_BYTES // (_FRAME + topic)  # documents a grid can take
+        start, window = 0, most
         while start < len(corpus):
-            # Every document a grid can take, and one more.
-            stop = min(len(corpus), start + 1 + SAVE_BLOCK_BYTES // (_FRAME + slot))
+            # Every document a grid can take, and one more, or twice what the
+            # last grid took if that is fewer: each id is measured about once.
+            stop = min(len(corpus), start + 1 + window)
             ids = np.strings.str_len(corpus.doc_ids[start:stop]) + 1  # and the closing quote
             counts = np.diff(corpus.indptr[start : stop + 1])  # topics a document
-            rows = _grid_rows(_FRAME + ids + slot * counts, ids, SAVE_BLOCK_BYTES)
+            rows = _grid_rows(_FRAME + ids + topic * counts, ids, SAVE_BLOCK_BYTES)
             stop = start + max(rows, 1)
+            window = min(most, 2 * (stop - start))
             if rows:
                 grid = _line_grid(corpus, start, stop, digits)
                 fh.write(grid[grid != 0])

@@ -559,14 +559,17 @@ def completion_vs_analytic(
         raise ValueError(f"summary max_completion {summary.max_completion} exceeds corpus size {n}")
     if summary.recall_at != {q: p / n for q, p in summary.percentiles.items()}:
         raise ValueError(f"summary recall_at must be its percentiles / corpus size {n}")
-    prevalences = corpus.empirical_prevalences().values()  # in topic order
+    # Corpus.empirical_prevalences() as one float array, in topic order: the
+    # counts and n are exact as floats, so each quotient is the same.
+    counts = corpus._topic_counts
+    prevalences = counts[counts > 0] / n
     analytic_median = completion_quantile(prevalences, 0.5)
     analytic_mean = expected_draws_unequal_sum(prevalences)
     empirical_median = summary.percentiles[0.5]
     empirical_mean = summary.mean_completion
     return AnalyticComparison(
         corpus_documents=n,
-        topics_present=int(np.count_nonzero(corpus._topic_counts)),
+        topics_present=prevalences.size,
         empirical_median=empirical_median,
         analytic_median=analytic_median,
         median_relative_difference=abs(analytic_median - empirical_median) / empirical_median,

@@ -1023,6 +1023,28 @@ def test_saving_a_large_corpus_keeps_memory_bounded(tmp_path):
     assert peak < 6 * SAVE_BLOCK_BYTES
 
 
+def test_saving_many_topics_a_document_stays_near_the_budget(tmp_path):
+    # 4,000 documents of about 500 of 1,000 topics: beside its 4-byte slot,
+    # each topic takes 28 bytes of _line_grid's arrays (row, slot, filled
+    # and the _digits temporaries). A block charged for its grid alone
+    # traced 8.4 MiB; charged for those arrays too, about 1.3 MiB.
+    corpus = generate_corpus(4_000, TopicDistribution((0.5,) * 1_000), seed=3)
+    path = tmp_path / "many.jsonl"
+    tracemalloc.start()
+    try:
+        save_corpus(corpus, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * SAVE_BLOCK_BYTES
+    lines = [
+        json.dumps({"doc_id": doc_id, "topics": list(topics)}, separators=(",", ":")) + "\n"
+        for doc_id, topics in documents_of(corpus)
+    ]
+    header = '{"format":"fomo-corpus","version":1,"topic_count":1000}\n'
+    assert path.read_bytes() == (header + "".join(lines)).encode()
+
+
 def test_a_long_id_is_saved_within_a_few_times_its_bytes(tmp_path):
     # A grid's id column is cast through a buffer of 128 of its rows, 128
     # MiB for this 2**20-character id: its line is written by json.dumps.

@@ -1,8 +1,8 @@
 """The package namespace re-exports each submodule's public names once,
-importing the CLI stays cheap, every cap has its row in the README, no
-module reads the environment, none builds an unchecked instance, one
-function owns trial batches, one starts threads and one sizes byte
-grids."""
+importing the CLI stays cheap, no command loads scipy, every cap has its
+row in the README, no module reads the environment, none builds an
+unchecked instance, one function owns trial batches, one starts threads
+and one sizes byte grids."""
 
 import ast
 import importlib
@@ -45,8 +45,42 @@ def run_python(code, cwd=None):
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is most of the import time, and only the integral route needs it.
+    # scipy would be most of the import time, and no command needs it.
     run_python("import sys, fomo.cli; assert 'scipy' not in sys.modules")
+
+
+def test_no_module_imports_scipy():
+    # The sum route integrates with fomo.quadpack, a port of the QUADPACK
+    # routine scipy's quad wraps; scipy is a test dependency only.
+    package = Path(fomo.__file__).parent
+    imports = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Import)
+            and any(alias.name.split(".")[0] == "scipy" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy")
+    ]
+    assert imports == []
+
+
+def test_compare_and_the_sum_route_leave_scipy_unloaded(tmp_path):
+    run_python(
+        "import contextlib, io, sys\n"
+        "from fomo.cli import main\n"
+        "commands = [\n"
+        "    ['gen-corpus', '--docs', '300', '--topics', '6', '--max-prev', '0.5',\n"
+        "     '--min-prev', '0.02', '--seed', '3', '--out', 'small.jsonl'],\n"
+        "    ['simulate', '--corpus', 'small.jsonl', '--trials', '50', '--seed', '4',\n"
+        "     '--summary-json', 'summary.json'],\n"
+        "    ['compare', '--corpus', 'small.jsonl', '--summary', 'summary.json'],\n"
+        "    ['collector', '--uniform', '365', '--method', 'sum'],\n"
+        "]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert [main(argv) for argv in commands] == [0, 0, 0, 0]\n"
+        "assert 'scipy' not in sys.modules",
+        cwd=tmp_path,
+    )
 
 
 def test_cli_import_leaves_concurrent_futures_unloaded():

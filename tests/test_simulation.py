@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 from scipy import stats
 from splitmix64_oracle import SplitMix64, in_place_fisher_yates
 
-from fomo.corpus import generate_corpus, zipf_prevalences
+from fomo.collector import completion_quantile, expected_draws_unequal_sum
+from fomo.corpus import Corpus, generate_corpus, zipf_prevalences
 import fomo.simulation
 from fomo.prng import MAX_TRIALS, derive_key, derive_key_array
 from fomo.simulation import (
@@ -708,6 +709,32 @@ class TestCompletionVsAnalytic:
         assert summary == expected
         topics_present = completion_vs_analytic(corpus, summary).topics_present
         assert (type(topics_present), topics_present) == (int, 6)
+
+    def test_reads_the_empirical_prevalences_bit_for_bit(self):
+        corpus = generate_corpus(3000, zipf_prevalences(12, 0.4, 0.002), seed=5)
+        report = completion_vs_analytic(corpus, run_shuffles(corpus, 20, master_seed=6))
+        prevalences = list(corpus.empirical_prevalences().values())
+        assert report.analytic_median == completion_quantile(prevalences, 0.5)
+        assert report.analytic_mean == expected_draws_unequal_sum(prevalences)
+
+    def test_keeps_few_bytes_a_topic_present(self):
+        # 10**5 documents, each holding its own topic: the prevalences and
+        # the models' arrays take 48 bytes a topic. A dict of the empirical
+        # prevalences and a tuple of their floats took 157 (150 MiB traced
+        # at 10**6 documents).
+        n = 10**5
+        corpus = Corpus(
+            doc_ids=[f"d{i}" for i in range(n)], indptr=np.arange(n + 1),
+            indices=np.arange(n), topic_count=n,
+        )
+        summary = run_shuffles(corpus, 2, master_seed=1)
+        tracemalloc.start()
+        try:
+            assert completion_vs_analytic(corpus, summary).topics_present == n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * n
 
     def test_requires_the_median_quantile(self):
         corpus = corpus_from_topic_sets([{0}, {1}])
