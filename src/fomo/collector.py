@@ -19,11 +19,11 @@ Three routes to the same expectation:
   returns what scipy's ``quad`` does, bit for bit, without scipy.
 * :func:`simulate_expected_draws` - seeded Monte Carlo, the empirical
   check on both. Trials run in batches of ``_SAMPLER_BATCH`` (2**14),
-  each batch's trials drawing in lockstep: m draws a trial in the first
-  step, then ``max(8, _SAMPLER_STEP_DRAWS // live)`` a step. Each draw's
-  coupon comes from a guide table over the draw's top 16 bits, with a
-  binary search only for draws whose bucket holds a threshold. A run
-  holds 8 bytes per trial plus one batch per worker.
+  each batch's trials drawing in lockstep,
+  ``max(8, _SAMPLER_STEP_DRAWS // live)`` draws a trial a step. Each
+  draw's coupon comes from a guide table over the draw's top 16 bits,
+  with a binary search only for draws whose bucket holds a threshold. A
+  run holds 8 bytes per trial plus one batch per worker.
 
 The exact and Monte Carlo routes split their work into independent
 blocks (high subsets, trial batches) and run them through the package's
@@ -417,13 +417,12 @@ def simulate_expected_draws(
     would use; deterministic for a given seed. Trials run in batches of
     ``_SAMPLER_BATCH``, one batch per worker thread at a time
     (:func:`_map_in_order`), and the trials of a batch advance in
-    lockstep, with finished trials dropped as they complete. The first
-    step draws m counters of each trial, since none completes sooner;
-    every later step draws ``max(8, _SAMPLER_STEP_DRAWS // live)`` of
-    each live trial: 8 while more than 2**9 are live, a longer block in
-    the tail, where a rare coupon keeps a few trials drawing. The rows of
-    a block are OR-ed into each trial's coupons in counter order, so a
-    trial completes at the exact draw it would alone. Each draw's coupon
+    lockstep, with finished trials dropped as they complete. Each step
+    draws ``max(8, _SAMPLER_STEP_DRAWS // live)`` counters of each live
+    trial: 8 while more than 2**9 are live, a longer block in the tail,
+    where a rare coupon keeps a few trials drawing. The rows of a block
+    are OR-ed into each trial's coupons in counter order, so a trial
+    completes at the exact draw it would alone. Each draw's coupon
     is read from a guide table (see :class:`_CouponLookup`). A run holds
     8 bytes per trial, for the completion counts, plus one batch's
     working arrays (about 1 MiB each) per worker and the 512 KiB guide
@@ -452,9 +451,8 @@ def simulate_expected_draws(
         seen = np.zeros(index.size, dtype=np.uint64)
         t = 0  # draws each live trial has made
         while index.size:
-            # No trial completes in fewer than m draws, so the first step
-            # draws m. Row r of a step holds every live trial's draw t + r + 1.
-            width = max(8, _SAMPLER_STEP_DRAWS // index.size) if t else m
+            # Row r of a step holds every live trial's draw t + r + 1.
+            width = max(8, _SAMPLER_STEP_DRAWS // index.size)
             counters = np.arange(t + 1, t + width + 1, dtype=np.uint64)[:, None]
             found = lookup.bits(stream_u64(keys, counters))
             found[0] |= seen

@@ -404,8 +404,7 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
     SAVE_BLOCK_BYTES, counting an id by its characters (its UTF-8 bytes
     and escapes may widen a row up to six times) and each topic by its
     slot and the per-topic arrays _line_grid builds beside the grid. A
-    document too wide for a grid of its own is written by ``json.dumps``
-    as above.
+    document too wide for that budget is a block, and a grid, of its own.
     """
     header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "topic_count": corpus.topic_count}
     digits = len(str(min(corpus.topic_count, MAX_TOPIC_ID + 1) - 1))
@@ -426,16 +425,10 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
             ids = np.strings.str_len(corpus.doc_ids[start:stop]) + 1  # and the closing quote
             counts = np.diff(corpus.indptr[start : stop + 1])  # topics a document
             rows = _grid_rows(_FRAME + ids + topic * counts, ids, SAVE_BLOCK_BYTES)
-            stop = start + max(rows, 1)
+            stop = start + max(rows, 1)  # a line no grid holds has a grid of its own
             window = min(most, 2 * (stop - start))
-            if rows:
-                grid = _line_grid(corpus, start, stop, digits)
-                fh.write(grid[grid != 0])
-            else:  # a line no grid holds, written as the docstring says
-                topics = corpus.indices[corpus.indptr[start] : corpus.indptr[stop]].tolist()
-                line = {"doc_id": corpus.doc_ids[start], "topics": topics}
-                fh.write(json.dumps(line, separators=(",", ":"), ensure_ascii=False).encode())
-                fh.write(b"\n")
+            grid = _line_grid(corpus, start, stop, digits)
+            fh.write(grid[grid != 0])
             start = stop
 
 
@@ -455,8 +448,8 @@ def _grid_rows(rows: np.ndarray, ids: np.ndarray, budget: int) -> int:
     each, that one grid of save_corpus or _id_array takes: the most whose
     count times the widest row, plus 128 times the widest id column (numpy
     casts an id column through a buffer of 128 elements), is at most
-    ``budget`` bytes. 0 if the first row alone is not: that line is written
-    by ``json.dumps``, or that id decoded alone."""
+    ``budget`` bytes. 0 if the first row alone is not: that line takes a
+    grid of its own, or that id is decoded alone."""
     if rows.size * rows.max() + 128 * ids.max() <= budget:
         return rows.size
     grid = np.maximum.accumulate(rows) * np.arange(1, rows.size + 1)
@@ -505,12 +498,16 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
 
 def _quoted_ids(ids: np.ndarray) -> np.ndarray:
     """Each id as saved, UTF-8 and escaped as JSON, with its closing quote:
-    a (rows, width) ``uint8`` array, each row NUL-padded."""
+    a (rows, width) ``uint8`` array, each row NUL-padded. A lone id, which
+    may be one too long for a grid of many, is encoded: a cast would take
+    a buffer of 128 of its rows."""
     quoted = np.strings.add(ids, '"')  # a NUL the id ends with is no longer last
     sizes = np.strings.str_len(quoted)
     try:
-        data = quoted.astype(f"S{sizes.max()}")
+        data = quoted.astype(f"S{sizes.max()}") if ids.size > 1 else None
     except UnicodeEncodeError:  # not ASCII
+        data = None
+    if data is None:
         data = np.strings.encode(quoted, "utf-8")
         sizes = np.strings.str_len(data)  # bytes; the quote keeps every NUL
     cells = data.view(np.uint8).reshape(ids.size, -1)

@@ -165,8 +165,6 @@ def _map_in_order(function: Callable[[int], _R], items: Sequence[int]) -> list[_
     finished, and no thread outlives the call.
     """
     workers = min(_usable_cores(), len(items))
-    if workers <= 1:
-        return [function(item) for item in items]
     results: list = [None] * len(items)
     errors: dict[int, BaseException] = {}
     order = iter(range(len(items)))

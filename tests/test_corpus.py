@@ -992,10 +992,10 @@ def saved_corpora(draw):
 @given(saved_corpora(), st.sampled_from([1, 300, 2_000, SAVE_BLOCK_BYTES]))
 @settings(max_examples=300, deadline=None)
 def test_each_saved_line_is_json_dumps_of_its_document(tmp_path_factory, corpus, block_bytes):
-    # A budget of 1 byte sends every line to json.dumps, and one of 300
-    # bytes all but lines of an id of at most one character and few
-    # topics; 2,000 bytes give grids of short lines and send a long id or
-    # hundreds of topics to json.dumps.
+    # A budget of 1 byte gives every line a grid of its own, and one of
+    # 300 bytes all but lines of an id of at most one character and few
+    # topics; 2,000 bytes give grids of short lines and a grid of its own
+    # to a line of a long id or hundreds of topics.
     path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
     with mock.patch("fomo.corpus.SAVE_BLOCK_BYTES", block_bytes):
         save_corpus(corpus, path)
@@ -1047,7 +1047,8 @@ def test_saving_many_topics_a_document_stays_near_the_budget(tmp_path):
 
 def test_a_long_id_is_saved_within_a_few_times_its_bytes(tmp_path):
     # A grid's id column is cast through a buffer of 128 of its rows, 128
-    # MiB for this 2**20-character id: its line is written by json.dumps.
+    # MiB for this 2**20-character id: its line takes a grid of its own,
+    # whose lone id is encoded, not cast.
     long_id = Document("x" * 2**20, (0,))
     corpus = corpus_from_documents((long_id, Document("d1", (1,))), 2)
     path = tmp_path / "long_id.jsonl"
@@ -1075,8 +1076,34 @@ def test_a_wide_line_costs_only_its_own_bytes(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32 * line
+    assert peak < 8 * line
     assert load_corpus(tmp_path / "wide.jsonl") == corpus
+
+
+def test_no_document_line_goes_through_json_dumps(tmp_path):
+    # A line no grid of many rows holds, for its long id or its many
+    # topics, is cut from a grid of its own: json.dumps writes the header
+    # alone, and stays the oracle of every line.
+    dumps = json.dumps
+
+    def header_only(obj, **kwargs):
+        if "doc_id" in obj:
+            raise AssertionError(f"json.dumps wrote a document line: {str(obj)[:40]}")
+        return dumps(obj, **kwargs)
+
+    long_id = [Document("x" * 2**20, (0,)), Document("d1", (1,))]
+    short = [Document(f"d{d}", (d % 7,)) for d in range(4_000)]
+    wide = [*short[:2_000], Document("x" * 10**5, tuple(range(10**5))), *short[2_000:]]
+    for name, documents, topic_count in [("long_id", long_id, 2), ("wide", wide, 10**5)]:
+        path = tmp_path / f"{name}.jsonl"
+        with mock.patch("fomo.corpus.json.dumps", header_only):
+            save_corpus(corpus_from_documents(documents, topic_count), path)
+        lines = [
+            dumps({"doc_id": doc_id, "topics": list(topics)}, separators=(",", ":")) + "\n"
+            for doc_id, topics in documents
+        ]
+        header = '{"format":"fomo-corpus","version":1,"topic_count":%d}\n' % topic_count
+        assert path.read_bytes() == (header + "".join(lines)).encode()
 
 
 def generated_by_oracle(doc_count, prevalences, seed):

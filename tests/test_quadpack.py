@@ -137,6 +137,26 @@ def test_hard_integrands_reach_every_exit(monkeypatch):
     assert max(extrapolations) == fomo.quadpack._LIMEXP
 
 
+# Cases that reach what the cases above leave unreached: the epsilon
+# table cut for a small epsinf, the first rule's roundoff (ier 2) and the
+# limit (ier 1) at one subinterval, the bad-point test (ier 4) on an
+# interval of subnormals, and a table too short to extrapolate (noext).
+ROOT = HARD_INTEGRANDS["1/sqrt(x)"]
+EDGE_CASES = {
+    "step at pi/10": (lambda x: 1.0 if x > math.pi / 10 else 0.0, 0.0, 1.0, 1e-300, 1e-14, 50),
+    "1 at limit 1": (lambda x: 1.0, 0.0, 1.0, 1e-300, 1e-14, 1),
+    "1/sqrt(x) at limit 1": (ROOT, 0.0, 1.0, 0.0, 1e-13, 1),
+    "1/sqrt(x) on [0, 1e-320]": (ROOT, 0.0, 1e-320, 0.0, 1e-13, 2),
+    "1/sqrt(x) on [1e-300, 1e-299]": (ROOT, 1e-300, 1e-299, 1e-300, 1e-14, 50),
+}
+
+
+@pytest.mark.parametrize("name", EDGE_CASES)
+def test_edge_cases_match_scipy(name):
+    f, *rest = EDGE_CASES[name]
+    assert bits(dqagse(f, *rest)) == bits(scipy_qags(f, *rest))
+
+
 def test_invalid_tolerances_are_ier_6():
     # quad raises where dqagse returns ier 6 without evaluating f.
     assert dqagse(math.exp, 0.0, 1.0, 0.0, 1e-20, 50) == (0.0, 0.0, 6, 0)
