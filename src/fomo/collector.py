@@ -459,14 +459,13 @@ def simulate_expected_draws(
             np.bitwise_or.reduce(found, axis=0, out=seen)
             complete = seen == full
             done = np.flatnonzero(complete)
-            if done.size:
-                # The row at which each finished trial's coupons became full.
-                rows = np.bitwise_or.accumulate(found[:, done], axis=0) == full
-                completions[index[done]] = t + 1 + rows.argmax(axis=0)
-                keep = ~complete
-                keys = keys[keep]
-                seen = seen[keep]
-                index = index[keep]
+            # The row at which each finished trial's coupons became full.
+            rows = np.bitwise_or.accumulate(found[:, done], axis=0) == full
+            completions[index[done]] = t + 1 + rows.argmax(axis=0)
+            keep = ~complete
+            keys = keys[keep]
+            seen = seen[keep]
+            index = index[keep]
             t += width
 
     _map_in_order(run_batch, range(0, trials, _SAMPLER_BATCH))

@@ -364,8 +364,7 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
         while pending.size:
             counters = first_round + np.uint64(round_index * m)
             drawn = stream_u64(keys[pending, None], counters) < thresholds
-            if always.size:
-                drawn[:, always] = True
+            drawn[:, always] = True
             row, topic = np.divmod(np.flatnonzero(drawn), m)
             docs.append(pending[row])
             topics.append(topic)
@@ -410,10 +409,11 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
     digits = len(str(min(corpus.topic_count, MAX_TOPIC_ID + 1) - 1))
     slot = digits + 1  # a topic's digits and its "," or "]"
     # A topic's bytes in a block: its slot in the grid and, beside the grid,
-    # its row of _line_grid's `filled` and either of _digits' result and
-    # int32 temporaries (digits + 16 bytes) or of `row`, `slot` and the
-    # operand `slot` is made from (24 bytes).
-    topic = 2 * slot + max(digits + 16, 24)
+    # its row of _line_grid's `filled`, its byte of the `used` mask, and
+    # either _digits' result and int32 temporaries (digits + 16 bytes) or
+    # the two intp indices numpy makes of the mask to assign through it
+    # (16 bytes).
+    topic = 2 * slot + digits + 17
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
         most = SAVE_BLOCK_BYTES // (_FRAME + topic)  # documents a grid can take
@@ -450,8 +450,6 @@ def _grid_rows(rows: np.ndarray, ids: np.ndarray, budget: int) -> int:
     casts an id column through a buffer of 128 elements), is at most
     ``budget`` bytes. 0 if the first row alone is not: that line takes a
     grid of its own, or that id is decoded alone."""
-    if rows.size * rows.max() + 128 * ids.max() <= budget:
-        return rows.size
     grid = np.maximum.accumulate(rows) * np.arange(1, rows.size + 1)
     return int(np.count_nonzero(grid + 128 * np.maximum.accumulate(ids) <= budget))
 
@@ -478,9 +476,8 @@ def _line_grid(corpus: Corpus, start: int, stop: int, digits: int) -> np.ndarray
     filled[:, :-1] = _digits(topics, digits)
     filled[:, -1] = ord(",")
     filled[np.cumsum(lengths) - 1, -1] = ord("]")
-    row = np.arange(rows).repeat(lengths)
-    slot = np.arange(topics.size) - (indptr[:-1] - indptr[0]).repeat(lengths)
-    grid[:, at:-2].reshape((rows, slot_count, digits + 1), copy=False)[row, slot] = filled
+    used = np.arange(slot_count) < lengths[:, None]  # row-major order is document order
+    grid[:, at:-2].reshape((rows, slot_count, digits + 1), copy=False)[used] = filled
     return grid
 
 

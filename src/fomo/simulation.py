@@ -321,24 +321,22 @@ def fisher_yates(
         replay = np.zeros(targets.size, dtype=bool)
         replay[np.concatenate([inside, named, ranked[shared], ranked[shared + 1]])] = True
         replay = np.flatnonzero(replay)
-        if replay.size:
-            at, to = targets[replay].tolist(), sources[replay].tolist()
-            value = dict(zip(at, picked[replay].tolist()))  # items as they stood before the step
-            value.update(zip(to, carried[replay].tolist()))
-            fixed = []
-            for j, i in zip(at, to):
-                fixed.append(value[j])
-                value[j] = value[i]
-            picked[replay] = fixed
-            items[list(value)] = list(value.values())
+        at, to = targets[replay].tolist(), sources[replay].tolist()
+        value = dict(zip(at, picked[replay].tolist()))  # items as they stood before the step
+        value.update(zip(to, carried[replay].tolist()))
+        fixed = []
+        for j, i in zip(at, to):
+            fixed.append(value[j])
+            value[j] = value[i]
+        picked[replay] = fixed
+        items[list(value)] = list(value.values())
         stop = (yield rows, accepted, picked, places) if picked.size else None
         position += accepted
         counter += np.minimum(accepted + 1, width).astype(np.uint64)  # and the rejected draw, if any
         live = position < n
         if stop is not None:
             live &= ~stop
-        if not live.all():
-            rows, position, counter = rows[live], position[live], counter[live]
+        rows, position, counter = rows[live], position[live], counter[live]
 
 
 def _first_sightings(

@@ -1023,12 +1023,20 @@ def test_saving_a_large_corpus_keeps_memory_bounded(tmp_path):
     assert peak < 6 * SAVE_BLOCK_BYTES
 
 
-def test_saving_many_topics_a_document_stays_near_the_budget(tmp_path):
-    # 4,000 documents of about 500 of 1,000 topics: beside its 4-byte slot,
-    # each topic takes 28 bytes of _line_grid's arrays (row, slot, filled
-    # and the _digits temporaries). A block charged for its grid alone
-    # traced 8.4 MiB; charged for those arrays too, about 1.3 MiB.
-    corpus = generate_corpus(4_000, TopicDistribution((0.5,) * 1_000), seed=3)
+@pytest.mark.parametrize(
+    "doc_count, topics, shift",
+    [(40_000, 10, 0), (4_000, 1_000, 0), (4_000, 1_000, 2**31 - 1_000)],
+    ids=["1-digit", "3-digit", "10-digit"],
+)
+def test_saving_many_topics_a_document_stays_near_the_budget(tmp_path, doc_count, topics, shift):
+    # Documents of about half their topics, ids shifted to 10 digits in the
+    # last case: beside its slot of digits + 1 bytes, each topic takes that
+    # slot again in _line_grid's `filled` and digits + 17 bytes more (the
+    # used mask, and the _digits temporaries or the mask's indices). A
+    # block charged for its grid alone traced 8.4 MiB at 3 digits; charged
+    # for those arrays too, about 1.1 MiB at 1 and 3 digits and 1.2 at 10.
+    drawn = generate_corpus(doc_count, TopicDistribution((0.5,) * topics), seed=3)
+    corpus = Corpus(drawn.doc_ids, drawn.indptr, drawn.indices + shift, topics + shift)
     path = tmp_path / "many.jsonl"
     tracemalloc.start()
     try:
@@ -1041,15 +1049,16 @@ def test_saving_many_topics_a_document_stays_near_the_budget(tmp_path):
         json.dumps({"doc_id": doc_id, "topics": list(topics)}, separators=(",", ":")) + "\n"
         for doc_id, topics in documents_of(corpus)
     ]
-    header = '{"format":"fomo-corpus","version":1,"topic_count":1000}\n'
+    header = '{"format":"fomo-corpus","version":1,"topic_count":%d}\n' % corpus.topic_count
     assert path.read_bytes() == (header + "".join(lines)).encode()
 
 
-def test_a_long_id_is_saved_within_a_few_times_its_bytes(tmp_path):
+@pytest.mark.parametrize("char", ["x", "é"])
+def test_a_long_id_is_saved_within_a_few_times_its_bytes(tmp_path, char):
     # A grid's id column is cast through a buffer of 128 of its rows, 128
-    # MiB for this 2**20-character id: its line takes a grid of its own,
+    # MiB for a 2**20-character id: its line takes a grid of its own,
     # whose lone id is encoded, not cast.
-    long_id = Document("x" * 2**20, (0,))
+    long_id = Document(char * 2**20, (0,))
     corpus = corpus_from_documents((long_id, Document("d1", (1,))), 2)
     path = tmp_path / "long_id.jsonl"
     tracemalloc.start()
@@ -1058,7 +1067,7 @@ def test_a_long_id_is_saved_within_a_few_times_its_bytes(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < 8 * len(long_id.doc_id.encode())
     assert load_corpus(path) == corpus
 
 
