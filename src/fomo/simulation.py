@@ -269,7 +269,9 @@ def fisher_yates(
     does. The items sit in one (rows, n) array, and a step's swaps act on
     it at once at flat indices ``row * n + i``, each reading both items
     as they stood before the step; the few swaps that share an index
-    with another swap of the step are then replayed one by one.
+    with another swap of the step are then replayed one by one. Swaps
+    sharing a target are found with no sort: each swap's number is
+    stamped at its target, and a stamp read back as another's was lost.
     """
     keys = np.asarray(keys, dtype=np.uint64)
     if not 0 <= n < 2**31:
@@ -310,16 +312,21 @@ def fisher_yates(
             run = (columns < accepted[:, None]).ravel()
             places, sources, targets, inside = places[run], sources[run], targets[run], inside[run]
         picked, carried = items[targets], items[sources]
+        # Stamp each swap's index at its target: where swaps share a target
+        # one stamp stays, so the swaps whose stamp was lost and the ones
+        # that kept theirs over them are exactly the swaps sharing a target.
+        swap = np.arange(targets.size, dtype=np.int32)
+        items[targets] = swap
+        kept = items[targets]
+        lost = np.flatnonzero(kept != swap)
         items[targets] = carried
         # Replay in order the swaps with a target inside their row's run, the
         # swaps at the positions those name (the run's swaps are consecutive),
         # and the swaps sharing a target.
-        ranked = np.argsort(targets)
-        shared = np.flatnonzero(targets[ranked[1:]] == targets[ranked[:-1]])
         inside = np.flatnonzero(inside)
         named = inside + (targets[inside] - sources[inside])
         replay = np.zeros(targets.size, dtype=bool)
-        replay[np.concatenate([inside, named, ranked[shared], ranked[shared + 1]])] = True
+        replay[np.concatenate([inside, named, lost, kept[lost]])] = True
         replay = np.flatnonzero(replay)
         at, to = targets[replay].tolist(), sources[replay].tolist()
         value = dict(zip(at, picked[replay].tolist()))  # items as they stood before the step
@@ -349,33 +356,48 @@ def _first_sightings(
     1-based position where topic t first appeared in trial b, and 0 for a
     topic absent from the corpus. Each step's documents are searched at
     once over the CSR rows, and an entry still 0 marks a topic not yet seen.
+
+    A document whose rarest topic is more common than every topic a trial
+    has yet to see holds nothing new for it, so only documents within
+    their trial's bound, the largest count among its unseen topics, are
+    searched. The bound is recomputed where that costs no more than the
+    step's scan; a stale bound is still an upper bound.
     """
     indptr, indices, topic_count = corpus.indptr, corpus.indices, corpus.topic_count
-    needed = np.count_nonzero(corpus._topic_counts)
+    topic_counts, rarest = corpus._topic_counts, corpus._rarest_counts
+    needed = np.count_nonzero(topic_counts)
     first = np.zeros((trials, topic_count), dtype=np.int32)  # below n < 2**31 (fisher_yates)
     flat_first = first.reshape(-1)  # trial b's topic t at b * topic_count + t
     found = np.zeros(trials, dtype=np.int64)  # topics seen per trial
+    bound = np.full(trials, topic_counts.max())  # >= the count of each topic a trial has not seen
     finished = None
     while True:
         try:
             rows, counts, docs, places = steps.send(finished)
         except StopIteration:
             break
-        docs = docs.astype(np.intp)  # once, for both gathers
+        finished = None
+        near = np.flatnonzero(rarest[docs] <= np.repeat(bound[rows], counts))
+        if not near.size:
+            continue
+        docs = docs[near].astype(np.intp)  # once, for both gathers
+        offsets = np.repeat(rows * topic_count, counts)[near]  # each document's trial's row
         starts = indptr[docs]
         lengths = indptr[1:][docs] - starts
         doc_ends = np.cumsum(lengths)
         # Positions in ``indices`` of the step's topics, document by document,
         # and each topic's place in ``flat_first``.
         flat = np.arange(doc_ends[-1]) + np.repeat(starts - doc_ends + lengths, lengths)
-        keys = indices[flat] + np.repeat(np.repeat(rows * topic_count, counts), lengths)
+        keys = indices[flat] + np.repeat(offsets, lengths)
         unseen = np.flatnonzero(flat_first[keys] == 0)
-        finished = None
         if unseen.size:
             new, earliest = np.unique(keys[unseen], return_index=True)
-            flat_first[new] = places[np.searchsorted(doc_ends, unseen[earliest], side="right")]
+            expanded = np.searchsorted(doc_ends, unseen[earliest], side="right")
+            flat_first[new] = places[near[expanded]]
             found += np.bincount(new // topic_count, minlength=trials)
             finished = found[rows] == needed
+            if rows.size * topic_count <= places.size:
+                bound[rows] = np.where(first[rows] == 0, topic_counts, 0).max(axis=1)
     return first
 
 

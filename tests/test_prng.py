@@ -247,7 +247,8 @@ def test_fisher_yates_rows_stop_when_told():
 
 
 class PlantedStream(SplitMix64):
-    """The oracle stream with 2**64 - 1 served at the planted counters."""
+    """The oracle stream with the planted draws served at their counters,
+    ``planted`` mapping a counter to its draw."""
 
     def __init__(self, key, planted):
         super().__init__(key)
@@ -257,29 +258,37 @@ class PlantedStream(SplitMix64):
     def next_u64(self):
         u = super().next_u64()
         self.counter += 1
-        return MASK64 if self.counter in self.planted else u
+        return self.planted.get(self.counter, u)
 
 
 def planted_stream(planted):
-    """stream_u64 with 2**64 - 1 served at the planted counters of each
-    key, ``planted`` mapping a key to its set of counters."""
+    """stream_u64 with the planted draws served at their counters of each
+    key, ``planted`` mapping a key to a {counter: draw} dict."""
 
     def planted_stream_u64(keys, counters):
         draws = stream_u64(keys, counters)
         keys, counters = np.broadcast_arrays(keys, counters)
         for key, at in planted.items():
-            draws[(keys == key) & np.isin(counters, list(at))] = MASK64
+            for counter, draw in at.items():
+                draws[(keys == key) & (counters == counter)] = draw
         return draws
 
     return planted_stream_u64
 
 
-def planted_permutation(n, key, planted):
-    """The sequential loop over a planted stream. Every planted draw must
-    be rejected, each costing the loop one draw beyond its n - 1."""
+def rejected_at(counters):
+    """Draws of 2**64 - 1 at the counters: rejected wherever n - i is not a
+    power of two."""
+    return dict.fromkeys(counters, MASK64)
+
+
+def planted_permutation(n, key, planted, rejections=None):
+    """The sequential loop over a planted stream, which must reject
+    ``rejections`` draws (by default every planted one), each costing the
+    loop one draw beyond its n - 1."""
     rng = PlantedStream(key, planted)
     items = in_place_permutation(n, rng)
-    assert rng.counter == n - 1 + len(planted)
+    assert rng.counter == n - 1 + (len(planted) if rejections is None else rejections)
     return items
 
 
@@ -296,6 +305,7 @@ def test_planted_rejections_match_the_sequential_loop(planted, monkeypatch):
     # A real rejection has chance below n / 2**64 per draw, so plant them:
     # 2**64 - 1 is rejected wherever n - i is not a power of two.
     keys = (0, 7, 2**64 - 1)
+    planted = rejected_at(planted)
     monkeypatch.setattr(fomo.simulation, "stream_u64", planted_stream(dict.fromkeys(keys, planted)))
     n = 1500
     for key in keys:
@@ -307,10 +317,36 @@ def test_planted_rejections_in_some_rows_of_a_batch(monkeypatch):
     # (an empty run) and the draw at n - i = 3 of its last chunk, key 7 the
     # last draw of its first chunk and of its second, and 2**64 - 1 none.
     n = 1500
-    planted = {0: {1, 1499}, 7: {CHUNK, 2 * CHUNK}, 2**64 - 1: set()}
+    planted = {0: rejected_at({1, 1499}), 7: rejected_at({CHUNK, 2 * CHUNK}), 2**64 - 1: {}}
     monkeypatch.setattr(fomo.simulation, "stream_u64", planted_stream(planted))
     expected = [planted_permutation(n, key, at) for key, at in planted.items()]
     assert permutations(n, list(planted)) == expected
+
+
+def aimed_at(targets):
+    """Draws that send position i to ``targets[i]``, at counter i + 1 (no
+    draw before it rejected): u = j - i is far below any rejection limit."""
+    return {i + 1: j - i for i, j in targets.items()}
+
+
+def test_swaps_sharing_a_target_match_the_sequential_loop(monkeypatch):
+    # Every aimed position lies in the first step of the two-row batch (and
+    # of each one-key call): key 0 sends positions 10, 20 and 30 to 1000,
+    # and position 50 to 200 of its own run, whose swap also goes to 1000;
+    # key 7 sends positions 5 and 6 to 800, and position 40 to 100 of its
+    # own run.
+    n = 1500
+    planted = {
+        0: aimed_at({10: 1000, 20: 1000, 30: 1000, 50: 200, 200: 1000}),
+        7: aimed_at({5: 800, 6: 800, 40: 100}),
+    }
+    monkeypatch.setattr(fomo.simulation, "stream_u64", planted_stream(planted))
+    expected = [planted_permutation(n, key, at, rejections=0) for key, at in planted.items()]
+    # Each shared target hands on the item the swap before it left there.
+    assert [expected[0][i] for i in (10, 20, 30, 50, 200)] == [1000, 10, 20, 200, 30]
+    assert [expected[1][i] for i in (5, 6, 40)] == [800, 5, 100]
+    assert permutations(n, list(planted)) == expected
+    assert [permutation(n, key) for key in planted] == expected
 
 
 # Computed once from the implementation above and frozen; any algorithm

@@ -142,6 +142,45 @@ def common_and_rare_topic_sets(draw):
     return sets
 
 
+def skewed_topic_sets(n, seed):
+    """n documents of topic 0, every tenth also of topic 1, and rare
+    topics 2-9 in one to three documents each."""
+    rng = random.Random(seed)
+    sets = [{0, 1} if i % 10 == 0 else {0} for i in range(n)]
+    for topic in range(2, 10):
+        for d in rng.sample(range(n), rng.randint(1, 3)):
+            sets[d] = sets[d] | {topic}
+    return sets
+
+
+def expanded_first_sightings(corpus, steps, trials):
+    """_first_sightings' first positions, and how many documents it
+    expanded over the CSR rows (it reads indptr at them twice)."""
+    reads = []
+
+    class Offsets(np.ndarray):
+        def __getitem__(self, key):
+            if isinstance(key, np.ndarray):
+                reads.append(key.size)
+            return super().__getitem__(key)
+
+    view = SimpleNamespace(
+        indptr=corpus.indptr.view(Offsets),
+        indices=corpus.indices,
+        topic_count=corpus.topic_count,
+        _topic_counts=corpus._topic_counts,
+        _rarest_counts=corpus._rarest_counts,
+    )
+    first = fomo.simulation._first_sightings(view, steps, trials)
+    return first, sum(reads) // 2
+
+
+def assert_matches_oracle(corpus, first, orders):
+    for row, order in zip(first, orders, strict=True):
+        seen = np.flatnonzero(row)
+        assert dict(zip(seen.tolist(), row[seen].tolist())) == first_sightings_oracle(corpus, order)
+
+
 class TestFirstSightings:
     @given(
         common_and_rare_topic_sets(),
@@ -186,6 +225,49 @@ class TestFirstSightings:
         steps = scripted_steps([list(range(len(corpus)))], [CHUNK], [[]])
         first = fomo.simulation._first_sightings(corpus, steps, 1)
         assert first.tolist() == [[1, 3 * CHUNK + 6, 3 * CHUNK + 6, 3 * CHUNK + 7, 0]]
+
+    def test_skewed_corpus_expands_only_documents_within_the_bound(self):
+        # Four rows of 10 topics fit a recompute in every step, so once a
+        # row has seen topics 0 and 1 its bound falls to a rare topic's
+        # count and the documents of topic 0 alone are no longer expanded.
+        sets = skewed_topic_sets(3000, seed=5)
+        corpus = corpus_from_topic_sets(sets, topic_count=10)
+        counts = corpus.topic_counts()
+        assert corpus._rarest_counts.tolist() == [min(counts[t] for t in s) for s in sets]
+        orders = [oracle_order(len(corpus), key) for key in range(4)]
+        reads = [[] for _ in orders]
+        steps = scripted_steps(orders, [CHUNK, 100], reads)
+        first, expanded = expanded_first_sightings(corpus, steps, len(orders))
+        assert_matches_oracle(corpus, first, orders)
+        scanned = sum(end - start for runs in reads for start, end in runs)
+        assert expanded < scanned / 4
+
+    def test_a_bound_too_dear_to_recompute_stays_stale(self):
+        # 5,000 topics a row cost more than any step scans, so the bound
+        # stays at the commonest topic's count and every document is expanded.
+        corpus = corpus_from_topic_sets(skewed_topic_sets(3000, seed=6), topic_count=5000)
+        orders = [oracle_order(len(corpus), key) for key in range(3)]
+        reads = [[] for _ in orders]
+        steps = scripted_steps(orders, [7, 3, 0, CHUNK], reads)
+        first, expanded = expanded_first_sightings(corpus, steps, len(orders))
+        assert_matches_oracle(corpus, first, orders)
+        assert expanded == sum(end - start for runs in reads for start, end in runs)
+
+    def test_steps_the_filter_empties(self):
+        # Documents 0-999 hold topic 0, 1000 and 1001 topic 1, 1002 topic 2.
+        # After its first run each row has only a topic of count 1 or 2 to
+        # see, so its next two runs of topic-0 documents are dropped whole.
+        corpus = corpus_from_topic_sets([{0}] * 1000 + [{1}, {1}, {2}], topic_count=3)
+        rest = list(range(3, 1000))
+        orders = [[1000, 0, 1, 2] + rest[:8] + [1002, 1001] + rest[8:],
+                  [1002, 0, 1, 2] + rest[:8] + [1001, 1000] + rest[8:]]
+        steps = scripted_steps(orders, [4], [[], []])
+        first, expanded = expanded_first_sightings(corpus, steps, 2)
+        assert first.tolist() == [[2, 1, 13], [2, 13, 1]]
+        assert_matches_oracle(corpus, first, orders)
+        # The first runs whole; then row 0 (bound 1) expands 1002 but not
+        # 1001, and row 1 (bound 2) both 1001 and 1000.
+        assert expanded == 8 + 1 + 2
 
 
 class TestScanAccession:
