@@ -5,23 +5,26 @@
 
 Run from the root of a git checkout. The parent tree is built with
 ``git archive``; the change is a copy of the working tree's tracked and
-untracked files (ignored ones left out). Both go under ``--work``, fresh
-each run. For every workload, each pair runs ``perfbench/run.py
---workload W --seed S --seconds T --trace 0`` once in each tree, the
-parent first in even pairs and the change first in odd ones. Every pair
-takes the same seed, so the runs differ only by the host's noise, and the
-parent's quartiles measure that noise. ``--aa-pairs`` adds an A/A round: the same pairs over two
-separate builds of the parent, which shows how far identical trees read
-apart on this host.
+untracked files (ignored ones left out). Both go under the ignored
+``.bench_build``, fresh each run. For every workload, each pair runs
+``perfbench/run.py --workload W --seed 0 --seconds T --trace 0``, with T
+the ``run_seconds`` of ``BENCHMARK.json``, once in each tree, the parent
+first in even pairs and the change first in odd ones. Every run takes
+the same seed, so the runs differ only by the host's noise, and the
+parent's quartiles measure that noise. ``--aa-pairs`` adds an A/A round:
+the same pairs over two separate builds of the parent, which shows how
+far identical trees read apart on this host.
 
 The JSON written holds the commits, ``nproc``, the Python and numpy
-versions, the seeds and every run; per metric of each side the median,
+versions, the seed and every run; per metric of each side the median,
 the quartiles (inclusive method) and the runs; the move of each median,
 the pairs in which the change read lower, and whether the claim rule
-holds. The claim
-rule: the change is lower in at least ``LOWER_SHARE`` of the pairs, and
-its median is lower than the parent's by more than the parent's
-interquartile range.
+holds. The change's ``head`` is the commit measured when the working
+tree is clean, and null otherwise; ``diff_sha256`` digests ``git diff``
+from the parent commit to the working tree, and ``tree_sha256`` every
+file copied. The claim rule: the change is lower in at least
+``LOWER_SHARE`` of the pairs, and its median is lower than the parent's
+by more than the parent's interquartile range.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ from pathlib import Path
 
 LOWER_SHARE = 0.9
 RUNNER = ("perfbench", "run.py")
+SEED = 0
+WORK = ".bench_build"  # ignored by git, so never copied into the change
 
 
 def git(root: Path, *args: str) -> str:
@@ -147,32 +152,34 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--aa-pairs", type=int, default=0, help="pairs of an A/A round (0: none)")
     parser.add_argument("--workloads", nargs="+", help="default: every workload of BENCHMARK.json")
-    parser.add_argument("--seed", type=int, default=0, help="the perfbench seed of every pair")
-    parser.add_argument("--seconds", type=float, help="default: run_seconds of BENCHMARK.json")
-    parser.add_argument("--work", default=".bench_build", help="where the trees are built")
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
 
     root = Path(git(Path.cwd(), "rev-parse", "--show-toplevel"))
-    work = root / args.work
+    work = root / WORK
     parent_commit = git(root, "rev-parse", args.parent)
     trees = {"parent": work / "parent", "change": work / "change"}
     build_parent(root, parent_commit, trees["parent"])
     tree_sha256 = build_change(root, trees["change"])
+    diff = subprocess.run(["git", "diff", "--binary", parent_commit], cwd=root, check=True,
+                          capture_output=True).stdout
+    # An uncommitted change has no commit of its own: HEAD would name the tree it started from.
+    head = None if git(root, "status", "--porcelain") else git(root, "rev-parse", "HEAD")
     spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     metrics = [m["name"] for m in spec["end_to_end"] if m["better"] == "lower"]
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]
-    seconds = spec["run_seconds"] if args.seconds is None else args.seconds
-    seeds = [args.seed] * args.pairs
+    seconds = spec["run_seconds"]
+    seeds = [SEED] * args.pairs
     log = partial(print, file=sys.stderr, flush=True)
 
     report = {
-        "what": (f"{' '.join(RUNNER)} --workload W --seed S --seconds {seconds:g} --trace 0, "
+        "what": (f"{' '.join(RUNNER)} --workload W --seed {SEED} --seconds {seconds:g} --trace 0, "
                  "parent tree against change tree, in alternating pairs (bench/pairs.py)"),
         "claim_rule": (f"the change is lower in at least {LOWER_SHARE:g} of the pairs and its "
                        "median is lower than the parent's by more than the parent's q3 - q1"),
         "parent_commit": parent_commit,
-        "change": {"head": git(root, "rev-parse", "HEAD"), "tree_sha256": tree_sha256},
+        "change": {"head": head, "diff_sha256": hashlib.sha256(diff).hexdigest(),
+                   "tree_sha256": tree_sha256},
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version(),
                     "numpy": metadata.version("numpy")},
         "workloads": {w: compare(run_pairs(trees, w, seeds, seconds, log), seeds, metrics)

@@ -17,7 +17,7 @@ METRICS = ["wall_s", "peak_rss_mb"]
 
 # Prints what perfbench/run.py prints last: wall_s from the tree's speed
 # file, times one plus a hundredth of the seed. Logs each run's tree,
-# workload and seed to the file named in PAIRS_LOG.
+# workload, seed and seconds to the file named in PAIRS_LOG.
 STUB = """
 import argparse, json, os, pathlib
 parser = argparse.ArgumentParser()
@@ -26,7 +26,7 @@ for name in ("--workload", "--seed", "--seconds", "--trace"):
 args = parser.parse_args()
 wall = float(pathlib.Path("speed.txt").read_text()) * (1 + int(args.seed) / 100)
 with open(os.environ["PAIRS_LOG"], "a") as log:
-    log.write(f"{pathlib.Path.cwd().name} {args.workload} {args.seed}\\n")
+    log.write(f"{pathlib.Path.cwd().name} {args.workload} {args.seed} {args.seconds}\\n")
 metrics = {"wall_s": {"value": wall, "unit": "s"}, "peak_rss_mb": {"value": 50.0, "unit": "MiB"}}
 print("metric lines")
 print(json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}))
@@ -80,9 +80,14 @@ def git(repo, *args):
                    check=True, capture_output=True)
 
 
-def test_pairs_alternate_over_built_trees(tmp_path, monkeypatch):
-    # The parent commits speed 1.0; the working tree reads 0.5, with one
-    # untracked file copied and one ignored file left out of the change.
+def head_of(repo):
+    return subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+@pytest.fixture
+def repo(tmp_path, monkeypatch):
+    """A git repository whose commit runs at speed 1.0, with the stub runner."""
     repo = tmp_path / "repo"
     (repo / "perfbench").mkdir(parents=True)
     (repo / "perfbench" / "run.py").write_text(STUB)
@@ -92,39 +97,57 @@ def test_pairs_alternate_over_built_trees(tmp_path, monkeypatch):
     git(repo, "init", "-q")
     git(repo, "add", "-A")
     git(repo, "commit", "-q", "-m", "parent")
+    monkeypatch.setenv("PAIRS_LOG", str(tmp_path / "runs.log"))
+    monkeypatch.chdir(repo)
+    return repo
+
+
+def test_pairs_alternate_over_built_trees(repo, tmp_path):
+    # The working tree reads 0.5, with one untracked file copied and one
+    # ignored file left out of the change.
     (repo / "speed.txt").write_text("0.5")
     (repo / "untracked.txt").write_text("new")
     (repo / "ignored.txt").write_text("left out")
-    log = tmp_path / "runs.log"
-    monkeypatch.setenv("PAIRS_LOG", str(log))
-    monkeypatch.chdir(repo)
     out = tmp_path / "bench.json"
-    argv = ["--pairs", "4", "--aa-pairs", "2", "--seed", "3", "--workloads", "study",
-            "--out", str(out)]
+    argv = ["--pairs", "4", "--aa-pairs", "2", "--workloads", "study", "--out", str(out)]
     assert pairs.main(argv) == 0
 
-    runs = [line.split() for line in log.read_text().splitlines()]
-    sides = [tree for tree, _, _ in runs]
+    runs = [line.split() for line in (tmp_path / "runs.log").read_text().splitlines()]
+    sides = [tree for tree, _, _, _ in runs]
     assert sides == ["parent", "change", "change", "parent"] * 2 + [
         "parent", "parent_again", "parent_again", "parent"]
-    assert [int(seed) for _, _, seed in runs] == [3] * 12
+    # Every run at seed 0 and at the benchmark's own run length.
+    assert {(seed, float(seconds)) for _, _, seed, seconds in runs} == {("0", 10.0)}
     built = repo / ".bench_build"
     assert (built / "change" / "untracked.txt").is_file()
     assert not (built / "change" / "ignored.txt").exists()
     assert (built / "parent" / "speed.txt").read_text() == "1.0"
 
     report = json.loads(out.read_text())
-    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
-                          text=True).stdout.strip()
-    assert report["parent_commit"] == report["change"]["head"] == head
-    assert len(report["change"]["tree_sha256"]) == 64
+    assert report["parent_commit"] == head_of(repo)
+    # The change is uncommitted: no commit names it, its diff and tree do.
+    assert report["change"]["head"] is None
+    assert len(report["change"]["diff_sha256"]) == len(report["change"]["tree_sha256"]) == 64
     assert report["machine"]["nproc"] >= 1 and report["machine"]["python"]
     study = report["workloads"]["study"]
-    assert study["parent"]["wall_s"]["runs"] == pytest.approx([1.03] * 4)
-    assert study["change"]["wall_s"]["runs"] == pytest.approx([0.515] * 4)
+    assert study["seeds"] == [0] * 4
+    assert study["parent"]["wall_s"]["runs"] == [1.0] * 4
+    assert study["change"]["wall_s"]["runs"] == [0.5] * 4
     assert study["first_side"] == ["parent", "change", "parent", "change"]
     assert study["claim_rule_holds"] == {"wall_s": True, "peak_rss_mb": False}
     aa = report["aa"]["workloads"]["study"]
-    assert aa["seeds"] == [3, 3] and aa["median_move_pct"]["wall_s"] == 0.0
+    assert aa["seeds"] == [0, 0] and aa["median_move_pct"]["wall_s"] == 0.0
     assert not aa["claim_rule_holds"]["wall_s"]
+
+
+def test_a_committed_change_is_named_by_its_commit(repo, tmp_path):
+    parent = head_of(repo)
+    (repo / "speed.txt").write_text("0.5")
+    git(repo, "commit", "-q", "-am", "change")
+    out = tmp_path / "bench.json"
+    assert pairs.main(["--parent", parent, "--pairs", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["parent_commit"] == parent
+    assert report["change"]["head"] == head_of(repo) != parent
+    assert set(report["workloads"]) == {"study", "ingest"}
 
