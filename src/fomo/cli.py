@@ -90,10 +90,9 @@ def _csv_text(fieldnames: Sequence[str], rows: Iterable[dict]) -> str:
     import io
 
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fieldnames, lineterminator="\r\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow(fieldnames)
+    writer.writerows([row[name] for name in fieldnames] for row in rows)
     return buffer.getvalue()
 
 

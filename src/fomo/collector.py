@@ -22,11 +22,13 @@ Three routes to the same expectation:
   each batch's trials drawing in lockstep,
   ``max(8, _SAMPLER_STEP_DRAWS // live)`` draws a trial a step. Each
   draw's coupon comes from a guide table over the draw's top 16 bits,
-  with a binary search only for draws whose bucket holds a threshold. A
-  run holds 8 bytes per trial plus one batch per worker.
+  with a binary search only for draws whose bucket holds a threshold;
+  the mixer's last step runs only for those (they share their top bits
+  with the mixer word). A run holds 8 bytes per trial plus one batch
+  per worker.
 
-The exact and Monte Carlo routes split their work into independent
-blocks (high subsets, trial batches) and run them through the package's
+The exact, sum and Monte Carlo routes split their work into independent
+blocks (high subsets, panels, trial batches) and run them through the package's
 one block map, :func:`fomo.prng._map_in_order`, on one thread per usable
 core, the caller among them; numpy releases the interpreter lock inside
 each block's array calls, and the results are combined in block order,
@@ -46,8 +48,8 @@ from typing import Sequence, Union
 import numpy as np
 
 from .prng import (
-    _map_in_order, check_probabilities, check_trial_count, derive_key_array, stream_u64,
-    u64_thresholds,
+    _map_in_order, check_probabilities, check_trial_count, derive_key_array, finish_words,
+    stream_words, u64_thresholds,
 )
 
 __all__ = [
@@ -83,12 +85,10 @@ _SAMPLER_BATCH = 2**14
 # many are live, each draws 8.
 _SAMPLER_STEP_DRAWS = 2**12
 
-# A draw's top bits name its guide-table bucket (see _CouponLookup).
+# A draw's top bits name its guide-table bucket (see _CouponLookup); at
+# most 31, the bits a mixer word and its draw share (prng.stream_words).
 _GUIDE_BITS = 16
 _GUIDE_SHIFT = np.uint64(64 - _GUIDE_BITS)
-# The guide entry of a bucket that holds a threshold: all 64 bits, never
-# the single bit of one coupon.
-_GUIDE_SENTINEL = np.uint64(2**64 - 1)
 
 # A trial needs about 1/p_min draws, so rarer coupons could keep the
 # sampler busy for days; the integral route has no such limit.
@@ -270,6 +270,10 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     remaining tail, bounded by sum_i exp(-p_i * U) / p_min, is below the
     error budget.
 
+    The panels are independent and run through :func:`_map_in_order`;
+    their values are added in panel order, so the worker count changes
+    no bit.
+
     The relative error of the result is at most 1e-9: the budget is
     anchored at the 1/p_min lower bound of the expectation, because
     absolute control cannot beat that once expectations reach 1e6 in
@@ -288,9 +292,7 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     p_max = float(p.max())
     budget = 1e-9 * max(1.0, 1.0 / p_min)  # the relative error above
 
-    def integrand(u: float) -> float:
-        miss = np.exp(-p * u)  # chance coupon i still unseen at time u
-        return -math.expm1(float(np.sum(np.log1p(-miss))))
+    neg_p = -p
 
     def tail_bound(u: float) -> float:
         return float(np.sum(np.exp(-p * u))) / p_min
@@ -303,11 +305,28 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
         raise ValueError("the integral leaves float range: a probability is too small")
 
     panel_abs = budget / (4.0 * len(edges))
+
+    def panel(k: int) -> float:
+        # One buffer a panel, filled in place by every evaluation: malloc
+        # may map fresh m-float temporaries anew, page faults and all, on
+        # every call.
+        buf = np.empty_like(p)
+
+        def integrand(u: float) -> float:
+            np.multiply(neg_p, u, out=buf)
+            np.exp(buf, out=buf)  # chance coupon i still unseen at time u
+            np.negative(buf, out=buf)
+            np.log1p(buf, out=buf)
+            return -math.expm1(float(np.sum(buf)))
+
+        # numpy keeps error state per thread, so each panel sets its own;
+        # log1p(-1) = -inf gives the integrand 1.0.
+        with np.errstate(divide="ignore"):
+            return dqagse(integrand, edges[k], edges[k + 1], panel_abs, 1e-13, 200)[0]
+
     total = 0.0
-    with np.errstate(divide="ignore"):  # log1p(-1) = -inf gives the integrand 1.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            value, _, _, _ = dqagse(integrand, a, b, panel_abs, 1e-13, 200)
-            total += value
+    for value in _map_in_order(panel, range(len(edges) - 1)):
+        total += value
     return total
 
 
@@ -372,8 +391,8 @@ def _coupon_thresholds(p: np.ndarray) -> np.ndarray:
 
 
 class _CouponLookup:
-    """The coupon bit of each ``uint64`` draw: ``1 << k`` for coupon k, 0
-    for a draw at or above the last threshold (no coupon).
+    """The coupon bit of each draw: ``1 << k`` for coupon k, 0 for a draw
+    at or above the last threshold (no coupon).
 
     Equal to ``bit[np.searchsorted(thresholds, draws, side="right")]``,
     read through a guide table (Chen & Asau, AIIE Trans. 6(2), 1974;
@@ -381,29 +400,39 @@ class _CouponLookup:
     top ``_GUIDE_BITS`` bits of a draw name its bucket, and a bucket that
     holds no threshold yields one coupon for every draw in it, so
     ``guide`` gives its bit outright. A bucket that holds a threshold, at
-    most m of them, holds ``_GUIDE_SENTINEL`` instead, which is no single
-    coupon bit; only the draws that read it are searched.
+    most m of them, holds ``sentinel`` instead, all ones, which is no
+    single coupon bit; only the draws that read it are searched.
+
+    Table, bits and masks take ``dtype``, the narrowest unsigned type
+    that holds the m-bit full mask ``full`` (``uint16`` for 11 coupons).
+    Where m is the type's width the sentinel equals ``full``, which is
+    harmless: only table entries meet the one and only masks the other.
     """
 
     def __init__(self, thresholds: np.ndarray):
         m = thresholds.size
+        self.dtype = np.min_scalar_type((1 << m) - 1)
+        self.full = self.dtype.type((1 << m) - 1)
+        self.sentinel = np.iinfo(self.dtype).max
         self.thresholds = thresholds
-        self.bit = np.zeros(m + 1, dtype=np.uint64)
+        self.bit = np.zeros(m + 1, dtype=self.dtype)
         self.bit[:m] = np.uint64(1) << np.arange(m, dtype=np.uint64)
         starts = np.arange(1 << _GUIDE_BITS, dtype=np.uint64) << _GUIDE_SHIFT
         self.guide = self.bit[np.searchsorted(thresholds, starts, side="right")]
-        self.guide[thresholds >> _GUIDE_SHIFT] = _GUIDE_SENTINEL
+        self.guide[thresholds >> _GUIDE_SHIFT] = self.sentinel
 
-    def bits(self, draws: np.ndarray) -> np.ndarray:
-        """The coupon bits of ``draws``, in an array of the same shape."""
-        # Bucket numbers are below 2**16, so their int64 view is exact, and
-        # numpy indexes with int64 (its intp on 64-bit platforms) without
-        # the conversion pass that uint64 indices take.
-        bits = self.guide[(draws >> _GUIDE_SHIFT).view(np.int64)]
+    def bits(self, words: np.ndarray) -> np.ndarray:
+        """The coupon bits of the draws of mixer ``words``
+        (:func:`fomo.prng.stream_words`), in an array of the same shape."""
+        # A word's bucket is its draw's. Bucket numbers are below 2**16, so
+        # their int64 view is exact, and numpy indexes with int64 (its intp
+        # on 64-bit platforms) without the conversion pass that uint64
+        # indices take.
+        bits = self.guide[(words >> _GUIDE_SHIFT).view(np.int64)]
         flat = bits.reshape(-1)
-        edge = np.flatnonzero(flat == _GUIDE_SENTINEL)
-        found = np.searchsorted(self.thresholds, draws.reshape(-1)[edge], side="right")
-        flat[edge] = self.bit[found]
+        edge = np.flatnonzero(flat == self.sentinel)
+        draws = finish_words(words.reshape(-1)[edge])
+        flat[edge] = self.bit[np.searchsorted(self.thresholds, draws, side="right")]
         return bits
 
 
@@ -423,10 +452,14 @@ def simulate_expected_draws(
     where a rare coupon keeps a few trials drawing. The rows of a block
     are OR-ed into each trial's coupons in counter order, so a trial
     completes at the exact draw it would alone. Each draw's coupon
-    is read from a guide table (see :class:`_CouponLookup`). A run holds
-    8 bytes per trial, for the completion counts, plus one batch's
-    working arrays (about 1 MiB each) per worker and the 512 KiB guide
-    table, whatever the trial count.
+    is read from a guide table (see :class:`_CouponLookup`) through its
+    mixer word, and only draws in buckets that hold a threshold are
+    finished (:func:`fomo.prng.stream_words`). A run holds 8 bytes per
+    trial, for the completion counts, plus one batch's working arrays
+    (1 MiB of words a step, coupon bits and masks of m bits rounded up
+    to 8, 16, 32 or 64) per worker and the 2**16-entry guide table
+    of the same width (128 KiB for 9 to 16 coupons), whatever the
+    trial count.
     """
     check_trial_count(trials)
     dist = _coerce_distribution(probabilities)
@@ -441,20 +474,20 @@ def simulate_expected_draws(
         )
     completions = np.zeros(trials, dtype=np.int64)
     lookup = _CouponLookup(_coupon_thresholds(p))
-    full = np.uint64((1 << m) - 1)
+    full = lookup.full
 
     def run_batch(start: int) -> None:
         # Fills completions[start:start + _SAMPLER_BATCH], which no other
         # batch touches.
         index = np.arange(start, min(start + _SAMPLER_BATCH, trials))
         keys = derive_key_array(seed, index)
-        seen = np.zeros(index.size, dtype=np.uint64)
+        seen = np.zeros(index.size, dtype=lookup.dtype)
         t = 0  # draws each live trial has made
         while index.size:
             # Row r of a step holds every live trial's draw t + r + 1.
             width = max(8, _SAMPLER_STEP_DRAWS // index.size)
             counters = np.arange(t + 1, t + width + 1, dtype=np.uint64)[:, None]
-            found = lookup.bits(stream_u64(keys, counters))
+            found = lookup.bits(stream_words(keys, counters))
             found[0] |= seen
             np.bitwise_or.reduce(found, axis=0, out=seen)
             complete = seen == full

@@ -13,7 +13,9 @@ so the t-th output (1-based) of the stream keyed by ``key`` is
 
 This counter form is the generator: :func:`stream_u64` computes any set
 of draws of any set of streams from (key, counter) alone, in one array
-operation, and :func:`mix64_array` is the finalizer. :func:`check_probabilities`
+operation, and :func:`mix64_array` is the finalizer. :func:`stream_words`
+stops before the finalizer's last step, for callers that need only the
+top bits of most draws, and :func:`finish_words` takes that step. :func:`check_probabilities`
 states the rule every probability meets, :func:`u64_thresholds` turns them
 into the integer cut-offs a draw is compared against, :func:`check_seed` and
 :func:`check_trial_count` state the range of a seed and of a trial count,
@@ -26,7 +28,7 @@ splits into independent blocks. :func:`_map_in_order` is the package's
 one block map: it runs such blocks on one thread per usable core, the
 calling thread among them, and returns their results in block order, so
 the worker count changes no bit. Corpus generation and the collector's
-exact and Monte Carlo routes run through it.
+exact, sum and Monte Carlo routes run through it.
 """
 
 from __future__ import annotations
@@ -55,18 +57,39 @@ MAX_TRIALS = 10**7
 def mix64_array(z: np.ndarray) -> np.ndarray:
     """SplitMix64 finalizer over a ``uint64`` array (wrapping mod 2**64):
     scrambles each 64-bit value into a 64-bit value."""
-    return _mixed(np.array(z, dtype=np.uint64))  # 0-d stays an array, so products wrap silently
+    # 0-d stays an array, so products wrap silently
+    return finish_words(_words(np.array(z, dtype=np.uint64)))
 
 
-def _mixed(z: np.ndarray) -> np.ndarray:
-    """:func:`mix64_array` done in place on ``z``, a ``uint64`` array the
-    caller owns; returns ``z``."""
+def _words(z: np.ndarray) -> np.ndarray:
+    """Every step of the finalizer but the last, in place on ``z``, a
+    ``uint64`` array the caller owns; returns ``z``."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX_MUL_1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX_MUL_2)
-    z ^= z >> np.uint64(31)
     return z
+
+
+def finish_words(words: np.ndarray) -> np.ndarray:
+    """The finalizer's last step, ``w ^ (w >> 31)``, in place on
+    ``words``, a ``uint64`` array the caller owns: turns
+    :func:`stream_words` into :func:`stream_u64`. Returns ``words``."""
+    words ^= words >> np.uint64(31)
+    return words
+
+
+def stream_words(keys: int | np.ndarray, counters: int | np.ndarray) -> np.ndarray:
+    """The draws of :func:`stream_u64` before the finalizer's last step.
+
+    Draw ``w ^ (w >> 31)`` (:func:`finish_words`) of word ``w``. The step
+    leaves the top 31 bits as they are, so a word and its draw agree
+    there: a caller that reads only those bits of most draws can skip the
+    step for them.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    counters = np.asarray(counters, dtype=np.uint64)
+    return _words(np.asarray(keys + counters * np.uint64(GAMMA)))  # a fresh sum, mixed in place
 
 
 def stream_u64(keys: int | np.ndarray, counters: int | np.ndarray) -> np.ndarray:
@@ -77,9 +100,7 @@ def stream_u64(keys: int | np.ndarray, counters: int | np.ndarray) -> np.ndarray
     each value is what a sequential SplitMix64 seeded with that key
     returns on that call.
     """
-    keys = np.asarray(keys, dtype=np.uint64)
-    counters = np.asarray(counters, dtype=np.uint64)
-    return _mixed(np.asarray(keys + counters * np.uint64(GAMMA)))  # a fresh sum, mixed in place
+    return finish_words(stream_words(keys, counters))
 
 
 def check_probabilities(values: Sequence[float], noun: str) -> None:

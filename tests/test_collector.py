@@ -18,6 +18,7 @@ from splitmix64_oracle import SplitMix64
 
 import fomo.collector
 import fomo.prng
+import fomo.quadpack
 from fomo.collector import (
     _SAMPLER_BATCH,
     _SAMPLER_STEP_DRAWS,
@@ -36,7 +37,7 @@ from fomo.collector import (
 from fomo.corpus import (
     BLOCK_DRAWS, TopicDistribution, generate_corpus, zipf_prevalences
 )
-from fomo.prng import MASK64, MAX_TRIALS, derive_key, stream_u64
+from fomo.prng import MASK64, MAX_TRIALS, derive_key, stream_words
 
 
 def inclusion_exclusion_oracle(probabilities):
@@ -345,6 +346,10 @@ def power_law(count, exponent=1.0):
     return CouponDistribution(tuple(w * scale for w in weights))
 
 
+# perfbench's sum-large input.
+SUM_LARGE = power_law(80_000)
+
+
 class TestPinnedMonteCarlo:
     """Exact results recorded before the guide table and the trial
     batches went in; the sampler must keep reproducing them. The
@@ -390,19 +395,35 @@ class TestPinnedExact:
         assert expected_draws_unequal_exact(dist).hex() == expected
 
 
+class TestPinnedSum:
+    """Integrals recorded before the sum route's panels went onto the
+    block map; the route must keep reproducing them bit for bit."""
+
+    @pytest.mark.parametrize(
+        "probabilities, expected",
+        [
+            (SUM_LARGE, "0x1.1201e6c76414ap+23"),
+            ((0.5, 1e-20), "0x1.5af1d78b05d4fp+66"),
+        ],
+        ids=["power-law-80000", "one-in-1e20"],
+    )
+    def test_recorded_results(self, probabilities, expected):
+        assert expected_draws_unequal_sum(probabilities).hex() == expected
+
+
 class TestRareCouponTail:
     PROBABILITIES = (1e-5, 0.5, 0.49)
 
     def test_few_live_trials_draw_blocks_per_step(self, monkeypatch):
         # Ten trials waiting on a 1e-5 coupon need up to 238,117 draws;
-        # drawn one per step, that took as many stream_u64 calls.
+        # drawn one per step, that took as many stream_words calls.
         calls = []
 
         def counted(keys, counters):
             calls.append(np.size(counters))
-            return stream_u64(keys, counters)
+            return stream_words(keys, counters)
 
-        monkeypatch.setattr(fomo.collector, "stream_u64", counted)
+        monkeypatch.setattr(fomo.collector, "stream_words", counted)
         sample = simulate_expected_draws(self.PROBABILITIES, 10, seed=1)
         # Recorded when every trial drew one counter a step.
         assert (sample.mean, sample.std_error) == (106593.0, 23131.314166922915)
@@ -425,6 +446,12 @@ class TestGuideLookup:
         bit = np.array([1 << k for k in range(m)] + [0], dtype=np.uint64)
         return bit[np.searchsorted(thresholds, draws, side="right")]
 
+    @staticmethod
+    def words_of(draws):
+        """The mixer words whose draws are ``draws``: y ^ (y >> 31) ^
+        (y >> 62) inverts y = w ^ (w >> 31) on 64 bits."""
+        return draws ^ (draws >> np.uint64(31)) ^ (draws >> np.uint64(62))
+
     @pytest.mark.parametrize("total", ["below-one", "one"])
     def test_equals_searchsorted(self, total):
         p = np.asarray(self.PROBABILITIES)
@@ -439,7 +466,8 @@ class TestGuideLookup:
             edges, edges - np.uint64(1), np.array([0, MASK64], dtype=np.uint64),
             np.random.default_rng(7).integers(0, MASK64, 10**5, dtype=np.uint64, endpoint=True),
         ])
-        assert np.array_equal(lookup.bits(draws), self.reference_bits(thresholds, draws))
+        bits = lookup.bits(self.words_of(draws))
+        assert np.array_equal(bits, self.reference_bits(thresholds, draws))
 
     def test_keeps_the_shape_of_a_block_of_draws(self):
         thresholds = _coupon_thresholds(np.asarray(self.PROBABILITIES))
@@ -448,11 +476,21 @@ class TestGuideLookup:
             0, MASK64, (64, 50), dtype=np.uint64, endpoint=True
         )
         draws[::7, ::3] = thresholds[np.arange(draws[::7, ::3].size) % 64].reshape(10, 17)
-        assert np.array_equal(lookup.bits(draws), self.reference_bits(thresholds, draws))
+        bits = lookup.bits(self.words_of(draws))
+        assert np.array_equal(bits, self.reference_bits(thresholds, draws))
 
-    def test_sixty_four_equal_coupons_equal_sequential_reference(self):
-        # Every coupon bit in use: the sentinel is the full mask here.
-        assert_matches_sequential(CouponDistribution.uniform(64), 20, seed=5)
+    @pytest.mark.parametrize(
+        "m, dtype",
+        [(8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32),
+         (32, np.uint32), (33, np.uint64), (64, np.uint64)],
+    )
+    def test_equal_coupons_equal_sequential_reference(self, m, dtype):
+        # Masks take the narrowest unsigned type that holds m bits. Where
+        # m is its width every bit is in use and the sentinel is the full
+        # mask.
+        dist = CouponDistribution.uniform(m)
+        assert _CouponLookup(_coupon_thresholds(np.asarray(dist.probabilities))).dtype == dtype
+        assert_matches_sequential(dist, 20, seed=5)
 
     def test_rare_coupon_trials_equal_sequential_reference(self):
         dist = CouponDistribution(
@@ -516,9 +554,46 @@ class TestWorkerCount:
             values.append(expected_draws_unequal_exact(dist).hex())
         assert values[1] == values[0] and values[2] == values[0]
 
+    @pytest.mark.parametrize(
+        "probabilities",
+        [dice_sum_distribution(), SUM_LARGE, (0.5, 1e-20)],
+        ids=["dice", "power-law-80000", "one-in-1e20"],
+    )
+    @pytest.mark.usefixtures("fast_switching")
+    def test_sum_is_the_same_on_any_count(self, monkeypatch, probabilities):
+        values = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(fomo.prng, "_usable_cores", lambda w=workers: w)
+            values.append(expected_draws_unequal_sum(probabilities).hex())
+        assert values[1] == values[0] and values[2] == values[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_warning_leaves_a_sum_panel(self, monkeypatch, workers):
+        # exp(-1e-20 * u) rounds to 1.0 for every u up to 4096, so the
+        # panels there take log1p(-1) = -inf, and pytest turns a
+        # RuntimeWarning into an error. On 2 workers the caller holds its
+        # first panel until the other worker has started one, [2, 4].
+        monkeypatch.setattr(fomo.prng, "_usable_cores", lambda: workers)
+        integrate = fomo.quadpack.dqagse
+        other_started = threading.Event()
+        other_ends = []
+
+        def dqagse(f, a, b, *rest):
+            if threading.current_thread() is not threading.main_thread():
+                other_ends.append(b)
+                other_started.set()
+            elif workers == 2:
+                assert other_started.wait(timeout=10)
+            return integrate(f, a, b, *rest)
+
+        monkeypatch.setattr(fomo.quadpack, "dqagse", dqagse)
+        assert expected_draws_unequal_sum((0.5, 1e-20)).hex() == "0x1.5af1d78b05d4fp+66"
+        if workers == 2:
+            assert min(other_ends) <= 4096
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_an_error_in_a_batch_stops_the_run(self, monkeypatch, workers):
-        # stream_u64 raises on its 30th call, in an early batch of 20.
+        # stream_words raises on its 30th call, in an early batch of 20.
         # Batches start in order, and after the error only the batches
         # the other workers hold (or are taking up) may run.
         monkeypatch.setattr(fomo.prng, "_usable_cores", lambda: workers)
@@ -536,10 +611,10 @@ class TestWorkerCount:
             if next(calls) == 30:
                 failed_in.append(batch.start)
                 raise RuntimeError("planted")
-            return stream_u64(keys, counters)
+            return stream_words(keys, counters)
 
         monkeypatch.setattr(fomo.collector, "derive_key_array", keyed)
-        monkeypatch.setattr(fomo.collector, "stream_u64", failing)
+        monkeypatch.setattr(fomo.collector, "stream_words", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="planted"):
             simulate_expected_draws(dice_sum_distribution(), 20 * _SAMPLER_BATCH, seed=2)

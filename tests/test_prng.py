@@ -14,8 +14,10 @@ from fomo.prng import (
     check_trial_count,
     derive_key,
     derive_key_array,
+    finish_words,
     mix64_array,
     stream_u64,
+    stream_words,
     u64_thresholds,
 )
 from fomo.simulation import CHUNK, fisher_yates
@@ -65,6 +67,24 @@ def test_bulk_matches_sequential():
     sequential = [rng.next_u64() for _ in range(100)]
     assert stream_u64(seed, np.arange(1, 101)).tolist() == sequential
     assert stream_u64(seed, np.arange(41, 51)).tolist() == sequential[40:50]
+
+
+def test_words_finish_into_the_sequential_draws():
+    # A word w and its draw w ^ (w >> 31) share their top 31 bits, the
+    # bits the collector's guide table reads from words.
+    keys = derive_key_array(5, np.arange(4))
+    words = stream_words(keys[:, None], np.arange(1, 51))
+    draws = stream_u64(keys[:, None], np.arange(1, 51))
+    assert np.array_equal(words >> np.uint64(33), draws >> np.uint64(33))
+    assert np.array_equal(words ^ (words >> np.uint64(31)), draws)
+    sequential = []
+    for key in keys.tolist():
+        rng = SplitMix64(key)
+        sequential.append([rng.next_u64() for _ in range(50)])
+    assert draws.tolist() == sequential
+    finished = words.copy()
+    assert finish_words(finished) is finished
+    assert np.array_equal(finished, draws)
 
 
 def test_u64_thresholds_edges():
