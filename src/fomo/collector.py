@@ -221,6 +221,11 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
     2**m subsets (sums built by doubling, evaluated in blocks), so m is
     capped at EXACT_COUPON_LIMIT.
 
+    The sum is exact in rationals, but in floats its 2**m signed terms
+    cancel, so the error grows with m: against the true mean of m uniform
+    coupons it is 2.4e-14 relative at 13, 8.3e-13 at 20 and 4.7e-12 at 25,
+    where :func:`expected_draws_unequal_sum` is off by 8.3e-14.
+
     Raises:
         SubsetLimitError: for more than EXACT_COUPON_LIMIT coupons; use
             expected_draws_unequal_sum instead.
@@ -277,7 +282,11 @@ def expected_draws_unequal_sum(probabilities: ProbabilityVector) -> float:
     The relative error of the result is at most 1e-9: the budget is
     anchored at the 1/p_min lower bound of the expectation, because
     absolute control cannot beat that once expectations reach 1e6 in
-    double precision. A probability so small that 1/p_min, or the sum of
+    double precision. Against the true mean of m uniform coupons it is
+    5.2e-14 at 13, 8.3e-14 at 25, 7.1e-13 at 365 and 1.3e-11 at 10**4.
+    Its last bits follow the CPU: numpy picks its ``exp`` and ``log1p``
+    kernels by the SIMD extensions it finds, and they differ in their
+    last digits. A probability so small that 1/p_min, or the sum of
     the last panel's ends, leaves float range is refused with ValueError.
 
     Also accepts probability vectors summing above 1 (multi-label

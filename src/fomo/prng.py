@@ -4,7 +4,12 @@ Every random draw in this package comes from SplitMix64 (Steele, Lea &
 Flatt's ``SplittableRandom`` mixer, as published by Vigna). Python's own
 ``random`` module is deliberately avoided: its seeding behaviour is not
 guaranteed stable across interpreter versions, and byte-identical output
-across runs and machines is a hard requirement here.
+across runs is a hard requirement here. Generation, the shuffles, the
+exact and Monte Carlo collector routes and ``table`` use integer or
+correctly rounded arithmetic, so their bytes are the same on every
+machine too. The collector's sum route, and ``compare``'s analytic mean,
+which it computes, call numpy's ``exp`` and ``log1p``, whose kernels
+follow the CPU's SIMD extensions and differ in their last digits.
 
 SplitMix64 is a Weyl sequence passed through an avalanching finalizer,
 so the t-th output (1-based) of the stream keyed by ``key`` is

@@ -56,8 +56,6 @@ DEFAULT_QUANTILES = (0.10, 0.20, 0.50, 0.95)
 DEFAULT_BIN_COUNT = 20
 # The bytes a batch of lockstep shuffle trials holds (see _batch_plan).
 TRIAL_BATCH_BYTES = 2**23
-# Most positions of a row fisher_yates draws, and yields, per array step.
-CHUNK = 512
 # About how many swaps of a step fisher_yates may replay one at a time.
 REPLAYS = 128
 # The histogram's bin limit, the same order as the Monte Carlo collector's
@@ -245,8 +243,8 @@ def fisher_yates(
     n: int, keys: np.ndarray, limit: int
 ) -> Generator[tuple[np.ndarray, ...], np.ndarray | None, None]:
     """Uniform random permutations of ``range(n)``, one per key, drawn in
-    lockstep and yielded front to back, a step fixing at most ``CHUNK``
-    positions of each and ``limit`` in all (but at least one a row).
+    lockstep and yielded front to back, a step fixing at most ``limit``
+    positions in all (but at least one a row).
 
     Knuth's Algorithm P (TAOCP Vol. 2, 3.4.2) fixing positions from the
     front: position i swaps in ``j = i + u % (n - i)`` for the next draw
@@ -256,11 +254,11 @@ def fisher_yates(
 
     Each step yields ``(rows, counts, picked, places)``: row ``rows[k]``
     (an index into ``keys``) fixed its next ``counts[k]`` positions, 0 to
-    ``CHUNK`` (fewer near the end of a permutation, see ``REPLAYS``), to
-    the ``int32`` items that follow in ``picked``, the rows' runs joined
-    in order, and ``places`` holds the 1-based position of each. Sending
-    a boolean array aligned with ``rows`` stops the rows it marks; a row
-    stopped early has yielded the prefix its full shuffle produces.
+    the step's width (see ``REPLAYS``), to the ``int32`` items that follow
+    in ``picked``, the rows' runs joined in order, and ``places`` holds
+    the 1-based position of each. Sending a boolean array aligned with
+    ``rows`` stops the rows it marks; a row stopped early has yielded the
+    prefix its full shuffle produces.
 
     A step reads each row's draws in one array call, with the rejection
     test on the whole run: a run ends at its first rejected draw, that
@@ -287,7 +285,7 @@ def fisher_yates(
         # the step within limit, and is short enough that the swaps a step
         # replays, about rows * width**2 / left, stay near REPLAYS.
         left = n - int(position.max())
-        width = max(1, min(CHUNK, left, limit // rows.size, math.isqrt(REPLAYS * left // rows.size)))
+        width = max(1, min(left, limit // rows.size, math.isqrt(REPLAYS * left // rows.size)))
         columns = np.arange(width)
         positions = position[:, None] + columns
         remaining = n - positions

@@ -377,38 +377,97 @@ class TestPinnedMonteCarlo:
         assert (sample.minimum, sample.maximum) == (minimum, maximum)
 
 
-class TestPinnedExact:
-    """Subset sums recorded before the exact route's blocks went into one
-    reused buffer; the route must keep reproducing them bit for bit."""
+# Name: (input, the exact route's result as float.hex()), recorded before
+# the route's blocks went into one reused buffer.
+PINNED_EXACT = {
+    "dice": (dice_sum_distribution(), "0x1.e9bd34391ec24p+5"),
+    "power-law-25": (power_law(25), "0x1.e23fa3cc18886p+7"),
+    "power-law-25-flat": (power_law(25, 0.5), "0x1.f51778f392a46p+6"),
+    "power-law-22": (power_law(22), "0x1.8bdc9d2545f55p+7"),
+}
+# Name: (input, the sum route's result as float.hex()), recorded before the
+# route's panels went onto the block map.
+PINNED_SUM = {
+    "power-law-80000": (SUM_LARGE, "0x1.1201e6c76414ap+23"),
+    "one-in-1e20": ((0.5, 1e-20), "0x1.5af1d78b05d4fp+66"),
+}
 
-    @pytest.mark.parametrize(
-        "dist, expected",
-        [
-            (dice_sum_distribution(), "0x1.e9bd34391ec24p+5"),
-            (power_law(25), "0x1.e23fa3cc18886p+7"),
-            (power_law(25, 0.5), "0x1.f51778f392a46p+6"),
-            (power_law(22), "0x1.8bdc9d2545f55p+7"),
-        ],
-        ids=["dice", "power-law-25", "power-law-25-flat", "power-law-22"],
-    )
+
+class TestPinnedExact:
+    """The exact route must keep reproducing PINNED_EXACT bit for bit."""
+
+    @pytest.mark.parametrize("dist, expected", PINNED_EXACT.values(), ids=PINNED_EXACT)
     def test_recorded_results(self, dist, expected):
         assert expected_draws_unequal_exact(dist).hex() == expected
 
 
 class TestPinnedSum:
-    """Integrals recorded before the sum route's panels went onto the
-    block map; the route must keep reproducing them bit for bit."""
+    """The sum route must keep reproducing PINNED_SUM bit for bit."""
 
-    @pytest.mark.parametrize(
-        "probabilities, expected",
-        [
-            (SUM_LARGE, "0x1.1201e6c76414ap+23"),
-            ((0.5, 1e-20), "0x1.5af1d78b05d4fp+66"),
-        ],
-        ids=["power-law-80000", "one-in-1e20"],
-    )
+    @pytest.mark.parametrize("probabilities, expected", PINNED_SUM.values(), ids=PINNED_SUM)
     def test_recorded_results(self, probabilities, expected):
         assert expected_draws_unequal_sum(probabilities).hex() == expected
+
+
+def relative_error(value, numerator, denominator):
+    """|value - numerator / denominator| over the exact value, in integers."""
+    v = Fraction(value)
+    return abs(v.numerator * denominator - numerator * v.denominator) / (numerator * v.denominator)
+
+
+def uniform_mean(m):
+    """E[T] for m coupons of float probability q = fl(1/m), in rationals:
+    sum over k of (-1)**(k+1) C(m, k) / (k q) is H_m / q."""
+    truth = sum(Fraction(1, i) for i in range(1, m + 1)) / Fraction(1.0 / m)
+    return truth.numerator, truth.denominator
+
+
+def inclusion_exclusion_rational(probabilities):
+    """E[T] = sum over nonempty J of (-1)**(|J|+1) / P(J) in rationals, as
+    (numerator, denominator). Each P(J) is an integer over 2**k for the
+    finest float denominator 2**k; the 2**m - 1 terms are added pairwise
+    with no gcd, which for 14 coupons would cost a second."""
+    exact = [Fraction(p) for p in probabilities]
+    k = max(f.denominator for f in exact).bit_length() - 1
+    scaled = [f.numerator << (k - f.denominator.bit_length() + 1) for f in exact]
+    sums, signs = [0], [-1]
+    for x in scaled:  # subsets by doubling, as _subset_sums builds them
+        sums += [s + x for s in sums]
+        signs += [-s for s in signs]
+    terms = list(zip(signs[1:], sums[1:]))  # 2**k * sign / (2**k P(J))
+    while len(terms) > 1:
+        pairs = zip(terms[::2], terms[1::2])
+        terms = [(a * d + c * b, b * d) for (a, b), (c, d) in pairs] + terms[len(terms) & ~1 :]
+    numerator, denominator = terms[0]
+    return numerator << k, denominator
+
+
+class TestErrorAgainstRationals:
+    """Each route held to the true mean of its float input, not to another
+    route or to its own earlier output. The exact route is exact in
+    rationals, but its float sum of 2**m signed terms cancels: at 25
+    uniform coupons it is off by 4.7e-12. The sum route promises 1e-9."""
+
+    @pytest.mark.parametrize("m", [13, 20, 25])
+    def test_exact_route_on_uniform_coupons(self, m):
+        value = expected_draws_unequal_exact(CouponDistribution.uniform(m))
+        assert relative_error(value, *uniform_mean(m)) <= 1e-10
+
+    @pytest.mark.parametrize("m", [13, 20, 25, 365, 10**4])
+    def test_sum_route_on_uniform_coupons(self, m):
+        value = expected_draws_unequal_sum(CouponDistribution.uniform(m))
+        assert relative_error(value, *uniform_mean(m)) <= 1e-9
+
+    def test_both_routes_on_a_power_law(self):
+        dist = power_law(14)
+        truth = inclusion_exclusion_rational(dist.probabilities)
+        assert relative_error(expected_draws_unequal_exact(dist), *truth) <= 1e-10
+        assert relative_error(expected_draws_unequal_sum(dist), *truth) <= 1e-9
+
+    def test_the_rational_oracles_agree(self):
+        # Inclusion-exclusion over uniform coupons is H_m / q term by term.
+        numerator, denominator = inclusion_exclusion_rational((1.0 / 9,) * 9)
+        assert Fraction(numerator, denominator) == Fraction(*uniform_mean(9))
 
 
 class TestRareCouponTail:

@@ -1,5 +1,6 @@
 """The PRNG is the reproducibility contract; pin it down hard."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,7 +21,7 @@ from fomo.prng import (
     stream_words,
     u64_thresholds,
 )
-from fomo.simulation import CHUNK, fisher_yates
+from fomo.simulation import REPLAYS, fisher_yates
 
 # Published SplitMix64 outputs for seed 1234567 (reference C implementation).
 REFERENCE_SEED = 1234567
@@ -182,14 +183,24 @@ def test_next_below_rejects_nonpositive():
 NO_LIMIT = 2**20
 
 
+def run_width(n, done, limit):
+    """The most positions a step may fix of each row, ``done`` holding the
+    positions each live row has fixed: no more than the fewest any row has
+    left, ``limit`` over all rows, and few enough that the swaps a step
+    replays, about rows * width**2 / left, stay near REPLAYS; at least one."""
+    left, rows = n - max(done), len(done)
+    return max(1, min(left, limit // rows, math.isqrt(REPLAYS * left // rows)))
+
+
 def permutations(n, keys, limit=NO_LIMIT):
     """fisher_yates's runs joined row by row, one permutation per key; each
-    step checked to yield int32 items in runs of at most CHUNK positions,
-    at most ``limit`` in all (or one a row), each with its 1-based place."""
+    step checked to yield int32 items in runs no wider than run_width, at
+    most ``limit`` in all (or one a row), each with its 1-based place."""
     joined = [[] for _ in keys]
     for rows, counts, picked, places in fisher_yates(n, np.array(keys, dtype=np.uint64), limit):
         assert picked.dtype == np.int32 and picked.size == counts.sum() > 0
-        assert 0 <= counts.min() and counts.max() <= CHUNK
+        width = run_width(n, [len(joined[row]) for row in rows.tolist()], limit)
+        assert 0 <= counts.min() and counts.max() <= width
         assert picked.size <= max(limit, rows.size) and places.shape == picked.shape
         ends = np.cumsum(counts)[:-1]
         for row, run, at in zip(rows.tolist(), np.split(picked, ends), np.split(places, ends)):
@@ -223,8 +234,9 @@ def in_place_permutation(n, rng):
 
 
 def test_fisher_yates_matches_in_place_reference():
-    # Every n up to past the second chunk edge (1024), and sizes around
-    # the third (1536): each key alone, and the keys as rows of one batch.
+    # Every n up to 1,100 (a key alone takes its whole permutation in one
+    # run up to n = 128), and a few larger: each key alone, and the keys as
+    # rows of one batch.
     keys = (0, 7, 2**64 - 1)
     for n in [*range(1101), 1535, 1536, 1537, 2000]:
         expected = [in_place_permutation(n, SplitMix64(key)) for key in keys]
@@ -281,13 +293,17 @@ class PlantedStream(SplitMix64):
         return self.planted.get(self.counter, u)
 
 
-def planted_stream(planted):
+def planted_stream(planted, runs=None):
     """stream_u64 with the planted draws served at their counters of each
-    key, ``planted`` mapping a key to a {counter: draw} dict."""
+    key, ``planted`` mapping a key to a {counter: draw} dict. Each row of
+    each call adds (key, first counter, last counter) to the set ``runs``."""
 
     def planted_stream_u64(keys, counters):
         draws = stream_u64(keys, counters)
         keys, counters = np.broadcast_arrays(keys, counters)
+        if runs is not None:
+            ends = counters[:, 0], counters[:, -1]
+            runs.update(zip(keys[:, 0].tolist(), *(end.tolist() for end in ends)))
         for key, at in planted.items():
             for counter, draw in at.items():
                 draws[(keys == key) & (counters == counter)] = draw
@@ -313,34 +329,45 @@ def planted_permutation(n, key, planted, rejections=None):
 
 
 @pytest.mark.parametrize(
-    "planted",
+    "planted, starts, ends",
     [
-        {5, 6},  # adjacent: the chunk after the first rejection starts on one
-        {CHUNK, 2 * CHUNK},  # the last draw of the first chunk, then of the next
-        # 1248 lands on n - i = 257, where 2**64 - 1 is exactly the limit
-        {1, CHUNK + 1, CHUNK + 2, 1200, 1248},
+        ({5, 6}, {6}, set()),  # adjacent: the run after the first rejection starts on one
+        # The last draw of the first run, then of the next: at n = 1,500 a key
+        # alone takes runs of isqrt(REPLAYS * left) positions, 438 and then 368.
+        ({438, 806}, set(), {438, 806}),
+        # An empty first run, then the last draw of the next run and the first
+        # of the one after; 1248 lands on n - i = 257, where 2**64 - 1 is
+        # exactly the limit.
+        ({1, 439, 440, 1200, 1248}, {1, 440}, {439}),
     ],
 )
-def test_planted_rejections_match_the_sequential_loop(planted, monkeypatch):
+def test_planted_rejections_match_the_sequential_loop(planted, starts, ends, monkeypatch):
     # A real rejection has chance below n / 2**64 per draw, so plant them:
     # 2**64 - 1 is rejected wherever n - i is not a power of two.
     keys = (0, 7, 2**64 - 1)
     planted = rejected_at(planted)
-    monkeypatch.setattr(fomo.simulation, "stream_u64", planted_stream(dict.fromkeys(keys, planted)))
+    runs = set()
+    stream = planted_stream(dict.fromkeys(keys, planted), runs)
+    monkeypatch.setattr(fomo.simulation, "stream_u64", stream)
     n = 1500
     for key in keys:
         assert permutation(n, key) == planted_permutation(n, key, planted)
+        assert starts <= {first for k, first, _ in runs if k == key}
+        assert ends <= {last for k, _, last in runs if k == key}
 
 
 def test_planted_rejections_in_some_rows_of_a_batch(monkeypatch):
     # The rows of one batch fall out of step: key 0 rejects its first draw
-    # (an empty run) and the draw at n - i = 3 of its last chunk, key 7 the
-    # last draw of its first chunk and of its second, and 2**64 - 1 none.
+    # (an empty run) and the draw at n - i = 3, near its end, key 7 the last
+    # draw of its first run and of its second, and 2**64 - 1 none. Three
+    # rows at n = 1,500 take runs of 252, then 230 positions.
     n = 1500
-    planted = {0: rejected_at({1, 1499}), 7: rejected_at({CHUNK, 2 * CHUNK}), 2**64 - 1: {}}
-    monkeypatch.setattr(fomo.simulation, "stream_u64", planted_stream(planted))
+    planted = {0: rejected_at({1, 1499}), 7: rejected_at({252, 482}), 2**64 - 1: {}}
+    runs = set()
+    monkeypatch.setattr(fomo.simulation, "stream_u64", planted_stream(planted, runs))
     expected = [planted_permutation(n, key, at) for key, at in planted.items()]
     assert permutations(n, list(planted)) == expected
+    assert {(0, 1, 252), (7, 1, 252), (7, 253, 482)} <= runs
 
 
 def aimed_at(targets):

@@ -22,7 +22,6 @@ from fomo.corpus import Corpus, generate_corpus, zipf_prevalences
 import fomo.simulation
 from fomo.prng import MAX_TRIALS, derive_key, derive_key_array
 from fomo.simulation import (
-    CHUNK,
     HistogramBin,
     _equal_width_histogram,
     completion_topics,
@@ -185,7 +184,7 @@ class TestFirstSightings:
     @given(
         common_and_rare_topic_sets(),
         st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=5),
-        st.lists(st.integers(0, CHUNK), min_size=1, max_size=4).filter(any),
+        st.lists(st.integers(0, 512), min_size=1, max_size=4).filter(any),
     )
     @settings(max_examples=150, deadline=None)
     def test_batch_matches_per_document_oracle(self, topic_sets, keys, sizes):
@@ -220,11 +219,11 @@ class TestFirstSightings:
             assert result.completion_position == max(expected.values())
 
     def test_rare_topic_past_several_chunks(self):
-        sets = [{0}] * (3 * CHUNK + 5) + [{1, 2}, {0, 3}]
+        sets = [{0}] * (3 * 512 + 5) + [{1, 2}, {0, 3}]
         corpus = corpus_from_topic_sets(sets, topic_count=5)
-        steps = scripted_steps([list(range(len(corpus)))], [CHUNK], [[]])
+        steps = scripted_steps([list(range(len(corpus)))], [512], [[]])
         first = fomo.simulation._first_sightings(corpus, steps, 1)
-        assert first.tolist() == [[1, 3 * CHUNK + 6, 3 * CHUNK + 6, 3 * CHUNK + 7, 0]]
+        assert first.tolist() == [[1, 3 * 512 + 6, 3 * 512 + 6, 3 * 512 + 7, 0]]
 
     def test_skewed_corpus_expands_only_documents_within_the_bound(self):
         # Four rows of 10 topics fit a recompute in every step, so once a
@@ -236,7 +235,7 @@ class TestFirstSightings:
         assert corpus._rarest_counts.tolist() == [min(counts[t] for t in s) for s in sets]
         orders = [oracle_order(len(corpus), key) for key in range(4)]
         reads = [[] for _ in orders]
-        steps = scripted_steps(orders, [CHUNK, 100], reads)
+        steps = scripted_steps(orders, [512, 100], reads)
         first, expanded = expanded_first_sightings(corpus, steps, len(orders))
         assert_matches_oracle(corpus, first, orders)
         scanned = sum(end - start for runs in reads for start, end in runs)
@@ -248,7 +247,7 @@ class TestFirstSightings:
         corpus = corpus_from_topic_sets(skewed_topic_sets(3000, seed=6), topic_count=5000)
         orders = [oracle_order(len(corpus), key) for key in range(3)]
         reads = [[] for _ in orders]
-        steps = scripted_steps(orders, [7, 3, 0, CHUNK], reads)
+        steps = scripted_steps(orders, [7, 3, 0, 512], reads)
         first, expanded = expanded_first_sightings(corpus, steps, len(orders))
         assert_matches_oracle(corpus, first, orders)
         assert expanded == sum(end - start for runs in reads for start, end in runs)
@@ -519,16 +518,19 @@ class TestRunShuffles:
         assert plan(corpus_from_topic_sets([{0}, {0}]))[0] == 1
 
     @pytest.mark.parametrize(
-        "documents, topic_ids, batch, limit",
-        [(120_000, 144_965, 17, 59_361), (10**6, 1_207_750, 2, 59_369)],
+        "documents, topic_ids, batch, limit, width",
+        [(120_000, 144_965, 17, 59_361, 950), (10**6, 1_207_750, 2, 59_369, 8000)],
     )
-    def test_study_and_ingest_steps_take_whole_chunks(self, documents, topic_ids, batch, limit):
+    def test_study_and_ingest_steps_take_whole_chunks(
+        self, documents, topic_ids, batch, limit, width
+    ):
         # The study and ingest corpora (generation seed 7): the step limit,
-        # about 59,000 positions, stays far above a batch's runs of CHUNK.
+        # about 59,000 positions, stays far above a batch's first runs, which
+        # the REPLAYS rule sets at isqrt(128 * documents // batch) positions.
         shape = CorpusShape(documents, 64, topic_ids, present=64)
         assert fomo.simulation._batch_plan(shape) == (batch, limit)
         steps = fisher_yates(documents, derive_key_array(11, np.arange(batch)), limit)
-        assert next(steps)[1].tolist() == [CHUNK] * batch
+        assert next(steps)[1].tolist() == [width] * batch
 
     def test_a_batch_of_a_dense_corpus_stays_near_the_budget(self):
         # Every document holds all 500 topics, so each position of a step
