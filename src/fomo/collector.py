@@ -34,6 +34,13 @@ core, the caller among them; numpy releases the interpreter lock inside
 each block's array calls, and the results are combined in block order,
 so the worker count changes no bit.
 
+The exact route's block sums and the Monte Carlo standard error are the
+values ``np.sum`` and ``np.std`` would give over full arrays (2**20 terms
+a block, one float a trial), but no such array is made:
+:func:`_pairwise_sum` follows numpy's pairwise order, splitting where
+numpy splits, and makes and sums only leaves of ``_PAIRWISE_LEAF``
+values at a time.
+
 :func:`completion_quantile` inverts the independent-sightings coverage
 curve prod(1 - (1-p_i)^t) instead, the cheap stand-in for percentiles of
 a document scan.
@@ -68,6 +75,11 @@ __all__ = [
 # 2**25 subsets is about the edge of interactive; beyond that the
 # integral form is both faster and just as accurate.
 EXACT_COUPON_LIMIT = 25
+
+# Floats a leaf of _pairwise_sum makes at once (512 KiB). On 25 coupons
+# the exact route ran 1.7 and 1.3 times slower with leaves of 2**14 and
+# 2**15, and no faster with 2**17 (medians of 9 calls, 2-core guest).
+_PAIRWISE_LEAF = 2**16
 
 # Bitmask width in the Monte Carlo sampler.
 _SAMPLER_COUPON_LIMIT = 64
@@ -201,6 +213,23 @@ def expected_draws_equal(m: int) -> float:
     return m * math.fsum(1.0 / i for i in range(1, m + 1))
 
 
+def _pairwise_sum(leaf, start: int, n: int) -> float:
+    """``np.sum`` of the ``n`` floats from ``start`` on, bit for bit, where
+    ``leaf(start, n)`` makes any run of at most ``_PAIRWISE_LEAF`` of them.
+
+    numpy sums a contiguous float64 array pairwise (Higham, SIAM J. Sci.
+    Comput. 14, 1993), splitting more than 128 values at ``n // 2`` rounded
+    down to a multiple of 8. This splits the same way down to leaves of at
+    most ``_PAIRWISE_LEAF`` values, where ``np.sum`` of the leaf takes over,
+    so the whole array never exists.
+    """
+    if n <= _PAIRWISE_LEAF:
+        return float(np.sum(leaf(start, n)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(leaf, start, half) + _pairwise_sum(leaf, start + half, n - half)
+
+
 def _subset_sums(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(J) and (-1)**|J| for every subset J of ``p``, by doubling: subset
     J sits at index sum(2**i for i in J), its sum added up in index order."""
@@ -218,8 +247,10 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
 
     E[T] = sum over nonempty subsets J of (-1)^(|J|+1) / P(J), where P(J)
     is the chance a single draw yields some coupon in J. Enumerates all
-    2**m subsets (sums built by doubling, evaluated in blocks), so m is
-    capped at EXACT_COUPON_LIMIT.
+    2**m subsets in blocks of at most 2**20, made and summed in leaves of
+    at most ``_PAIRWISE_LEAF`` terms from a table of the first 16
+    coupons' subset sums, so m is capped at EXACT_COUPON_LIMIT and a
+    worker holds one leaf at a time.
 
     The sum is exact in rationals, but in floats its 2**m signed terms
     cancel, so the error grows with m: against the true mean of m uniform
@@ -235,22 +266,50 @@ def expected_draws_unequal_exact(probabilities: ProbabilityVector) -> float:
     m = len(p)
     check_coupon_count(m, "exact")
 
-    # Subsets of the first 20 coupons are evaluated together, once per
-    # subset of the rest, so peak memory stays at 2**20 floats a worker.
-    # A block's terms are low_sign / (low_sums + high_sum), made in a
-    # fresh array a block, and its sum takes the high subset's sign
-    # after: a sign flip is exact and pairwise summation commutes with it,
-    # so the result is the sum of (low_sign * high_sign) / P(J) bit for bit.
-    low_sums, low_sign = _subset_sums(p[:20])
+    # A block is the subsets of the first 20 coupons, once per subset of
+    # the rest, and its sum is np.sum of its terms (from index 1 in block
+    # 0, which drops the empty subset) in numpy's pairwise order, made and
+    # summed leaf by leaf (_pairwise_sum). Term i is the sign of the low
+    # subset i over P(low subset i) + P(high subset). A leaf copies its
+    # slice of the 2**16-entry table of the first 16 coupons and adds the
+    # probability of each set bit of i above them in bit order, as
+    # doubling over 20 coupons would. Its signs are the table's, negated
+    # when those bits have odd parity, and the block's sum takes the high
+    # subset's sign after: a sign flip is exact and pairwise summation
+    # commutes with it, so the result is the sum of (-1)**|J| / P(J) bit
+    # for bit.
+    table_sums, table_signs = _subset_sums(p[:16])
+    middle = p[16:20]
     high_sums, high_signs = _subset_sums(p[20:])
+    block_size = 1 << min(m, 20)
+    span = table_sums.size
 
     def block_sum(bits: int) -> float:
+        high_sum = high_sums[bits]
+
+        def leaf(start: int, n: int) -> np.ndarray:
+            # Built one table slice at a time, as a leaf may cross one.
+            terms = np.empty(n)
+            done = 0
+            while done < n:
+                upper, lower = divmod(start + done, span)
+                piece = terms[done:done + min(n - done, span - lower)]
+                piece[:] = table_sums[lower:lower + piece.size]
+                for bit, x in enumerate(middle):
+                    if upper >> bit & 1:
+                        piece += x
+                piece += high_sum
+                np.divide(table_signs[lower:lower + piece.size], piece, out=piece)
+                if upper.bit_count() % 2:
+                    np.negative(piece, out=piece)
+                done += piece.size
+            return terms
+
         # Overflow is refused below; 1/0 is the empty subset's term, dropped.
         # numpy keeps error state per thread, so each block sets its own.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            terms = low_sums + high_sums[bits]
-            np.divide(low_sign, terms, out=terms)
-            return float(np.sum(terms[1:] if bits == 0 else terms))
+            start = 1 if bits == 0 else 0
+            return _pairwise_sum(leaf, start, block_size - start)
 
     total = 0.0
     for block, high_sign in zip(_map_in_order(block_sum, range(high_sums.size)), high_signs):
@@ -445,6 +504,18 @@ class _CouponLookup:
         return bits
 
 
+def _sample_std(values: np.ndarray, mean: float) -> float:
+    """``values.std(ddof=1)`` bit for bit, given ``mean = float(values.mean())``:
+    the squared deviations summed in numpy's pairwise order, a leaf at a
+    time (:func:`_pairwise_sum`), where ``std`` would hold all of them."""
+
+    def squares(start: int, n: int) -> np.ndarray:
+        deviations = values[start:start + n] - mean
+        return np.multiply(deviations, deviations, out=deviations)
+
+    return math.sqrt(_pairwise_sum(squares, 0, values.size) / (values.size - 1))
+
+
 def simulate_expected_draws(
     probabilities: ProbabilityVector, trials: int, seed: int
 ) -> MonteCarloDraws:
@@ -512,9 +583,11 @@ def simulate_expected_draws(
 
     _map_in_order(run_batch, range(0, trials, _SAMPLER_BATCH))
 
+    # The float64 sum of the mean reads the int64 counts through numpy's
+    # small cast buffers, so neither statistic holds a float a trial.
     mean = float(completions.mean())
     if trials > 1:
-        std_error = float(completions.std(ddof=1)) / math.sqrt(trials)
+        std_error = _sample_std(completions, mean) / math.sqrt(trials)
     else:
         std_error = 0.0
     return MonteCarloDraws(

@@ -74,6 +74,34 @@ MUTANTS = (
         "(draws.ravel()[suspects] > 0 - excess)",
         ("tests/test_prng.py",),
     ),
+    Mutant(
+        "pairwise split not rounded to a multiple of 8",
+        "src/fomo/collector.py",
+        "    half -= half % 8\n",
+        "",
+        ("tests/test_collector.py",),
+    ),
+    Mutant(
+        "block 0 summed from index 0",
+        "src/fomo/collector.py",
+        "start = 1 if bits == 0 else 0",
+        "start = 0",
+        ("tests/test_collector.py",),
+    ),
+    Mutant(
+        "higher-bit sign parity ignored",
+        "src/fomo/collector.py",
+        'if upper.bit_count() % 2:',
+        "if False:",
+        ("tests/test_collector.py",),
+    ),
+    Mutant(
+        "standard deviation divided by the trial count",
+        "src/fomo/collector.py",
+        "/ (values.size - 1))",
+        "/ values.size)",
+        ("tests/test_collector.py",),
+    ),
 )
 
 

@@ -20,12 +20,16 @@ import fomo.collector
 import fomo.prng
 import fomo.quadpack
 from fomo.collector import (
+    _PAIRWISE_LEAF,
     _SAMPLER_BATCH,
     _SAMPLER_STEP_DRAWS,
     CouponDistribution,
     SubsetLimitError,
     _coupon_thresholds,
     _CouponLookup,
+    _pairwise_sum,
+    _sample_std,
+    _subset_sums,
     birthday_first_collision_expected,
     completion_quantile,
     dice_sum_distribution,
@@ -350,25 +354,29 @@ def power_law(count, exponent=1.0):
 SUM_LARGE = power_law(80_000)
 
 
+# Name: (input, trials, seed, and the result's mean and standard error as
+# float.hex(), minimum and maximum), recorded before the guide table and
+# the trial batches went in. The one-small-batch-boundary case was
+# recorded with 2**16-trial batches, before they shrank to 2**14.
+PINNED_MONTE_CARLO = {
+    "dice": (dice_sum_distribution(), 1_000_000, 2024,
+             "0x1.e9b17df19d66bp+5", "0x1.2634817940466p-5", 11, 509),
+    "power-law-25": (power_law(25), 100_000, 2025,
+                     "0x1.e2e421c044285p+7", "0x1.3bd0bb08aa951p-2", 54, 1114),
+    "one-batch-boundary": (dice_sum_distribution(), 2**16 + 3, 2026,
+                           "0x1.e9a3231696bc4p+5", "0x1.1fda8bd4de97fp-3", 11, 440),
+    "one-small-batch-boundary": (dice_sum_distribution(), 2**14 + 3, 2027,
+                                 "0x1.ef068bb173ae9p+5", "0x1.24dd26d8bd9bcp-2", 11, 409),
+}
+
+
 class TestPinnedMonteCarlo:
-    """Exact results recorded before the guide table and the trial
-    batches went in; the sampler must keep reproducing them. The
-    one-small-batch-boundary case was recorded with 2**16-trial batches,
-    before they shrank to 2**14."""
+    """The sampler must keep reproducing PINNED_MONTE_CARLO bit for bit."""
 
     @pytest.mark.parametrize(
         "dist, trials, seed, mean, std_error, minimum, maximum",
-        [
-            (dice_sum_distribution(), 1_000_000, 2024,
-             "0x1.e9b17df19d66bp+5", "0x1.2634817940466p-5", 11, 509),
-            (power_law(25), 100_000, 2025,
-             "0x1.e2e421c044285p+7", "0x1.3bd0bb08aa951p-2", 54, 1114),
-            (dice_sum_distribution(), 2**16 + 3, 2026,
-             "0x1.e9a3231696bc4p+5", "0x1.1fda8bd4de97fp-3", 11, 440),
-            (dice_sum_distribution(), 2**14 + 3, 2027,
-             "0x1.ef068bb173ae9p+5", "0x1.24dd26d8bd9bcp-2", 11, 409),
-        ],
-        ids=["dice", "power-law-25", "one-batch-boundary", "one-small-batch-boundary"],
+        PINNED_MONTE_CARLO.values(),
+        ids=PINNED_MONTE_CARLO,
     )
     def test_recorded_results(self, dist, trials, seed, mean, std_error, minimum, maximum):
         sample = simulate_expected_draws(dist, trials, seed)
@@ -407,6 +415,70 @@ class TestPinnedSum:
     @pytest.mark.parametrize("probabilities, expected", PINNED_SUM.values(), ids=PINNED_SUM)
     def test_recorded_results(self, probabilities, expected):
         assert expected_draws_unequal_sum(probabilities).hex() == expected
+
+
+def full_array_exact(probabilities):
+    """The exact route with each block's terms in one array and one np.sum:
+    2**20 floats for the subsets of the first 20 coupons, once per subset
+    of the rest, block 0 summed from index 1 to drop the empty subset."""
+    p = np.asarray(probabilities, dtype=float)
+    low_sums, low_signs = _subset_sums(p[:20])
+    high_sums, high_signs = _subset_sums(p[20:])
+    total = 0.0
+    with np.errstate(divide="ignore"):
+        for bits, (high_sum, high_sign) in enumerate(zip(high_sums, high_signs)):
+            terms = low_signs / (low_sums + high_sum)
+            block = float(np.sum(terms[1:] if bits == 0 else terms))
+            total += block if high_sign > 0 else -block
+    return -total
+
+
+def lognormal_coupons(m, seed):
+    """m lognormal weights scaled to a total drawn from [0.3, 1.0]."""
+    rng = random.Random(seed)
+    weights = [rng.lognormvariate(0.0, 1.0) for _ in range(m)]
+    scale = rng.uniform(0.3, 1.0) / math.fsum(weights)
+    return tuple(w * scale for w in weights)
+
+
+class TestNumpyOrder:
+    """The exact route and the Monte Carlo standard error sum leaf by leaf,
+    and must give the bits of numpy's sums over the full arrays."""
+
+    @pytest.mark.parametrize(
+        "n, start",
+        [(1, 0), (7, 0), (8, 0), (129, 0), (2**16, 0), (2**16 + 1, 0),
+         (3 * 2**16 + 5, 0), (10**6 + 3, 0), (2**20 - 1, 1)],
+    )
+    def test_pairwise_sum_is_np_sum(self, n, start):
+        rng = np.random.default_rng(n)
+        values = rng.standard_normal(start + n) * np.exp(rng.uniform(-30.0, 30.0, start + n))
+        sizes = []
+
+        def leaf(first, count):
+            sizes.append(count)
+            return values[first:first + count]
+
+        assert _pairwise_sum(leaf, start, n).hex() == float(np.sum(values[start:])).hex()
+        assert max(sizes) <= _PAIRWISE_LEAF and sum(sizes) == n
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 15, 16, 17, 19, 20, 21, 23, 25])
+    def test_exact_route_is_the_full_array_sum(self, m):
+        probabilities = lognormal_coupons(m, seed=m)
+        expected = full_array_exact(probabilities)
+        assert expected_draws_unequal_exact(probabilities).hex() == expected.hex()
+
+    @given(small_distributions(max_size=10))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_route_is_the_full_array_sum_on_small_inputs(self, dist):
+        expected = full_array_exact(dist.probabilities)
+        assert expected_draws_unequal_exact(dist).hex() == expected.hex()
+
+    @pytest.mark.parametrize("trials", [2, 3, 2**16 + 1, 10**6 + 3])
+    def test_sample_std_is_np_std(self, trials):
+        counts = np.random.default_rng(trials).integers(11, 10**6, trials)
+        value = _sample_std(counts, float(counts.mean()))
+        assert value.hex() == float(counts.std(ddof=1)).hex()
 
 
 def relative_error(value, numerator, denominator):
@@ -750,19 +822,42 @@ class TestWorkerCount:
             assert np.array_equal(corpus.doc_ids, first.doc_ids)
 
 
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("batches", [2, 32])
 def test_memory_is_the_completions_plus_one_batch(batches):
     # 8 bytes per trial for the completion counts; keys, masks and draws
     # exist for one batch at a time. At 32 batches a per-trial key array
     # alone would take the peak past the bound.
     trials = _SAMPLER_BATCH * batches + 1
-    tracemalloc.start()
-    try:
-        simulate_expected_draws(CouponDistribution((0.5, 0.5)), trials, seed=3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    dist = CouponDistribution((0.5, 0.5))
+    peak = traced_peak(lambda: simulate_expected_draws(dist, trials, seed=3))
     assert peak < 3 * 8 * trials + 16 * 2**20
+
+
+@pytest.mark.parametrize("workers, bound_mib", [(1, 4), (2, 4), (16, 12)])
+def test_exact_route_memory_by_worker_count(monkeypatch, workers, bound_mib):
+    # A 2**16-entry table of the first 16 coupons' subset sums and signs,
+    # and one leaf of 2**16 terms a worker at a time. Full 2**20-float
+    # blocks would take 16 MiB of subset sums and 8 MiB a worker.
+    monkeypatch.setattr(fomo.prng, "_usable_cores", lambda: workers)
+    dist = power_law(25)
+    assert traced_peak(lambda: expected_draws_unequal_exact(dist)) < bound_mib * 2**20
+
+
+def test_monte_carlo_memory_holds_no_float_a_trial(monkeypatch):
+    # 8 MB of completion counts and one batch; np.std would add a
+    # trials-long float array.
+    monkeypatch.setattr(fomo.prng, "_usable_cores", lambda: 1)
+    dice = dice_sum_distribution()
+    assert traced_peak(lambda: simulate_expected_draws(dice, 10**6, seed=5)) < 12 * 2**20
 
 
 class TestCouponDistributionValidation:

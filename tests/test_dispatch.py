@@ -25,10 +25,12 @@ from numpy._core._multiarray_umath import __cpu_features__
 from test_acceptance import (
     STUDY_DOCS, STUDY_GEN_SEED, STUDY_MAX_PREV, STUDY_MIN_PREV, STUDY_TOPICS
 )
-from test_collector import PINNED_EXACT, PINNED_SUM
+from test_collector import PINNED_EXACT, PINNED_MONTE_CARLO, PINNED_SUM
 
 import fomo
-from fomo.collector import expected_draws_unequal_exact, expected_draws_unequal_sum
+from fomo.collector import (
+    expected_draws_unequal_exact, expected_draws_unequal_sum, simulate_expected_draws
+)
 from fomo.corpus import generate_corpus, zipf_prevalences
 
 # The features the child turns off; X86_V4 takes AVX512_SKX with it.
@@ -42,6 +44,12 @@ def exp_digest():
     return hashlib.sha256(np.exp(np.linspace(-700.0, -100.0, 4097)).tobytes()).hexdigest()
 
 
+def monte_carlo_hexes(dist, trials, seed):
+    """The sampler's mean and standard error as float.hex()."""
+    sample = simulate_expected_draws(dist, trials, seed)
+    return [sample.mean.hex(), sample.std_error.hex()]
+
+
 def outputs():
     """Everything the child checks, run in the current directory."""
     dist = zipf_prevalences(STUDY_TOPICS, STUDY_MAX_PREV, STUDY_MIN_PREV)
@@ -52,6 +60,7 @@ def outputs():
         "manifest": run_cases(study),
         "exact": {k: expected_draws_unequal_exact(d).hex() for k, (d, _) in PINNED_EXACT.items()},
         "sum": {k: expected_draws_unequal_sum(p).hex() for k, (p, _) in PINNED_SUM.items()},
+        "montecarlo": {k: monte_carlo_hexes(*pin[:3]) for k, pin in PINNED_MONTE_CARLO.items()},
     }
 
 
@@ -78,6 +87,7 @@ def test_portable_outputs_match_without_avx512(tmp_path):
     assert seen["manifest"] == json.loads(MANIFEST.read_text())
     assert seen["exact"] == {k: pin for k, (_, pin) in PINNED_EXACT.items()}
     assert seen["sum"] == {k: pin for k, (_, pin) in PINNED_SUM.items()}
+    assert seen["montecarlo"] == {k: list(pin[3:5]) for k, pin in PINNED_MONTE_CARLO.items()}
 
 
 if __name__ == "__main__":
