@@ -1,8 +1,11 @@
 """Command-line front end: ``fomo <subcommand>``.
 
 Every report is machine-readable: CSV (RFC 4180, header row) or JSON
-(always versioned), written to stdout or ``--output``. Plots are data
-emission only; any plotting tool can consume the CSV.
+(always versioned, of format ``fomo-<command>``), written to stdout or
+``--output``. Each command's handler computes its answer and returns the
+report's rows; ``main`` writes them, CSV a row at a time and JSON as one
+document. Plots are data emission only; any plotting tool can consume
+the CSV.
 
 Subcommands:
     table       confidence-of-a-missed-topic table over production sizes
@@ -23,12 +26,13 @@ diagnostic on stderr. Every output path is opened before any work.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
 import os
 import sys
-from typing import Any, Callable, Iterable, NoReturn, Sequence
+from typing import Any, Callable, ContextManager, Iterable, NoReturn, Sequence, TextIO
 
 from .analytic import (
     MAX_TABLE_ROWS, RecallScenario, fomo_table, format_percent, prevalence_upper_bound
@@ -78,37 +82,28 @@ def _seed(text: str) -> int:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _open_output(path: str | None) -> ContextManager[TextIO]:
+    """``path`` opened for writing, or stdout, which is left open."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
-def _csv_text(fieldnames: Sequence[str], rows: Iterable[dict]) -> str:
-    import io
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\r\n")
-    writer.writerow(fieldnames)
-    writer.writerows([row[name] for name in fieldnames] for row in rows)
-    return buffer.getvalue()
-
-
-def _json_text(kind: str, payload: dict) -> str:
-    document = {"format": kind, "version": 1, **payload}
-    return json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
-
-
-def _emit(args: argparse.Namespace, kind: str, fieldnames: Sequence[str], rows: list[dict]) -> None:
-    if args.format == "json":
-        _write_text(args.output, _json_text(kind, {"rows": rows}))
-    else:
-        _write_text(args.output, _csv_text(fieldnames, rows))
+def _write_csv(path: str | None, rows: Iterable[dict]) -> None:
+    """RFC 4180 CSV: a header of the first row's keys, then a line a row,
+    each written as it comes."""
+    rows = iter(rows)
+    # Every report has a first row: a table, a quantile list, a histogram's
+    # bins, a curve's points and a corpus are each checked non-empty.
+    first = next(rows)
+    with _open_output(path) as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(first.keys())
+        writer.writerow(first.values())
+        writer.writerows(row.values() for row in rows)
 
 
-def _cmd_table(args: argparse.Namespace) -> int:
+def _cmd_table(args: argparse.Namespace) -> Iterable[dict]:
     produced = _parse_list(args.produced, int, "integers")
     recalls = _parse_list(args.recall, float, "numbers")
     if not produced or not recalls:
@@ -122,27 +117,26 @@ def _cmd_table(args: argparse.Namespace) -> int:
     scenarios = [
         RecallScenario(n, r, args.confidence) for r in recalls for n in produced
     ]
-    rows = []
-    for row in fomo_table(scenarios):
-        rows.append(
-            {
-                "produced": row.scenario.produced_count,
-                "recall": repr(row.scenario.recall),
-                "confidence": repr(row.scenario.confidence),
-                "prevalence_bound": repr(row.prevalence_bound),
-                "prevalence_bound_pct": format_percent(row.prevalence_bound),
-                "missed_count": row.missed_count,
-                "prob_in_missed": repr(row.prob_in_missed),
-                "prob_in_missed_pct": format_percent(row.prob_in_missed),
-                "fomo_confidence": repr(row.fomo_confidence),
-                "fomo_confidence_pct": format_percent(row.fomo_confidence),
-            }
-        )
-    _emit(args, "fomo-table", list(rows[0].keys()), rows)
-    return 0
+    # fomo_table runs here, as the outer iterable, so a row it refuses
+    # fails before any output is opened.
+    return (
+        {
+            "produced": row.scenario.produced_count,
+            "recall": repr(row.scenario.recall),
+            "confidence": repr(row.scenario.confidence),
+            "prevalence_bound": repr(row.prevalence_bound),
+            "prevalence_bound_pct": format_percent(row.prevalence_bound),
+            "missed_count": row.missed_count,
+            "prob_in_missed": repr(row.prob_in_missed),
+            "prob_in_missed_pct": format_percent(row.prob_in_missed),
+            "fomo_confidence": repr(row.fomo_confidence),
+            "fomo_confidence_pct": format_percent(row.fomo_confidence),
+        }
+        for row in fomo_table(scenarios)
+    )
 
 
-def _cmd_bound(args: argparse.Namespace) -> int:
+def _cmd_bound(args: argparse.Namespace) -> list[dict]:
     bound = prevalence_upper_bound(args.produced, args.confidence)
     one_in = 1.0 / bound if bound else math.inf
     if math.isinf(one_in):
@@ -154,8 +148,7 @@ def _cmd_bound(args: argparse.Namespace) -> int:
         "prevalence_bound_pct": format_percent(bound),
         "one_in": repr(one_in),
     }
-    _emit(args, "fomo-bound", list(row.keys()), [row])
-    return 0
+    return [row]
 
 
 def _load_probabilities(path: str) -> CouponDistribution:
@@ -166,7 +159,7 @@ def _load_probabilities(path: str) -> CouponDistribution:
     return CouponDistribution(tuple(float(p) for p in data))
 
 
-def _cmd_collector(args: argparse.Namespace) -> int:
+def _cmd_collector(args: argparse.Namespace) -> list[dict]:
     if args.dice:
         dist = dice_sum_distribution()
         source = "dice"
@@ -196,11 +189,10 @@ def _cmd_collector(args: argparse.Namespace) -> int:
         "expected_draws_2dp": f"{expected:.2f}",
         "std_error": std_error,
     }
-    _emit(args, "fomo-collector", list(row.keys()), [row])
-    return 0
+    return [row]
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> list[dict]:
     corpus = load_corpus(args.corpus)
     quantiles = _parse_list(args.quantiles, float, "numbers")
     summary = run_shuffles(
@@ -211,16 +203,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         bin_count=args.bins,
     )
     if args.summary_json:
-        _write_text(args.summary_json, summary.to_json() + "\n")
+        with _open_output(args.summary_json) as fh:
+            fh.write(summary.to_json() + "\n")
     if args.histogram_csv:
-        hist_rows = [
+        bins = (
             {"bin_lower": repr(b.lower), "bin_upper": repr(b.upper), "count": b.count}
             for b in summary.histogram
-        ]
-        _write_text(
-            args.histogram_csv, _csv_text(["bin_lower", "bin_upper", "count"], hist_rows)
         )
-    rows = [
+        _write_csv(args.histogram_csv, bins)
+    return [
         {
             "quantile": repr(q),
             "completion_position": summary.percentiles[q],
@@ -229,37 +220,32 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         }
         for q in sorted(summary.percentiles)
     ]
-    _emit(args, "fomo-simulate", list(rows[0].keys()), rows)
-    return 0
 
 
-def _cmd_curve(args: argparse.Namespace) -> int:
+def _cmd_curve(args: argparse.Namespace) -> Iterable[dict]:
     corpus = load_corpus(args.corpus)
     curve = scan_accession(corpus)
-    rows = [
+    return (
         {"documents_scanned": scanned, "distinct_topics_seen": seen}
         for scanned, seen in curve.points
-    ]
-    _emit(args, "fomo-curve", ["documents_scanned", "distinct_topics_seen"], rows)
-    return 0
+    )
 
 
-def _cmd_gen_corpus(args: argparse.Namespace) -> int:
+def _cmd_gen_corpus(args: argparse.Namespace) -> None:
     dist = zipf_prevalences(args.topics, args.max_prev, args.min_prev)
     corpus = generate_corpus(args.docs, dist, args.seed)
     save_corpus(corpus, args.out)
     print(
         f"wrote {len(corpus)} documents, {corpus.topic_count} topics -> {args.out}"
     )
-    return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
+def _cmd_compare(args: argparse.Namespace) -> list[dict]:
     corpus = load_corpus(args.corpus)
     with open(args.summary, "r", encoding="utf-8") as fh:
         summary = summary_from_json(fh.read())
     report = completion_vs_analytic(corpus, summary)
-    rows = [
+    return [
         {
             "metric": "median_completion",
             "analytic": repr(float(report.analytic_median)),
@@ -273,8 +259,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             "relative_difference": repr(report.mean_relative_difference),
         },
     ]
-    _emit(args, "fomo-compare", ["metric", "analytic", "empirical", "relative_difference"], rows)
-    return 0
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -396,7 +380,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
         _check_outputs(args)
-        return args.handler(args)
+        rows = args.handler(args)
+        if rows is None:  # gen-corpus, which printed its one line
+            return 0
+        if args.format == "csv":
+            _write_csv(args.output, rows)
+        else:
+            document = {"format": f"fomo-{args.command}", "version": 1, "rows": list(rows)}
+            with _open_output(args.output) as fh:
+                fh.write(json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
+        return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except MemoryError as exc:  # a size option or header too large to allocate

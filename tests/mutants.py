@@ -102,6 +102,41 @@ MUTANTS = (
         "/ values.size)",
         ("tests/test_collector.py",),
     ),
+    Mutant(
+        "first data row dropped after the header",
+        "src/fomo/cli.py",
+        "        writer.writerow(first.values())\n",
+        "",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "CSV lines ended by a bare newline",
+        "src/fomo/cli.py",
+        'lineterminator="\\r\\n"',
+        'lineterminator="\\n"',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "JSON kind without its fomo- prefix",
+        "src/fomo/cli.py",
+        '"format": f"fomo-{args.command}"',
+        '"format": args.command',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "output-path check skipping the histogram",
+        "src/fomo/cli.py",
+        '("out", "output", "summary_json", "histogram_csv")',
+        '("out", "output", "summary_json")',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "row cap tested with >= for >",
+        "src/fomo/cli.py",
+        "if row_count > MAX_TABLE_ROWS:",
+        "if row_count >= MAX_TABLE_ROWS:",
+        ("tests/test_cli.py",),
+    ),
 )
 
 

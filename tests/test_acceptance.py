@@ -13,11 +13,13 @@ import io
 import itertools
 import json
 import math
+import pathlib
 import random
 import time
 
 import pytest
-from byte_manifest import MANIFEST, run_cases
+from byte_manifest import MANIFEST, run_cases, sha256
+from byte_manifest import cases as manifest_cases
 from corpus_documents import Document, corpus_from_documents, documents_of
 
 from fomo.analytic import RecallScenario, fomo_confidence
@@ -333,12 +335,32 @@ def test_golden_table_csv(capsys):
     assert sha256_text(capsys.readouterr().out) == GOLDEN_TABLE_CSV
 
 
-def test_byte_manifest(study_experiment, tmp_path, monkeypatch):
+@pytest.fixture(scope="module")
+def manifest_run(study_experiment, tmp_path_factory):
+    """The byte-manifest cases run once: their directory and digests."""
+    _, corpus, _, _, _ = study_experiment
+    workdir = tmp_path_factory.mktemp("manifest")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(workdir)
+        return workdir, run_cases(corpus)
+
+
+def test_byte_manifest(manifest_run):
     # Every command's stdout and written files, in both formats, against
     # the digests tests/byte_manifest.py recorded.
-    _, corpus, _, _, _ = study_experiment
-    monkeypatch.chdir(tmp_path)
-    assert run_cases(corpus) == json.loads(MANIFEST.read_text())
+    assert manifest_run[1] == json.loads(MANIFEST.read_text())
+
+
+def test_a_report_written_to_output_has_the_stdout_bytes(manifest_run, monkeypatch):
+    # Every case with a report but the two study simulates, whose 200
+    # trials the manifest run has already taken, once more with --output.
+    workdir, digests = manifest_run
+    monkeypatch.chdir(workdir)
+    for name, argv in manifest_cases():
+        if argv[0] == "gen-corpus" or name.startswith("simulate study"):
+            continue
+        assert main([*argv, "--output", "report"]) == 0, name
+        assert sha256(pathlib.Path("report").read_bytes()) == digests[name]["stdout"], name
 
 
 # -- 7: determinism ----------------------------------------------------------

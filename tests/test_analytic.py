@@ -1,6 +1,8 @@
 """Closed-form math against published values and hand oracles."""
 
+import decimal
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -319,6 +321,33 @@ class TestFomoTable:
         values = {row.fomo_confidence for row in rows}
         assert len(values) == 1
         assert values.pop() * 100 == pytest.approx(4.750, abs=0.005)
+
+    def test_rows_within_1e15_of_a_50_digit_oracle(self):
+        # With M the row's own missed count, each float answer against
+        # Decimal at 50 digits: p = 1 - exp(ln(1-C)/N),
+        # P = 1 - exp((M/N) ln(1-C)) and fomo = (1-C) P. Measured worst
+        # relative errors: 2.6e-16, 3.0e-16 and 3.2e-16.
+        confidences = (1e-9, 1e-6, 0.01, 0.05, 0.5, 0.9, 0.95, 0.99, 0.999999)
+        recalls = (1e-6, 1e-4, 0.001, 0.01, 0.05, 0.1, 0.125, 0.2, 0.25, 0.3, 1 / 3, 0.4,
+                   0.5, 0.6, 2 / 3, 0.7, 0.75, 0.8, 0.9, 0.95, 0.99, 0.999, 1.0)
+        sizes = (1, 2, 3, 7, 10, 99, 100, 1000, 4096, 12345, 50000, 10**5, 200000, 500000,
+                 999999, 10**6, 2202935, 10**7, 123456789, 10**9, 2**31, 10**10, 10**11,
+                 999999999999, 10**12)
+        scenarios = [RecallScenario(n, r, c) for c in confidences for r in recalls for n in sizes]
+        worst = [0.0, 0.0, 0.0]
+        with decimal.localcontext(decimal.Context(prec=50)):
+            log_alpha = {c: (1 - Decimal(c)).ln() for c in confidences}
+            for row in fomo_table(scenarios):
+                n = row.scenario.produced_count
+                c = row.scenario.confidence
+                prob = 1 - (log_alpha[c] * row.missed_count / n).exp()
+                exact = (1 - (log_alpha[c] / n).exp(), prob, (1 - Decimal(c)) * prob)
+                got = (row.prevalence_bound, row.prob_in_missed, row.fomo_confidence)
+                for k, (value, truth) in enumerate(zip(got, exact)):
+                    error = abs(Decimal(value) - truth) / truth if truth else Decimal(value)
+                    worst[k] = max(worst[k], float(error))
+        assert len(scenarios) == 5175
+        assert max(worst) < 1e-15, worst
 
 
 class TestScenarioValidation:

@@ -5,7 +5,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -344,6 +348,48 @@ class TestOutputPaths:
         assert code == 1
         assert summary.read_text(encoding="utf-8") == "kept"
         assert summary.stat().st_mtime_ns == before.st_mtime_ns
+
+
+def benchmark_table_argv(side=100):
+    """``fomo table`` over the benchmark's side × side grid of production
+    sizes and recalls."""
+    produced = ",".join(str(1000 * (k + 1)) for k in range(side))
+    recalls = ",".join(f"{0.05 + 0.9 * k / side:.3f}" for k in range(side))
+    return ["table", "--produced", produced, "--recall", recalls, "--confidence", "0.95"]
+
+
+class TestReportWriter:
+    def test_table_streams_its_rows(self, tmp_path):
+        # The scenario and row lists of the 10^4-row grid stand in memory at
+        # once, about 3 MiB; its 2 MiB of CSV text and a dict a row do not.
+        tracemalloc.start()
+        try:
+            code = main([*benchmark_table_argv(), "--output", str(tmp_path / "t.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6 * 2**20
+
+    def test_a_reader_that_closes_early_ends_in_a_one_line_error(self):
+        src = str(Path(fomo.__file__).parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "fomo.cli", *benchmark_table_argv()],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        assert child.stdout.readline().startswith(b"produced,")
+        child.stdout.close()  # about 2 MiB still to write
+        err = child.stderr.read().decode()
+        assert child.wait(timeout=60) == 1
+        assert err == "error: [Errno 32] Broken pipe\n"
+
+    def test_a_table_at_the_row_cap_is_written(self, capsys, monkeypatch):
+        monkeypatch.setattr(fomo.cli, "MAX_TABLE_ROWS", 4)
+        code, out, _ = run_cli(capsys, "table", "--produced", "10,20", "--recall", "0.5,0.8")
+        assert code == 0
+        assert len(parse_csv(out)) == 4
 
 
 class TestCompare:

@@ -1,5 +1,6 @@
 """Collector expectations against brute-force and closed-form oracles."""
 
+import decimal
 import itertools
 import math
 import random
@@ -7,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -278,6 +280,31 @@ class TestCompletionQuantile:
 
         assert coverage(t) >= 0.8
         assert coverage(t - 1) < 0.8
+
+    def test_equals_a_bisection_over_the_50_digit_product(self):
+        # compare's analytic median and two other quantiles, found again by
+        # bisection with the coverage product in Decimal at 50 digits. The
+        # coverage of each answer and of the step before it stands at least
+        # 1.2e-7 (relative) from q here, far above float error.
+        rng = random.Random(38)
+        with decimal.localcontext(decimal.Context(prec=50)):
+            for _ in range(30):
+                probabilities = [10 ** rng.uniform(-4, -0.2) for _ in range(rng.randint(2, 64))]
+                misses = [1 - Decimal(p) for p in probabilities]
+                for q in (0.1, 0.5, 0.95):
+                    def covered(t):
+                        return math.prod((1 - miss**t for miss in misses), start=1) >= q
+                    hi = 1
+                    while not covered(hi):
+                        hi *= 2
+                    lo = hi // 2
+                    while hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        if covered(mid):
+                            hi = mid
+                        else:
+                            lo = mid
+                    assert completion_quantile(probabilities, q) == hi, (probabilities, q)
 
     @pytest.mark.parametrize("q", [0.0, 1.0, -0.2, 1.5])
     def test_rejects_bad_quantile(self, q):

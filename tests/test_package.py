@@ -1,8 +1,8 @@
 """The package namespace re-exports each submodule's public names once,
 importing the CLI stays cheap, no command loads scipy, every cap has its
 row in the README, no module reads the environment, none builds an
-unchecked instance, one function owns trial batches, one starts threads
-and one sizes byte grids."""
+unchecked instance, one function owns trial batches, one starts threads,
+one sizes byte grids and one opens the CLI's outputs."""
 
 import ast
 import importlib
@@ -108,6 +108,22 @@ def test_one_owner_of_threads():
                     pools.append(node.module or "")
     assert starters == ["prng._map_in_order"]
     assert [name for name in pools if name.startswith("concurrent")] == []
+
+
+def test_one_opener_of_cli_outputs():
+    # cli._open_output alone opens a file to write, and _check_outputs only
+    # probes each path; a handler that opened its own output would write a
+    # report past the one CSV and JSON writer in main.
+    source = Path(fomo.__file__).with_name("cli.py")
+    writes = []
+    for statement in ast.parse(source.read_text(encoding="utf-8")).body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+                modes = [*node.args[1:2], *(k.value for k in node.keywords if k.arg == "mode")]
+                mode = ast.literal_eval(modes[0]) if modes else "r"
+                if set(mode) & set("wax+"):
+                    writes.append(f"{statement.name}:{mode}")
+    assert writes == ["_open_output:w", "_check_outputs:xb", "_check_outputs:ab"]
 
 
 def test_no_module_reads_the_environment():
