@@ -3,9 +3,8 @@
 Every report is machine-readable: CSV (RFC 4180, header row) or JSON
 (always versioned, of format ``fomo-<command>``), written to stdout or
 ``--output``. Each command's handler computes its answer and returns the
-report's rows; ``main`` writes them, CSV a row at a time and JSON as one
-document. Plots are data emission only; any plotting tool can consume
-the CSV.
+report's rows; ``main`` writes them a row at a time, as CSV or JSON.
+Plots are data emission only; any plotting tool can consume the CSV.
 
 Subcommands:
     table       confidence-of-a-missed-topic table over production sizes
@@ -101,6 +100,16 @@ def _write_csv(path: str | None, rows: Iterable[dict]) -> None:
         writer.writerow(first.keys())
         writer.writerow(first.values())
         writer.writerows(row.values() for row in rows)
+
+
+def _write_json(path: str | None, kind: str, rows: Iterable[dict]) -> None:
+    """The JSON document ``{"format":kind,"rows":[...],"version":1}``, keys
+    sorted and without spaces, written a row at a time."""
+    with _open_output(path) as fh:
+        fh.write('{"format":' + json.dumps(kind) + ',"rows":[')
+        for i, row in enumerate(rows):
+            fh.write(("," if i else "") + json.dumps(row, sort_keys=True, separators=(",", ":")))
+        fh.write('],"version":1}\n')
 
 
 def _cmd_table(args: argparse.Namespace) -> Iterable[dict]:
@@ -386,9 +395,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.format == "csv":
             _write_csv(args.output, rows)
         else:
-            document = {"format": f"fomo-{args.command}", "version": 1, "rows": list(rows)}
-            with _open_output(args.output) as fh:
-                fh.write(json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n")
+            _write_json(args.output, f"fomo-{args.command}", rows)
         return 0
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

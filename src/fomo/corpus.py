@@ -8,16 +8,18 @@ rarest prevalence.
 
 In memory a corpus is columnar, in compressed sparse row (CSR) form:
 
-    doc_ids   n ids, numpy ``StringDType``; an id of up to 15 bytes of
-              UTF-8 sits inside its 16-byte element
+    id_bytes  uint8, every id's UTF-8 bytes back to back
+    idptr     int64, n + 1 entries; document d's id is
+              ``id_bytes[idptr[d]:idptr[d + 1]]``
     indptr    int64, n + 1 entries; document d's topics are
               ``indices[indptr[d]:indptr[d + 1]]``
     indices   int32, sorted and unique within each document
 
-A document with a short id therefore costs 24 bytes plus 4 per topic:
-about 29 bytes at the study calibration's ~1.2 topics per document, or
-about 64 MB for a 2,202,935-document production. The arrays are
-read-only, and they are the only form a corpus takes in the package.
+A document therefore costs 16 bytes, plus its id's bytes, plus 4 per
+topic: about 28 bytes for a generated id of 6 digits at the study
+calibration's ~1.2 topics per document, or about 62 MB for a
+2,202,935-document production. The arrays are read-only, and they are
+the only form a corpus takes in the package.
 
 File format (UTF-8, one JSON object per line):
 
@@ -49,7 +51,6 @@ from functools import cached_property
 from json.encoder import encode_basestring
 
 import numpy as np
-from numpy.dtypes import StringDType
 
 from .prng import (
     _map_in_order, check_probabilities, derive_key_array, stream_u64, u64_thresholds
@@ -142,9 +143,7 @@ class TopicDistribution:
 
 def _frozen(values, dtype) -> np.ndarray:
     """``values`` as a read-only array, copied only to change its dtype."""
-    # asarray copies a StringDType array to a new StringDType() instance.
-    fits = isinstance(values, np.ndarray) and values.dtype == dtype
-    frozen = values if fits else np.asarray(values, dtype=dtype)
+    frozen = np.asarray(values, dtype)
     frozen.flags.writeable = False
     return frozen
 
@@ -165,13 +164,14 @@ def _first_disordered(indices: np.ndarray, indptr: np.ndarray, limit: int) -> in
 class Corpus:
     """Documents in accession order, as read-only CSR arrays.
 
-    See the module docstring for the layout. Every document carries at
-    least one topic id below ``topic_count``; each document's topics are
+    See the module docstring for the layout. Ids are UTF-8, maybe empty;
+    each document carries one or more topic ids below ``topic_count``,
     sorted and unique. An array passed in whose dtype already fits is
     kept without a copy and made read-only in place.
     """
 
-    doc_ids: np.ndarray
+    id_bytes: np.ndarray
+    idptr: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
     topic_count: int
@@ -187,21 +187,38 @@ class Corpus:
         if topic_count < 1:
             raise ValueError(f"topic_count must be >= 1, got {topic_count}")
         object.__setattr__(self, "topic_count", topic_count)
-        doc_ids = _frozen(self.doc_ids, StringDType())
-        indptr = np.asarray(self.indptr)
-        indices = np.asarray(self.indices)
-        n = doc_ids.size
-        if not n:
-            raise ValueError("a corpus must contain at least one document")
-        for array, name in ((indptr, "indptr offsets"), (indices, "topic ids")):
+        id_bytes = np.asarray(self.id_bytes)
+        if id_bytes.dtype != np.uint8 or id_bytes.ndim != 1:
+            raise ValueError(f"id_bytes must be 1-D uint8, got {id_bytes.ndim}-D {id_bytes.dtype}")
+        idptr, indptr, indices = map(np.asarray, (self.idptr, self.indptr, self.indices))
+        names = ("idptr offsets", "indptr offsets", "topic ids")
+        for array, name in zip((idptr, indptr, indices), names):
             if array.size and array.dtype.kind not in "iu":
                 raise ValueError(f"{name} must be integers, got {array.dtype}")
+        idptr = _frozen(idptr, np.int64)
+        n = idptr.size - 1
+        if n < 1:
+            raise ValueError("a corpus must contain at least one document")
+        rising = idptr.ndim == 1 and idptr[0] == 0 and not (idptr[1:] < idptr[:-1]).any()
+        if not rising or idptr[-1] != id_bytes.size:
+            raise ValueError(f"idptr must hold offsets rising from 0 to {id_bytes.size}")
+        if id_bytes.size and id_bytes.max() >= 0x80:  # not ASCII
+            try:
+                id_bytes.tobytes().decode()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"id byte {exc.start} is not UTF-8 ({exc.reason})") from None
+            starts = np.append((id_bytes & 0xC0) != 0x80, True)  # not a continuation byte
+            d = int(starts[idptr].argmin())
+            if not starts[idptr[d]]:
+                raise ValueError(f"document {d}'s id starts inside a UTF-8 character")
+        object.__setattr__(self, "id_bytes", _frozen(id_bytes, np.uint8))
+        object.__setattr__(self, "idptr", idptr)
         indptr = _frozen(indptr, np.int64)
         if indptr.shape != (n + 1,) or indptr[0] != 0 or indptr[-1] != indices.size:
             raise ValueError(f"indptr must hold {n + 1} offsets from 0 to {indices.size}")
         d = int((indptr[1:] <= indptr[:-1]).argmax())  # the first empty document, if any
         if indptr[d + 1] <= indptr[d]:
-            raise ValueError(f"document {d} ({doc_ids[d]!r}) has no topics")
+            raise ValueError(f"document {d} ({self.doc_id(d)!r}) has no topics")
         limit = min(self.topic_count, MAX_TOPIC_ID + 1)
         d = _first_disordered(indices, indptr, limit)
         if d is not None:
@@ -210,19 +227,19 @@ class Corpus:
                 f"document {d}: topic ids must be strictly increasing within "
                 f"0..{limit - 1}, got {topics}"
             )
-        object.__setattr__(self, "doc_ids", doc_ids)
         object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", _frozen(indices, np.int32))
 
     def __len__(self) -> int:
-        return self.doc_ids.size
+        return self.idptr.size - 1
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Corpus):
             return NotImplemented
         return (
             self.topic_count == other.topic_count
-            and np.array_equal(self.doc_ids, other.doc_ids)
+            and np.array_equal(self.id_bytes, other.id_bytes)
+            and np.array_equal(self.idptr, other.idptr)
             and np.array_equal(self.indptr, other.indptr)
             and np.array_equal(self.indices, other.indices)
         )
@@ -259,6 +276,10 @@ class Corpus:
     def absent_topics(self) -> tuple[int, ...]:
         """Topic ids below ``topic_count`` that no document carries."""
         return tuple(np.flatnonzero(self._topic_counts == 0).tolist())
+
+    def doc_id(self, d: int) -> str:
+        """Document d's id."""
+        return self.id_bytes[self.idptr[d] : self.idptr[d + 1]].tobytes().decode()
 
     def topic_counts(self) -> list[int]:
         """Number of documents carrying each topic id."""
@@ -354,7 +375,13 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
     # malloc keeps the draw blocks' pages in its heap instead of returning
     # them and faulting them in again each round (0.5 s of a fresh
     # process's first 10^6 documents on a 2-core guest).
-    doc_ids = np.strings.add("d", np.arange(doc_count).astype(StringDType()))
+    # Row d is "d" and d's digits, NUL-padded, so its nonzero bytes are the
+    # id; int32 numbers (MAX_DOCUMENTS fits) halve _digits' temporaries.
+    names = np.full((doc_count, len(str(doc_count - 1)) + 1), ord("d"), np.uint8)
+    names[:, 1:] = _digits(np.arange(doc_count, dtype=np.int32), names.shape[1] - 1)
+    id_bytes = names[names != 0]
+    idptr = np.concatenate(([0], np.cumsum(np.count_nonzero(names, axis=1))))
+    del names
     block = max(1, BLOCK_DRAWS // m)
     lengths = np.empty(doc_count, dtype=np.int64)
 
@@ -387,7 +414,8 @@ def generate_corpus(doc_count: int, dist: TopicDistribution, seed: int) -> Corpu
 
     topic_blocks = _map_in_order(draw_block, range(0, doc_count, block))
     return Corpus(
-        doc_ids=doc_ids,
+        id_bytes=id_bytes,
+        idptr=idptr,
         indptr=np.concatenate(([0], np.cumsum(lengths))),
         indices=np.concatenate(topic_blocks),
         topic_count=m,
@@ -407,10 +435,10 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
     row, with NUL bytes between its parts, and written as the grid's
     nonzero bytes; a saved line holds no NUL, which JSON writes as
     ``\\u0000``. A block takes the documents _grid_rows gives it within
-    SAVE_BLOCK_BYTES, counting an id by its characters (its UTF-8 bytes
-    and escapes may widen a row up to six times) and each topic by its
-    slot and the per-topic arrays _line_grid builds beside the grid. A
-    document too wide for that budget is a block, and a grid, of its own.
+    SAVE_BLOCK_BYTES, counting an id by its UTF-8 bytes (escapes may widen
+    a row up to six times) and each topic by its slot and the per-topic
+    arrays _line_grid builds beside the grid. A document too wide for that
+    budget is a block, and a grid, of its own.
     """
     header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "topic_count": corpus.topic_count}
     digits = len(str(min(corpus.topic_count, MAX_TOPIC_ID + 1) - 1))
@@ -429,9 +457,9 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
             # Every document a grid can take, and one more, or twice what the
             # last grid took if that is fewer: each id is measured about once.
             stop = min(len(corpus), start + 1 + window)
-            ids = np.strings.str_len(corpus.doc_ids[start:stop]) + 1  # and the closing quote
+            ids = np.diff(corpus.idptr[start : stop + 1]) + 1  # and the closing quote
             counts = np.diff(corpus.indptr[start : stop + 1])  # topics a document
-            rows = _grid_rows(_FRAME + ids + topic * counts, ids, SAVE_BLOCK_BYTES)
+            rows = _grid_rows(_FRAME + ids + topic * counts, SAVE_BLOCK_BYTES)
             stop = start + max(rows, 1)  # a line no grid holds has a grid of its own
             window = min(most, 2 * (stop - start))
             grid = _line_grid(corpus, start, stop, digits)
@@ -450,15 +478,13 @@ _MIDDLE = b'","topics":['
 _FRAME = len(_HEAD) + len(_MIDDLE) + 1
 
 
-def _grid_rows(rows: np.ndarray, ids: np.ndarray, budget: int) -> int:
-    """The leading rows, of ``rows`` bytes with ``ids`` bytes of id column
-    each, that one grid of save_corpus or _id_array takes: the most whose
-    count times the widest row, plus 128 times the widest id column (numpy
-    casts an id column through a buffer of 128 elements), is at most
-    ``budget`` bytes. 0 if the first row alone is not: that line takes a
-    grid of its own, or that id is decoded alone."""
+def _grid_rows(rows: np.ndarray, budget: int) -> int:
+    """The leading rows, of ``rows`` bytes each, that one grid of
+    save_corpus takes: the most whose count times the widest row is at
+    most ``budget`` bytes. 0 if the first row alone is not: that line
+    takes a grid of its own."""
     grid = np.maximum.accumulate(rows) * np.arange(1, rows.size + 1)
-    return int(np.count_nonzero(grid + 128 * np.maximum.accumulate(ids) <= budget))
+    return int(np.count_nonzero(grid <= budget))
 
 
 def _line_grid(corpus: Corpus, start: int, stop: int, digits: int) -> np.ndarray:
@@ -468,7 +494,7 @@ def _line_grid(corpus: Corpus, start: int, stop: int, digits: int) -> np.ndarray
     indptr = corpus.indptr[start : stop + 1]
     lengths = np.diff(indptr)
     topics = corpus.indices[indptr[0] : indptr[-1]]
-    quoted = _quoted_ids(corpus.doc_ids[start:stop])
+    quoted = _quoted_ids(corpus, start, stop)
     rows, id_width = quoted.shape
     id_end = len(_HEAD) + id_width
     at = id_end + len(_MIDDLE) - 1  # the first topic's column
@@ -500,31 +526,28 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
     return digits
 
 
-def _quoted_ids(ids: np.ndarray) -> np.ndarray:
-    """Each id as saved, UTF-8 and escaped as JSON, with its closing quote:
-    a (rows, width) ``uint8`` array, each row NUL-padded. A lone id, which
-    may be one too long for a grid of many, is encoded: a cast would take
-    a buffer of 128 of its rows."""
-    quoted = np.strings.add(ids, '"')  # a NUL the id ends with is no longer last
-    sizes = np.strings.str_len(quoted)
-    try:
-        data = quoted.astype(f"S{sizes.max()}") if ids.size > 1 else None
-    except UnicodeEncodeError:  # not ASCII
-        data = None
-    if data is None:
-        data = np.strings.encode(quoted, "utf-8")
-        sizes = np.strings.str_len(data)  # bytes; the quote keeps every NUL
-    cells = data.view(np.uint8).reshape(ids.size, -1)
-    # Bytes below 0x20, quotes and backslashes: a row holds its padding NULs
-    # and its closing quote, and more only if its id needs escapes.
-    special = (cells < 0x20) | (cells == ord('"')) | (cells == ord("\\"))
-    expected = cells.shape[1] - sizes + 1
-    if np.count_nonzero(special) != expected.sum():
-        rows = np.flatnonzero(np.count_nonzero(special, axis=1) != expected)
-        escaped = [encode_basestring(doc_id)[1:].encode() for doc_id in ids[rows].tolist()]
-        data = data.astype(f"S{max(data.itemsize, *map(len, escaped))}")
-        data[rows] = escaped
-        cells = data.view(np.uint8).reshape(ids.size, -1)
+def _quoted_ids(corpus: Corpus, start: int, stop: int) -> np.ndarray:
+    """The ids of documents ``start:stop`` as saved, UTF-8 and escaped as
+    JSON, with their closing quotes: a (rows, width) ``uint8`` array, each
+    row NUL-padded."""
+    idptr = corpus.idptr[start : stop + 1]
+    ids = corpus.id_bytes[idptr[0] : idptr[-1]]
+    sizes = np.diff(idptr) + 1  # and the closing quote
+    # Bytes below 0x20, quotes and backslashes: an id holding one is escaped.
+    special = ids < 0x20
+    special |= ids == ord('"')
+    special |= ids == ord("\\")
+    rows = np.searchsorted(idptr[1:] - idptr[0], np.flatnonzero(special), side="right")
+    escaped = [(row, encode_basestring(corpus.doc_id(start + row))[1:].encode())
+               for row in set(rows.tolist())]
+    width = max([int(sizes.max()), *(len(text) for _, text in escaped)])
+    cells = np.zeros((sizes.size, width), np.uint8)
+    firsts = np.arange(0, cells.size, width)
+    cells.reshape(-1)[_spans(cells.size, firsts, firsts + sizes - 1)] = ids
+    cells[np.arange(sizes.size), sizes - 1] = ord('"')
+    # Escaping only lengthens an id, so each escaped row covers its raw bytes.
+    for row, text in escaped:
+        cells[row, : len(text)] = np.frombuffer(text, np.uint8)
     return cells
 
 
@@ -620,9 +643,9 @@ def _spans(size: int, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
 
 
 def _saved_lines(text: str) -> tuple[np.ndarray, ...] | None:
-    """The ids, the flat topic ids and the running topic count at each
-    line's end, for whole lines all in the form save_corpus writes; None if
-    any line is not. The topic ids are read as written, not checked."""
+    """The ids' UTF-8 bytes and sizes, the flat topic ids and the running
+    topic count at each line's end, for whole lines all in the form
+    save_corpus writes; None if any line is not. Topic ids are not checked."""
     if not text.isascii() and _SURROGATE.search(text):
         return None
     data = (text if text.endswith("\n") else text + "\n").encode()
@@ -671,43 +694,7 @@ def _saved_lines(text: str) -> tuple[np.ndarray, ...] | None:
     line_ends = np.flatnonzero(kind[separators] == 3) + 1
 
     firsts = starts + len(_HEAD)
-    return _id_array(buf, firsts, middles - firsts), topics, line_ends
-
-
-def _id_array(buf: np.ndarray, firsts: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The UTF-8 ids at ``buf[firsts[i]:firsts[i] + widths[i]]``, none
-    holding a byte below 0x20, as ``StringDType``.
-
-    Runs of ids are read as 8-byte words into NUL-padded grids sized by
-    _grid_rows, a row an id's width rounded down to words plus one word,
-    each viewed as fixed-width bytes and cast, which decodes UTF-8 and
-    drops the padding; no id loses a byte, since none holds a NUL. An id
-    too wide for a grid of its own is decoded alone, so a long id costs
-    about its own bytes.
-    """
-    row_bytes = widths // 8 * 8 + 8
-    # Every word a grid reads lies inside the block, or in zeros appended
-    # when a row as wide as the widest would run past it from the last id.
-    end = firsts[-1] + row_bytes.max()
-    padded = buf if end <= buf.size else np.concatenate((buf, np.zeros(end - buf.size, np.uint8)))
-    words = _words(padded)
-    # keep[j] keeps a word's first j bytes, in memory order.
-    keep = np.frombuffer(b"".join(b"\xff" * j + bytes(8 - j) for j in range(9)), np.uint64)
-    runs = []
-    start = 0
-    while start < widths.size:
-        rows = _grid_rows(row_bytes[start:], row_bytes[start:], buf.size)
-        stop = start + max(rows, 1)
-        if rows:
-            at = np.arange(0, row_bytes[start:stop].max(), 8)  # each row's word offsets
-            grid = words[firsts[start:stop, None] + at]
-            grid &= keep[np.clip(widths[start:stop, None] - at, 0, 8)]
-            runs.append(grid.view(f"S{grid.itemsize * at.size}")[:, 0].astype(StringDType()))
-        else:
-            lone = buf[firsts[start] : firsts[start] + widths[start]]
-            runs.append(np.array([lone.tobytes().decode()], StringDType()))
-        start = stop
-    return runs[0] if len(runs) == 1 else np.concatenate(runs)
+    return buf[_spans(buf.size, firsts, middles)], middles - firsts, topics, line_ends
 
 
 def _parsed_lines(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ...]:
@@ -717,10 +704,12 @@ def _parsed_lines(text: str, first_line: int, topic_count: int) -> tuple[np.ndar
     ids, topics, ends = [], [], []
     for number, raw in enumerate(io.StringIO(text), start=first_line):
         doc_id, listed = _parse_record(number, raw, topic_count)
-        ids.append(doc_id)
+        ids.append(doc_id.encode())
         topics.extend(listed)
         ends.append(len(topics))
-    return np.array(ids, dtype=StringDType()), np.array(topics, np.intc), np.array(ends, np.int64)
+    sizes = np.array([len(doc_id) for doc_id in ids], np.int64)
+    ids = np.frombuffer(b"".join(ids), np.uint8)
+    return ids, sizes, np.array(topics, np.intc), np.array(ends, np.int64)
 
 
 def _block(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ...]:
@@ -730,14 +719,14 @@ def _block(text: str, first_line: int, topic_count: int) -> tuple[np.ndarray, ..
     are sorted with one stable sort of the block; a block whose ids still
     break the rule is read line by line, to name its first bad line."""
     parsed = _saved_lines(text) or _parsed_lines(text, first_line, topic_count)
-    ids, topics, line_ends = parsed
+    ids, sizes, topics, line_ends = parsed
     indptr = np.concatenate(([0], line_ends))
     if _first_disordered(topics, indptr, topic_count) is None:
         return parsed
     lines = np.repeat(np.arange(line_ends.size), np.diff(indptr))
     topics = topics[np.lexsort((topics, lines))]
     if _first_disordered(topics, indptr, topic_count) is None:
-        return ids, topics, line_ends
+        return ids, sizes, topics, line_ends
     _parsed_lines(text, first_line, topic_count)  # a repeated or out-of-range id
     raise AssertionError("a topic id the line checks pass breaks the block's id rule")
 
@@ -765,8 +754,8 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
     topics. Topic ids may be listed in any order; they are stored sorted.
 
     The file is read in blocks of whole lines, about BLOCK_BYTES each, and
-    only the ids, one flat array of topic ids and the document ends are
-    kept. A block whose lines are all in the form save_corpus writes is
+    only the ids' bytes and ends, the flat topic ids and the document ends
+    are kept. A block whose lines are all in the form save_corpus writes is
     parsed with array operations, any other block line by line as JSON;
     either way, the block's topic ids are then sorted and checked with
     array operations (see _block). Each block is checked before the next
@@ -786,18 +775,18 @@ def load_corpus(path: str | os.PathLike) -> Corpus:
         if type(topic_count) is not int or topic_count < 1:  # bool is not a count
             raise _format_error(1, f"bad topic_count {topic_count!r}")
 
-        id_blocks = []
+        id_bytes = array("B")
+        idptr = array("q", [0])
         topics = array("i")
         ends = array("q", [0])
         for text in _line_blocks(fh):
             first = len(ends) + 1  # the block's first line number
-            ids, listed, line_ends = _block(text, first, topic_count)
+            ids, sizes, listed, line_ends = _block(text, first, topic_count)
+            idptr.frombytes((np.cumsum(sizes) + len(id_bytes)).tobytes())
+            id_bytes.frombytes(ids)
             ends.frombytes((line_ends + len(topics)).tobytes())
             topics.frombytes(listed.tobytes())
-            id_blocks.append(ids)
     if len(ends) == 1:
         raise CorpusFormatError("corpus file contains a header but no documents")
-    doc_ids = np.concatenate(id_blocks)
-    del id_blocks
-    indices = np.frombuffer(topics, np.intc)
-    return Corpus(doc_ids, np.frombuffer(ends, np.int64), indices, topic_count)
+    ids = np.frombuffer(id_bytes, np.uint8), np.frombuffer(idptr, np.int64)
+    return Corpus(*ids, np.frombuffer(ends, np.int64), np.frombuffer(topics, np.intc), topic_count)

@@ -103,6 +103,55 @@ MUTANTS = (
         ("tests/test_collector.py",),
     ),
     Mutant(
+        "grid rule with < for <=",
+        "src/fomo/corpus.py",
+        "np.count_nonzero(grid <= budget)",
+        "np.count_nonzero(grid < budget)",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "escape test without backslashes",
+        "src/fomo/corpus.py",
+        '    special |= ids == ord("\\\\")\n',
+        "",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "loaded ids gathered one byte late",
+        "src/fomo/corpus.py",
+        "buf[_spans(buf.size, firsts, middles)]",
+        "buf[_spans(buf.size, firsts + 1, middles + 1)]",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "generation skips the redraw of empty documents",
+        "src/fomo/corpus.py",
+        "pending = pending[~hit]",
+        "pending = pending[:0]",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "saved-form topic id accepted with a leading zero",
+        "src/fomo/corpus.py",
+        '        or ((listed[separators - digits] == ord("0")) & (digits > 1)).any()\n',
+        "",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "idptr rise check dropped",
+        "src/fomo/corpus.py",
+        " and not (idptr[1:] < idptr[:-1]).any()",
+        "",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "cut-character check dropped",
+        "src/fomo/corpus.py",
+        "if not starts[idptr[d]]:",
+        "if False:",
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
         "first data row dropped after the header",
         "src/fomo/cli.py",
         "        writer.writerow(first.values())\n",
@@ -119,8 +168,8 @@ MUTANTS = (
     Mutant(
         "JSON kind without its fomo- prefix",
         "src/fomo/cli.py",
-        '"format": f"fomo-{args.command}"',
-        '"format": args.command',
+        '_write_json(args.output, f"fomo-{args.command}", rows)',
+        "_write_json(args.output, args.command, rows)",
         ("tests/test_cli.py",),
     ),
     Mutant(

@@ -371,6 +371,24 @@ class TestReportWriter:
         assert code == 0
         assert peak < 6 * 2**20
 
+    def test_table_streams_its_json_rows(self, tmp_path):
+        # As for CSV: a list of every row's dict and the document's text
+        # traced 13.8 MiB. The bytes are those of one json.dumps of the
+        # whole document with sorted keys.
+        path = tmp_path / "t.json"
+        tracemalloc.start()
+        try:
+            code = main([*benchmark_table_argv(), "--format", "json", "--output", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 6 * 2**20
+        document = json.loads(path.read_text(encoding="utf-8"))
+        assert len(document["rows"]) == 10**4
+        text = json.dumps(document, sort_keys=True, separators=(",", ":")) + "\n"
+        assert path.read_text(encoding="utf-8") == text
+
     def test_a_reader_that_closes_early_ends_in_a_one_line_error(self):
         src = str(Path(fomo.__file__).parents[1])
         env = {**os.environ,

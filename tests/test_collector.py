@@ -541,6 +541,15 @@ def inclusion_exclusion_rational(probabilities):
     return numerator << k, denominator
 
 
+@pytest.fixture(scope="module")
+def study_prevalences():
+    """The study corpus's realized prevalences (generation seed 7), as
+    compare computes them, rarest first."""
+    corpus = generate_corpus(120_000, zipf_prevalences(64, 0.36, 1 / 8571), seed=7)
+    counts = corpus._topic_counts
+    return np.sort(counts[counts > 0]) / len(corpus)
+
+
 class TestErrorAgainstRationals:
     """Each route held to the true mean of its float input, not to another
     route or to its own earlier output. The exact route is exact in
@@ -562,6 +571,22 @@ class TestErrorAgainstRationals:
         truth = inclusion_exclusion_rational(dist.probabilities)
         assert relative_error(expected_draws_unequal_exact(dist), *truth) <= 1e-10
         assert relative_error(expected_draws_unequal_sum(dist), *truth) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "case", ["zipf-14", "zipf-12", "study-commonest-14", "study-rarest-14"]
+    )
+    def test_sum_route_on_a_corpus_s_prevalences(self, study_prevalences, case):
+        # compare passes the sum route a corpus's realized prevalences,
+        # which sum above 1 when documents carry several topics: 2.651 in
+        # the first case and 1.160 in the third.
+        prevalences = {
+            "zipf-14": np.array(zipf_prevalences(14, 0.9, 0.05).prevalences),
+            "zipf-12": np.array(zipf_prevalences(12, 0.36, 1 / 200).prevalences),
+            "study-commonest-14": np.sort(study_prevalences[-14:]),
+            "study-rarest-14": study_prevalences[:14],
+        }[case]
+        truth = inclusion_exclusion_rational(prevalences.tolist())
+        assert relative_error(expected_draws_unequal_sum(prevalences), *truth) <= 1e-9
 
     def test_the_rational_oracles_agree(self):
         # Inclusion-exclusion over uniform coupons is H_m / q term by term.
@@ -846,7 +871,8 @@ class TestWorkerCount:
         for corpus in corpora[1:]:
             assert np.array_equal(corpus.indptr, first.indptr)
             assert np.array_equal(corpus.indices, first.indices)
-            assert np.array_equal(corpus.doc_ids, first.doc_ids)
+            assert np.array_equal(corpus.id_bytes, first.id_bytes)
+            assert np.array_equal(corpus.idptr, first.idptr)
 
 
 def traced_peak(run):

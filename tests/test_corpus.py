@@ -10,8 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from numpy.dtypes import StringDType
-from corpus_documents import Document, corpus_from_documents, documents_of
+from corpus_documents import Document, corpus_from_documents, doc_ids_of, documents_of, id_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from splitmix64_oracle import GAMMA, MASK64, SplitMix64, mix64
@@ -29,6 +28,7 @@ from fomo.corpus import (
     CorpusFormatError,
     DegenerateDistributionError,
     TopicDistribution,
+    _grid_rows,
     _parse_record,
     generate_corpus,
     load_corpus,
@@ -232,16 +232,46 @@ class TestCorpusInvariants:
     )
     def test_rejects_a_bad_count_id_type_or_indptr(self, indptr, indices, topic_count, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Corpus(np.array(["a"]), np.array(indptr), np.array(indices), topic_count)
+            Corpus(*id_columns(["a"]), np.array(indptr), np.array(indices), topic_count)
+
+    @pytest.mark.parametrize(
+        "id_bytes, idptr, message",
+        [
+            (np.array([97, 98]), [0, 1, 2], "id_bytes must be 1-D uint8, got 1-D int64"),
+            (np.array([[97, 98]], np.uint8), [0, 1, 2],
+             "id_bytes must be 1-D uint8, got 2-D uint8"),
+            (b"ab", [0.0, 1.0, 2.0], "idptr offsets must be integers, got float64"),
+            (b"ab", [0], "a corpus must contain at least one document"),
+            (b"ab", [1, 1, 2], "idptr must hold offsets rising from 0 to 2"),
+            (b"ab", [0, 1, 1], "idptr must hold offsets rising from 0 to 2"),
+            (b"ab", [0, 2, 1, 2], "idptr must hold offsets rising from 0 to 2"),
+            (b"a\xff", [0, 1, 2], "id byte 1 is not UTF-8 (invalid start byte)"),
+            (b"\xc3", [0, 0, 1], "id byte 0 is not UTF-8 (unexpected end of data)"),
+            ("é".encode(), [0, 1, 2], "document 1's id starts inside a UTF-8 character"),
+            ("aé".encode(), [0, 2, 3], "document 1's id starts inside a UTF-8 character"),
+        ],
+    )
+    def test_rejects_ids_that_are_not_utf8_between_rising_offsets(self, id_bytes, idptr, message):
+        if isinstance(id_bytes, bytes):
+            id_bytes = np.frombuffer(id_bytes, np.uint8)
+        documents = len(idptr) - 1
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Corpus(id_bytes, idptr, np.arange(documents + 1), np.zeros(documents, int), 1)
+
+    def test_accepts_empty_and_utf8_ids(self):
+        ids = ["", "é", "", "ド\U0001f600", "a"]
+        corpus = Corpus(*id_columns(ids), np.arange(6), np.zeros(5, int), 1)
+        assert doc_ids_of(corpus) == ids
+        assert [corpus.doc_id(d) for d in range(5)] == ids
 
     def test_rejects_offsets_that_are_no_integers(self):
         # Cast to int64, 1.7 would read as 1.
         message = "indptr offsets must be integers, got float64"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Corpus(["a", "b"], [0, 1.7, 3.0], [0, 1, 2], 3)
+            Corpus(*id_columns(["a", "b"]), [0, 1.7, 3.0], [0, 1, 2], 3)
 
     def test_a_numpy_topic_count_is_stored_as_int(self, tmp_path):
-        corpus = Corpus(np.array(["a"]), np.array([0, 1]), np.array([2]), np.int64(3))
+        corpus = Corpus(*id_columns(["a"]), np.array([0, 1]), np.array([2]), np.int64(3))
         assert type(corpus.topic_count) is int
         save_corpus(corpus, tmp_path / "corpus.jsonl")
         assert load_corpus(tmp_path / "corpus.jsonl") == corpus
@@ -250,7 +280,7 @@ class TestCorpusInvariants:
     def test_rejects_a_topic_count_that_is_no_integer(self, topic_count):
         message = f"topic_count must be an integer, got {topic_count!r}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            Corpus(np.array(["a"]), np.array([0, 1]), np.array([0]), topic_count)
+            Corpus(*id_columns(["a"]), np.array([0, 1]), np.array([0]), topic_count)
 
     def test_rejects_unsorted_or_duplicate_topics(self):
         with pytest.raises(ValueError):
@@ -290,37 +320,39 @@ class TestCorpusInvariants:
 
     def test_csr_arrays_are_read_only(self):
         corpus = generate_corpus(20, zipf_prevalences(4, 0.8, 0.2), seed=5)
+        assert (corpus.id_bytes.dtype, corpus.idptr.dtype) == (np.uint8, np.int64)
         assert (corpus.indptr.dtype, corpus.indices.dtype) == (np.int64, np.int32)
+        assert corpus.idptr.shape == (21,) and corpus.idptr[-1] == corpus.id_bytes.size
         assert corpus.indptr.shape == (21,) and corpus.indptr[-1] == corpus.indices.size
-        for column in (corpus.doc_ids, corpus.indptr, corpus.indices):
+        for column in (corpus.id_bytes, corpus.idptr, corpus.indptr, corpus.indices):
             assert not column.flags.writeable
             with pytest.raises(ValueError):
                 column[0] = column[0]
 
     def test_arrays_whose_dtype_fits_are_kept_without_a_copy(self):
-        # A StringDType array is kept too, though asarray to a new
-        # StringDType() instance would copy every id.
-        doc_ids = np.array(["a", "b"], dtype=StringDType())
+        id_bytes, idptr = np.frombuffer(b"ab", np.uint8).copy(), np.array([0, 1, 2])
         indptr = np.array([0, 1, 3])
         indices = np.array([0, 0, 2], dtype=np.int32)
-        corpus = Corpus(doc_ids, indptr, indices, topic_count=3)
-        assert corpus.doc_ids is doc_ids
+        corpus = Corpus(id_bytes, idptr, indptr, indices, topic_count=3)
+        assert corpus.id_bytes is id_bytes
+        assert corpus.idptr is idptr
         assert corpus.indptr is indptr
         assert corpus.indices is indices
 
     def test_checks_hold_bool_masks_only(self):
         # 10^6 documents holding 1.2 * 10^6 topic ids, built as arrays whose
         # dtypes fit: the checks' masks take about 2.3 MiB, and one int64
-        # temporary a document would take 7.6 MiB more.
+        # temporary a document would take 7.6 MiB more. ASCII ids take no
+        # decode pass.
         n = 10**6
         lengths = np.ones(n, np.int64)
         lengths[::5] = 2
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         indices = (np.arange(indptr[-1]) - np.repeat(indptr[:-1], lengths)).astype(np.int32)
-        doc_ids = np.strings.add("d", np.arange(n).astype(StringDType()))
+        id_bytes, idptr = id_columns(f"d{d}" for d in range(n))
         tracemalloc.start()
         try:
-            Corpus(doc_ids, indptr, indices, topic_count=2)
+            Corpus(id_bytes, idptr, indptr, indices, topic_count=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -588,9 +620,9 @@ class TestSaveLoad:
         spaced = ['{"doc_id": "%s", "topics": [0]}' % doc_id for doc_id in ids]
         path = tmp_path / "ids.jsonl"
         path.write_text("\n".join([HEADER_3, *saved, ""]), encoding="utf-8")
-        assert load_corpus(path).doc_ids.tolist() == ids
+        assert doc_ids_of(load_corpus(path)) == ids
         path.write_text("\n".join([HEADER_3, *saved, *spaced, ""]), encoding="utf-8")
-        assert load_corpus(path).doc_ids.tolist() == ids + ids
+        assert doc_ids_of(load_corpus(path)) == ids + ids
 
     @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
     @pytest.mark.parametrize(
@@ -649,7 +681,7 @@ class TestSaveLoad:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(corpus) == 10_001 and len(corpus.doc_ids[5_000]) == 2**20
+        assert len(corpus) == 10_001 and corpus.doc_id(5_000) == "x" * 2**20
         assert peak < 16 * 2**20
 
     def test_header_bytes_must_be_utf8(self, tmp_path):
@@ -772,8 +804,8 @@ def test_loader_agrees_with_a_per_line_oracle(tmp_path_factory, data, topic_coun
                 assert str(info.value).startswith(f"line {bad_line}: ")
 
 
-# Ids save_corpus writes without any escape: every character StringDType
-# holds but quote, backslash and control characters below U+0020, with
+# Ids save_corpus writes without any escape: every character UTF-8
+# encodes but quote, backslash and control characters below U+0020, with
 # the ones JSON writers often escape anyway drawn on purpose.
 UNESCAPED_IDS = st.text(
     st.one_of(
@@ -825,50 +857,44 @@ def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus, dat
             assert load_corpus(listed) == corpus
 
 
-def test_an_id_grid_takes_the_ids_that_fit_the_block():
-    # k rows whose widest takes w bytes, and whose widest id column takes
-    # v, take k * w + 128 * v bytes of grid and cast buffer; a grid takes
-    # the most leading rows that fit the budget, and none if the first row
-    # alone does not. A loaded id's row is its id column: its width
-    # rounded down to 8-byte words, plus one word.
+def test_a_line_grid_takes_the_rows_that_fit_the_block():
+    # k rows whose widest takes w bytes take k * w bytes of grid; a grid
+    # takes the most leading rows that fit the budget, and none if the
+    # first row alone does not.
     rows = np.array([8] * 50)
-    assert fomo.corpus._grid_rows(rows, rows, 178 * 8) == 50
-    assert fomo.corpus._grid_rows(rows, rows, 178 * 8 - 1) == 49
-    assert fomo.corpus._grid_rows(rows, rows, 129 * 8) == 1
-    assert fomo.corpus._grid_rows(rows, rows, 129 * 8 - 1) == 0
-    rows = np.array([8, 8, 16, 8])
-    assert fomo.corpus._grid_rows(rows, rows, 132 * 16 - 1) == 3
-    # A saved line's row holds its frame and topic slots beside its id
-    # column, and only the id column is cast: a line of many topics keeps
-    # a grid of its own, a line of a wide id does not.
-    rows, ids = np.array([100, 30, 30, 500]), np.array([10, 2, 2, 2])
-    assert fomo.corpus._grid_rows(rows, ids, 4 * 500 + 128 * 10) == 4
-    assert fomo.corpus._grid_rows(rows, ids, 3 * 100 + 128 * 10) == 3
-    assert fomo.corpus._grid_rows(rows, ids, 3 * 100 + 128 * 10 - 1) == 2
-    assert fomo.corpus._grid_rows(rows, ids, 100 + 128 * 10 - 1) == 0
-    assert fomo.corpus._grid_rows(np.array([10**6]), np.array([8]), 2**20) == 1
-    assert fomo.corpus._grid_rows(np.array([10**4]), np.array([9_000]), 2**20) == 0
+    assert _grid_rows(rows, 50 * 8) == 50
+    assert _grid_rows(rows, 50 * 8 - 1) == 49
+    assert _grid_rows(rows, 8) == 1
+    assert _grid_rows(rows, 7) == 0
+    rows = np.array([100, 30, 30, 500])
+    assert _grid_rows(rows, 4 * 500) == 4
+    assert _grid_rows(rows, 4 * 500 - 1) == 3
+    assert _grid_rows(rows, 3 * 100) == 3
+    assert _grid_rows(rows, 3 * 100 - 1) == 2
+    assert _grid_rows(rows, 99) == 0
+    assert _grid_rows(np.array([10**6]), 2**20) == 1
 
 
-@pytest.mark.parametrize("width", [1, 2, 40, 1_000])
-def test_saved_ids_load_in_grids_and_a_wide_id_alone(width):
-    # An id whose grid row would take more than a 129th of its block's
-    # bytes is decoded alone; the others go through grids. Both keep every
-    # byte, UTF-8 and empty ids too.
-    ids = ["", "é", "d7", "ド" * width, "\U0001f600", *(f"d{d}" for d in range(300))]
+@pytest.mark.parametrize("width", [1, 2, 40, 1_000, 10**5])
+def test_saved_ids_of_every_width_load_back_byte_for_byte(tmp_path, width):
+    # One gather takes a saved-form block's ids, whatever their widths:
+    # UTF-8, empty, short and long ids keep every byte, in order.
+    ids = ["", "é", "d7", "ド" * width, "\U0001f600", *(f"d{d}" for d in range(300)), ""]
     text = "".join('{"doc_id":"%s","topics":[0]}\n' % doc_id for doc_id in ids)
-    alone = 129 * (3 * width // 8 * 8 + 8) > len(text.encode())
-    grid_rows, taken = fomo.corpus._grid_rows, []
+    id_bytes, sizes, _, _ = fomo.corpus._saved_lines(text)
+    expected, idptr = id_columns(ids)
+    assert id_bytes.tobytes() == expected.tobytes()
+    assert np.array_equal(sizes, np.diff(idptr))
+    corpus = corpus_from_documents([Document(doc_id, (0,)) for doc_id in ids], 1)
+    save_corpus(corpus, tmp_path / "widths.jsonl")
+    assert (tmp_path / "widths.jsonl").read_text(encoding="utf-8").split("\n", 1)[1] == text
+    assert load_corpus(tmp_path / "widths.jsonl") == corpus
 
-    def recorded(rows, ids, budget):
-        taken.append(grid_rows(rows, ids, budget))
-        return taken[-1]
 
-    with mock.patch("fomo.corpus._grid_rows", recorded):
-        loaded = fomo.corpus._saved_lines(text)[0]
-    assert loaded.tolist() == ids
-    assert (0 in taken) == alone
-    assert sum(taken) == len(ids) - alone
+@pytest.mark.parametrize("doc_count", [1, 9, 10, 11, 99, 100, 101, 1000, 1001])
+def test_generated_ids_are_d_and_the_document_number(doc_count):
+    corpus = generate_corpus(doc_count, TopicDistribution((1.0,)), seed=0)
+    assert doc_ids_of(corpus) == [f"d{d}" for d in range(doc_count)]
 
 
 @pytest.mark.parametrize("block_bytes", BLOCK_SIZES)
@@ -888,7 +914,7 @@ def test_topic_ids_are_checked_once_per_block(tmp_path, block_bytes):
     assert blocks > 1 if block_bytes < BLOCK_BYTES else blocks == 1
     assert loaded == corpus
     assert check.call_count == blocks + 1
-    for array in (loaded.doc_ids, loaded.indptr, loaded.indices):
+    for array in (loaded.id_bytes, loaded.idptr, loaded.indptr, loaded.indices):
         assert not array.flags.writeable
     assert (loaded.indptr.dtype, loaded.indices.dtype) == (np.int64, np.int32)
 
@@ -1036,7 +1062,8 @@ def test_saving_many_topics_a_document_stays_near_the_budget(tmp_path, doc_count
     # block charged for its grid alone traced 8.4 MiB at 3 digits; charged
     # for those arrays too, about 1.1 MiB at 1 and 3 digits and 1.2 at 10.
     drawn = generate_corpus(doc_count, TopicDistribution((0.5,) * topics), seed=3)
-    corpus = Corpus(drawn.doc_ids, drawn.indptr, drawn.indices + shift, topics + shift)
+    ids = (drawn.id_bytes, drawn.idptr)
+    corpus = Corpus(*ids, drawn.indptr, drawn.indices + shift, topics + shift)
     path = tmp_path / "many.jsonl"
     tracemalloc.start()
     try:
@@ -1055,9 +1082,9 @@ def test_saving_many_topics_a_document_stays_near_the_budget(tmp_path, doc_count
 
 @pytest.mark.parametrize("char", ["x", "é"])
 def test_a_long_id_is_saved_within_a_few_times_its_bytes(tmp_path, char):
-    # A grid's id column is cast through a buffer of 128 of its rows, 128
-    # MiB for a 2**20-character id: its line takes a grid of its own,
-    # whose lone id is encoded, not cast.
+    # The line takes a grid of its own, filled from the id's bytes through
+    # one mask; a grid of rows as wide as the id, or a cast of the id
+    # column through a buffer of 128 rows, would take far more.
     long_id = Document(char * 2**20, (0,))
     corpus = corpus_from_documents((long_id, Document("d1", (1,))), 2)
     path = tmp_path / "long_id.jsonl"

@@ -1,8 +1,9 @@
 """The package namespace re-exports each submodule's public names once,
 importing the CLI stays cheap, no command loads scipy, every cap has its
 row in the README, no module reads the environment, none builds an
-unchecked instance, one function owns trial batches, one starts threads,
-one sizes byte grids and one opens the CLI's outputs."""
+unchecked instance, none uses numpy's string dtype, one function owns
+trial batches, one starts threads, one sizes byte grids and one opens
+the CLI's outputs."""
 
 import ast
 import importlib
@@ -155,6 +156,26 @@ def test_no_module_calls_object_new():
     assert calls == []
 
 
+def test_no_module_uses_numpy_strings():
+    # A corpus holds its ids as UTF-8 bytes beside their offsets, as it
+    # holds topic ids beside theirs; every boundary moves ids as bytes, so
+    # numpy's string dtype and string functions have no use.
+    modules = ("numpy.strings", "numpy.dtypes")
+    package = Path(fomo.__file__).parent
+    uses = [
+        f"{source.name}:{node.lineno}"
+        for source in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr in ("strings", "dtypes")
+            and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        or (isinstance(node, ast.Attribute) and node.attr == "StringDType")
+        or (isinstance(node, ast.Name) and node.id == "StringDType")
+        or (isinstance(node, ast.ImportFrom) and node.module in modules)
+        or (isinstance(node, ast.Import) and any(alias.name in modules for alias in node.names))
+    ]
+    assert uses == []
+
+
 def test_one_owner_of_trial_batches():
     # _first_positions alone plans lockstep batches and shuffles them; a
     # second caller would size or run its batches another way.
@@ -169,8 +190,8 @@ def test_one_owner_of_trial_batches():
 
 
 def test_one_rule_for_byte_grids():
-    # _grid_rows alone sizes the byte grids that save_corpus writes and
-    # _id_array reads; a rule of their own would size them another way.
+    # _grid_rows alone sizes the byte grids that save_corpus writes; a
+    # second caller would size its grids by a rule of its own.
     package = Path(fomo.__file__).parent
     callers = [
         function.name
@@ -180,7 +201,7 @@ def test_one_rule_for_byte_grids():
         for node in ast.walk(function)
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_grid_rows"
     ]
-    assert sorted(callers) == ["_id_array", "save_corpus"]
+    assert callers == ["save_corpus"]
 
 
 def test_every_benchmark_hook_resolves():

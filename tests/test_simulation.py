@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from corpus_documents import Document, corpus_from_documents, documents_of
+from corpus_documents import Document, corpus_from_documents, documents_of, id_columns
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
@@ -808,7 +808,7 @@ class TestCompletionVsAnalytic:
         # at 10**6 documents).
         n = 10**5
         corpus = Corpus(
-            doc_ids=[f"d{i}" for i in range(n)], indptr=np.arange(n + 1),
+            *id_columns(f"d{i}" for i in range(n)), indptr=np.arange(n + 1),
             indices=np.arange(n), topic_count=n,
         )
         summary = run_shuffles(corpus, 2, master_seed=1)
