@@ -38,6 +38,7 @@ with array operations, one stable sort a block.
 
 from __future__ import annotations
 
+import codecs
 import io
 import json
 import math
@@ -73,10 +74,11 @@ CORPUS_VERSION = 1
 # The largest topic id the int32 ``indices`` column holds.
 MAX_TOPIC_ID = int(np.iinfo(np.int32).max)
 
-# Draws (about 17 bytes each) per block when generating, bytes of line
-# grid per block when saving (see save_corpus), and characters (bytes, in
-# an ASCII file) read per block when loading: they bound the working
-# memory beside the corpus itself, and change no output byte.
+# Draws (about 17 bytes each) per block when generating, bytes of working
+# memory per block when saving (see save_corpus), and characters (bytes,
+# in an ASCII file) read per block when loading, or id bytes and offsets
+# checked per slice when a corpus is built: they bound the working memory
+# beside the corpus itself, and change no output byte.
 BLOCK_DRAWS = 1 << 18
 SAVE_BLOCK_BYTES = 1 << 20
 BLOCK_BYTES = 1 << 17
@@ -202,15 +204,22 @@ class Corpus:
         rising = idptr.ndim == 1 and idptr[0] == 0 and not (idptr[1:] < idptr[:-1]).any()
         if not rising or idptr[-1] != id_bytes.size:
             raise ValueError(f"idptr must hold offsets rising from 0 to {id_bytes.size}")
-        if id_bytes.size and id_bytes.max() >= 0x80:  # not ASCII
-            try:
-                id_bytes.tobytes().decode()
-            except UnicodeDecodeError as exc:
-                raise ValueError(f"id byte {exc.start} is not UTF-8 ({exc.reason})") from None
-            starts = np.append((id_bytes & 0xC0) != 0x80, True)  # not a continuation byte
-            d = int(starts[idptr].argmin())
-            if not starts[idptr[d]]:
-                raise ValueError(f"document {d}'s id starts inside a UTF-8 character")
+        if id_bytes.size and id_bytes.max() >= 0x80:  # not ASCII: checked in slices
+            decoder = codecs.getincrementaldecoder("utf-8")()
+            for at in range(0, id_bytes.size, BLOCK_BYTES):
+                held = len(decoder.getstate()[0])  # a character cut at the slice's start
+                chunk = id_bytes[at : at + BLOCK_BYTES].tobytes()
+                try:
+                    decoder.decode(chunk, final=at + BLOCK_BYTES >= id_bytes.size)
+                except UnicodeDecodeError as exc:
+                    at += exc.start - held
+                    raise ValueError(f"id byte {at} is not UTF-8 ({exc.reason})") from None
+            inner = int(np.searchsorted(idptr, id_bytes.size))  # offsets below the end
+            for at in range(0, inner, BLOCK_BYTES):
+                cut = (id_bytes[idptr[at : min(at + BLOCK_BYTES, inner)]] & 0xC0) == 0x80
+                if cut.any():
+                    d = at + int(cut.argmax())
+                    raise ValueError(f"document {d}'s id starts inside a UTF-8 character")
         object.__setattr__(self, "id_bytes", _frozen(id_bytes, np.uint8))
         object.__setattr__(self, "idptr", idptr)
         indptr = _frozen(indptr, np.int64)
@@ -431,39 +440,27 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
     whose id holds none of these is in the form the loader parses with
     array operations.
 
-    Each block of lines is built as a (rows, width) byte grid, a line a
-    row, with NUL bytes between its parts, and written as the grid's
-    nonzero bytes; a saved line holds no NUL, which JSON writes as
-    ``\\u0000``. A block takes the documents _grid_rows gives it within
-    SAVE_BLOCK_BYTES, counting an id by its UTF-8 bytes (escapes may widen
-    a row up to six times) and each topic by its slot and the per-topic
-    arrays _line_grid builds beside the grid. A document too wide for that
-    budget is a block, and a grid, of its own.
+    Each block of lines is one flat buffer of exactly its bytes
+    (_saved_block). A line's bound is its frame, its id's bytes (escapes
+    may take up to six times as many) and a full slot a topic; a block's
+    buffer, span masks and topic text take about 6 bytes a saved byte, so
+    a block takes the leading lines whose bounds, times 8, sum to at most
+    SAVE_BLOCK_BYTES, and a line over that budget alone.
     """
     header = {"format": CORPUS_FORMAT, "version": CORPUS_VERSION, "topic_count": corpus.topic_count}
     digits = len(str(min(corpus.topic_count, MAX_TOPIC_ID + 1) - 1))
     slot = digits + 1  # a topic's digits and its "," or "]"
-    # A topic's bytes in a block: its slot in the grid and, beside the grid,
-    # its row of _line_grid's `filled`, its byte of the `used` mask, and
-    # either _digits' result and int32 temporaries (digits + 16 bytes) or
-    # the two intp indices numpy makes of the mask to assign through it
-    # (16 bytes).
-    topic = 2 * slot + digits + 17
+    most = max(1, SAVE_BLOCK_BYTES // (8 * (_FRAME.size + slot)))  # lines a block can take
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, separators=(",", ":")).encode() + b"\n")
-        most = SAVE_BLOCK_BYTES // (_FRAME + topic)  # documents a grid can take
-        start, window = 0, most
+        start = 0
         while start < len(corpus):
-            # Every document a grid can take, and one more, or twice what the
-            # last grid took if that is fewer: each id is measured about once.
-            stop = min(len(corpus), start + 1 + window)
-            ids = np.diff(corpus.idptr[start : stop + 1]) + 1  # and the closing quote
-            counts = np.diff(corpus.indptr[start : stop + 1])  # topics a document
-            rows = _grid_rows(_FRAME + ids + topic * counts, SAVE_BLOCK_BYTES)
-            stop = start + max(rows, 1)  # a line no grid holds has a grid of its own
-            window = min(most, 2 * (stop - start))
-            grid = _line_grid(corpus, start, stop, digits)
-            fh.write(grid[grid != 0])
+            stop = min(len(corpus), start + most)
+            ids = np.diff(corpus.idptr[start : stop + 1])
+            topics = np.diff(corpus.indptr[start : stop + 1])
+            totals = 8 * np.cumsum(_FRAME.size + ids + slot * topics)
+            stop = start + max(1, int(np.searchsorted(totals, SAVE_BLOCK_BYTES, side="right")))
+            fh.write(_saved_block(corpus, start, stop, digits))
             start = stop
 
 
@@ -474,44 +471,8 @@ def save_corpus(corpus: Corpus, path: str | os.PathLike) -> None:
 # 9 digits; it compares the fixed parts as 8-byte words read at any byte.
 _HEAD = b'{"doc_id":"'
 _MIDDLE = b'","topics":['
-# A grid row beside its id column and topic slots: _HEAD, _MIDDLE[1:], "}\n".
-_FRAME = len(_HEAD) + len(_MIDDLE) + 1
-
-
-def _grid_rows(rows: np.ndarray, budget: int) -> int:
-    """The leading rows, of ``rows`` bytes each, that one grid of
-    save_corpus takes: the most whose count times the widest row is at
-    most ``budget`` bytes. 0 if the first row alone is not: that line
-    takes a grid of its own."""
-    grid = np.maximum.accumulate(rows) * np.arange(1, rows.size + 1)
-    return int(np.count_nonzero(grid <= budget))
-
-
-def _line_grid(corpus: Corpus, start: int, stop: int, digits: int) -> np.ndarray:
-    """Documents ``start:stop`` as saved lines, a (rows, width) ``uint8``
-    grid whose nonzero bytes in order are the lines' bytes; a topic takes
-    ``digits`` bytes and its "," or "]"."""
-    indptr = corpus.indptr[start : stop + 1]
-    lengths = np.diff(indptr)
-    topics = corpus.indices[indptr[0] : indptr[-1]]
-    quoted = _quoted_ids(corpus, start, stop)
-    rows, id_width = quoted.shape
-    id_end = len(_HEAD) + id_width
-    at = id_end + len(_MIDDLE) - 1  # the first topic's column
-    slot_count = int(lengths.max())
-    grid = np.zeros((rows, at + slot_count * (digits + 1) + 2), np.uint8)
-    grid[:, : len(_HEAD)] = np.frombuffer(_HEAD, np.uint8)
-    grid[:, len(_HEAD) : id_end] = quoted
-    grid[:, id_end:at] = np.frombuffer(_MIDDLE[1:], np.uint8)
-    grid[:, -2:] = np.frombuffer(b"}\n", np.uint8)
-    # A row's k-th topic fills its k-th slot: the digits, then "," or "]".
-    filled = np.empty((topics.size, digits + 1), np.uint8)
-    filled[:, :-1] = _digits(topics, digits)
-    filled[:, -1] = ord(",")
-    filled[np.cumsum(lengths) - 1, -1] = ord("]")
-    used = np.arange(slot_count) < lengths[:, None]  # row-major order is document order
-    grid[:, at:-2].reshape((rows, slot_count, digits + 1), copy=False)[used] = filled
-    return grid
+# A line's bytes beside its id and its topic list, in order.
+_FRAME = np.frombuffer(_HEAD + _MIDDLE + b"}\n", np.uint8)
 
 
 def _digits(values: np.ndarray, width: int) -> np.ndarray:
@@ -526,29 +487,43 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
     return digits
 
 
-def _quoted_ids(corpus: Corpus, start: int, stop: int) -> np.ndarray:
-    """The ids of documents ``start:stop`` as saved, UTF-8 and escaped as
-    JSON, with their closing quotes: a (rows, width) ``uint8`` array, each
-    row NUL-padded."""
+def _saved_block(corpus: Corpus, start: int, stop: int, digits: int) -> np.ndarray:
+    """Documents ``start:stop`` as saved lines, back to back in one array."""
     idptr = corpus.idptr[start : stop + 1]
     ids = corpus.id_bytes[idptr[0] : idptr[-1]]
-    sizes = np.diff(idptr) + 1  # and the closing quote
+    id_sizes = np.diff(idptr)
     # Bytes below 0x20, quotes and backslashes: an id holding one is escaped.
-    special = ids < 0x20
-    special |= ids == ord('"')
-    special |= ids == ord("\\")
-    rows = np.searchsorted(idptr[1:] - idptr[0], np.flatnonzero(special), side="right")
-    escaped = [(row, encode_basestring(corpus.doc_id(start + row))[1:].encode())
-               for row in set(rows.tolist())]
-    width = max([int(sizes.max()), *(len(text) for _, text in escaped)])
-    cells = np.zeros((sizes.size, width), np.uint8)
-    firsts = np.arange(0, cells.size, width)
-    cells.reshape(-1)[_spans(cells.size, firsts, firsts + sizes - 1)] = ids
-    cells[np.arange(sizes.size), sizes - 1] = ord('"')
-    # Escaping only lengthens an id, so each escaped row covers its raw bytes.
-    for row, text in escaped:
-        cells[row, : len(text)] = np.frombuffer(text, np.uint8)
-    return cells
+    special = np.flatnonzero((ids < 0x20) | (ids == ord('"')) | (ids == ord("\\")))
+    rows = np.searchsorted(idptr[1:] - idptr[0], special, side="right")
+    if rows.size:
+        pieces, at = [], 0
+        for row in dict.fromkeys(rows.tolist()):  # each escaped id once, in order
+            text = encode_basestring(corpus.doc_id(start + row))[1:-1].encode()
+            pieces += [ids[at : idptr[row] - idptr[0]], np.frombuffer(text, np.uint8)]
+            at = idptr[row + 1] - idptr[0]
+            id_sizes[row] = len(text)
+        ids = np.concatenate([*pieces, ids[at:]])
+    # Each topic's slot is its digits after NULs, then "," or, last in its
+    # line, "]"; the topic text is the slots' nonzero bytes.
+    indptr = corpus.indptr[start : stop + 1]
+    slots = np.empty((indptr[-1] - indptr[0], digits + 1), np.uint8)
+    slots[:, :-1] = _digits(corpus.indices[indptr[0] : indptr[-1]], digits)
+    slots[:, -1] = ord(",")
+    slots[indptr[1:] - indptr[0] - 1, -1] = ord("]")
+    text = slots[slots != 0]
+    del slots
+    text_sizes = np.diff(np.flatnonzero(text == ord("]")), prepend=-1)
+    sizes = _FRAME.size + id_sizes + text_sizes
+    ends = np.cumsum(sizes)
+    firsts = ends - sizes + len(_HEAD)  # each id's first byte
+    block = np.empty(int(ends[-1]), np.uint8)
+    listed = _spans(block.size, firsts + id_sizes + len(_MIDDLE), ends - 2)
+    block[listed] = text
+    named = _spans(block.size, firsts, firsts + id_sizes)
+    block[named] = ids
+    named |= listed
+    block[np.logical_not(named, out=named)] = np.tile(_FRAME, sizes.size)
+    return block
 
 
 def _format_error(line_number: int, message: str) -> CorpusFormatError:

@@ -103,16 +103,23 @@ MUTANTS = (
         ("tests/test_collector.py",),
     ),
     Mutant(
-        "grid rule with < for <=",
+        "block rule stops below the budget",
         "src/fomo/corpus.py",
-        "np.count_nonzero(grid <= budget)",
-        "np.count_nonzero(grid < budget)",
+        'np.searchsorted(totals, SAVE_BLOCK_BYTES, side="right")',
+        'np.searchsorted(totals, SAVE_BLOCK_BYTES, side="left")',
+        ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "saved topic list spans the closing brace",
+        "src/fomo/corpus.py",
+        "firsts + id_sizes + len(_MIDDLE), ends - 2)",
+        "firsts + id_sizes + len(_MIDDLE), ends - 1)",
         ("tests/test_corpus.py",),
     ),
     Mutant(
         "escape test without backslashes",
         "src/fomo/corpus.py",
-        '    special |= ids == ord("\\\\")\n',
+        ' | (ids == ord("\\\\"))',
         "",
         ("tests/test_corpus.py",),
     ),
@@ -145,11 +152,18 @@ MUTANTS = (
         ("tests/test_corpus.py",),
     ),
     Mutant(
-        "cut-character check dropped",
+        "start check skips each slice's last offset",
         "src/fomo/corpus.py",
-        "if not starts[idptr[d]]:",
-        "if False:",
+        "idptr[at : min(at + BLOCK_BYTES, inner)]",
+        "idptr[at : min(at + BLOCK_BYTES, inner) - 1]",
         ("tests/test_corpus.py",),
+    ),
+    Mutant(
+        "epsilon table cut at 1e-3 in place of 1e-4",
+        "src/fomo/quadpack.py",
+        "if not epsinf > 1e-4:",
+        "if not epsinf > 1e-3:",
+        ("tests/test_quadpack.py",),
     ),
     Mutant(
         "first data row dropped after the header",

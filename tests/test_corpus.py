@@ -28,7 +28,6 @@ from fomo.corpus import (
     CorpusFormatError,
     DegenerateDistributionError,
     TopicDistribution,
-    _grid_rows,
     _parse_record,
     generate_corpus,
     load_corpus,
@@ -357,6 +356,48 @@ class TestCorpusInvariants:
         finally:
             tracemalloc.stop()
         assert peak < 4 * 2**20
+
+    def test_utf8_ids_are_checked_a_slice_at_a_time(self):
+        # 10^6 ids of "é" and digits, 7.9 MB: decoded a slice at a time and
+        # their starts tested a slice of offsets at a time, they trace about
+        # 2 MiB; decoded at once beside a lead-byte mask, 22.6 MiB.
+        n = 10**6
+        columns = *id_columns(f"é{d}" for d in range(n)), np.arange(n + 1), np.zeros(n, np.int32)
+        tracemalloc.start()
+        try:
+            Corpus(*columns, topic_count=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    @given(
+        st.lists(st.sampled_from([b"a", b"\xc3\xa9", "ド".encode(), b"\xf0\x9f\x98\x80", b"",
+                                  b"\xff", b"\x80", b"\xc3", b"\xe3\x83", b"\xed\xa0\x80"]),
+                 min_size=1, max_size=12),
+        st.integers(1, 5),
+    )
+    @settings(max_examples=300)
+    def test_a_slice_cut_anywhere_finds_the_error_of_a_whole_decode(self, pieces, slice_bytes):
+        # Ids of whole or broken UTF-8 pieces, checked in slices of 1 to 5
+        # bytes and offsets: the first bad byte and its reason, or the first
+        # id that starts inside a character, as the whole decode finds them.
+        data = b"".join(pieces)
+        idptr = np.cumsum([0, *map(len, pieces)])
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            expected = f"id byte {exc.start} is not UTF-8 ({exc.reason})"
+        else:
+            cut = [d for d, at in enumerate(idptr[:-1]) if at < len(data) and data[at] & 0xC0 == 0x80]
+            expected = f"document {cut[0]}'s id starts inside a UTF-8 character" if cut else None
+        columns = np.frombuffer(data, np.uint8), idptr, np.arange(len(pieces) + 1)
+        with mock.patch("fomo.corpus.BLOCK_BYTES", slice_bytes):
+            if expected is None:
+                Corpus(*columns, np.zeros(len(pieces), int), 1)
+            else:
+                with pytest.raises(ValueError, match=f"^{re.escape(expected)}$"):
+                    Corpus(*columns, np.zeros(len(pieces), int), 1)
 
     def test_topics_present_and_counts(self):
         corpus = corpus_from_documents(
@@ -857,22 +898,32 @@ def test_saved_ids_load_back_with_array_operations(tmp_path_factory, corpus, dat
             assert load_corpus(listed) == corpus
 
 
-def test_a_line_grid_takes_the_rows_that_fit_the_block():
-    # k rows whose widest takes w bytes take k * w bytes of grid; a grid
-    # takes the most leading rows that fit the budget, and none if the
-    # first row alone does not.
-    rows = np.array([8] * 50)
-    assert _grid_rows(rows, 50 * 8) == 50
-    assert _grid_rows(rows, 50 * 8 - 1) == 49
-    assert _grid_rows(rows, 8) == 1
-    assert _grid_rows(rows, 7) == 0
-    rows = np.array([100, 30, 30, 500])
-    assert _grid_rows(rows, 4 * 500) == 4
-    assert _grid_rows(rows, 4 * 500 - 1) == 3
-    assert _grid_rows(rows, 3 * 100) == 3
-    assert _grid_rows(rows, 3 * 100 - 1) == 2
-    assert _grid_rows(rows, 99) == 0
-    assert _grid_rows(np.array([10**6]), 2**20) == 1
+def test_a_block_takes_the_lines_whose_bounds_fit_the_budget(tmp_path):
+    # A line's bound is its 25-byte frame, its id's bytes and a slot of
+    # digits + 1 bytes a topic: 29 bytes for "d<d>" and one 1-digit topic,
+    # 1,027 for the 1,000-byte id. A block takes the leading lines whose
+    # bounds, times 8, sum to at most the budget; a line over the budget
+    # is a block of its own.
+    documents = [Document(f"d{d}", (d % 7,)) for d in range(10)]
+    documents.insert(5, Document("x" * 1000, (1,)))
+    corpus = corpus_from_documents(documents, 7)
+    lines = "".join(
+        json.dumps({"doc_id": doc_id, "topics": list(topics)}, separators=(",", ":")) + "\n"
+        for doc_id, topics in documents
+    )
+    for budget, blocks in [
+        (3 * 29 * 8, [3, 2, 1, 3, 2]),  # three lines exactly at the budget
+        (3 * 29 * 8 - 1, [2, 2, 1, 1, 2, 2, 1]),  # one byte under: two
+        (1_027 * 8, [5, 1, 5]),
+        (1, [1] * 11),
+    ]:
+        path = tmp_path / f"{budget}.jsonl"
+        with mock.patch("fomo.corpus.SAVE_BLOCK_BYTES", budget), mock.patch(
+            "fomo.corpus._saved_block", wraps=fomo.corpus._saved_block
+        ) as encode:
+            save_corpus(corpus, path)
+        assert [stop - start for _, start, stop, _ in (c.args for c in encode.call_args_list)] == blocks
+        assert path.read_text(encoding="utf-8").split("\n", 1)[1] == lines
 
 
 @pytest.mark.parametrize("width", [1, 2, 40, 1_000, 10**5])
@@ -1015,13 +1066,15 @@ def saved_corpora(draw):
     return corpus_from_documents(documents, topic_count)
 
 
-@given(saved_corpora(), st.sampled_from([1, 300, 2_000, SAVE_BLOCK_BYTES]))
+@given(saved_corpora(), st.sampled_from([1, 2_000, 20_000, SAVE_BLOCK_BYTES]))
 @settings(max_examples=300, deadline=None)
 def test_each_saved_line_is_json_dumps_of_its_document(tmp_path_factory, corpus, block_bytes):
-    # A budget of 1 byte gives every line a grid of its own, and one of
-    # 300 bytes all but lines of an id of at most one character and few
-    # topics; 2,000 bytes give grids of short lines and a grid of its own
-    # to a line of a long id or hundreds of topics.
+    # A line's bound, times 8, is 216 bytes or more. A budget of 1 byte
+    # gives every line a block of its own; 2,000 bytes give blocks of a few
+    # short lines, escaped ones among them, and a block of its own to a
+    # line of a long id or hundreds of topics; 20,000 bytes give blocks of
+    # many lines, hundreds of topics among them, and a block of its own to
+    # a line of the 10^4-character id.
     path = tmp_path_factory.getbasetemp() / "oracle.jsonl"
     with mock.patch("fomo.corpus.SAVE_BLOCK_BYTES", block_bytes):
         save_corpus(corpus, path)
@@ -1036,9 +1089,9 @@ def test_each_saved_line_is_json_dumps_of_its_document(tmp_path_factory, corpus,
 
 
 def test_saving_a_large_corpus_keeps_memory_bounded(tmp_path):
-    # One block of all 200,000 lines would take about 10 MB of grid; blocks
-    # of SAVE_BLOCK_BYTES keep the peak near a few blocks' worth, whatever
-    # the document count.
+    # One block of all 200,000 lines would take about 7 MB of buffer and as
+    # much again in each span mask; blocks of SAVE_BLOCK_BYTES keep the
+    # peak near one block's working memory, whatever the document count.
     corpus = generate_corpus(200_000, zipf_prevalences(64, 0.36, 1 / 8571), seed=7)
     tracemalloc.start()
     try:
@@ -1056,11 +1109,10 @@ def test_saving_a_large_corpus_keeps_memory_bounded(tmp_path):
 )
 def test_saving_many_topics_a_document_stays_near_the_budget(tmp_path, doc_count, topics, shift):
     # Documents of about half their topics, ids shifted to 10 digits in the
-    # last case: beside its slot of digits + 1 bytes, each topic takes that
-    # slot again in _line_grid's `filled` and digits + 17 bytes more (the
-    # used mask, and the _digits temporaries or the mask's indices). A
-    # block charged for its grid alone traced 8.4 MiB at 3 digits; charged
-    # for those arrays too, about 1.1 MiB at 1 and 3 digits and 1.2 at 10.
+    # last case: beside its bytes in the block's buffer and its two span
+    # masks, each topic takes its slot of digits + 1 bytes, the slot's
+    # nonzero mask, its text and the _digits temporaries. A block charged
+    # 8 times its lines' bounds stays well under twice the budget.
     drawn = generate_corpus(doc_count, TopicDistribution((0.5,) * topics), seed=3)
     ids = (drawn.id_bytes, drawn.idptr)
     corpus = Corpus(*ids, drawn.indptr, drawn.indices + shift, topics + shift)
@@ -1082,9 +1134,8 @@ def test_saving_many_topics_a_document_stays_near_the_budget(tmp_path, doc_count
 
 @pytest.mark.parametrize("char", ["x", "é"])
 def test_a_long_id_is_saved_within_a_few_times_its_bytes(tmp_path, char):
-    # The line takes a grid of its own, filled from the id's bytes through
-    # one mask; a grid of rows as wide as the id, or a cast of the id
-    # column through a buffer of 128 rows, would take far more.
+    # The line is a block of its own: its buffer, two span masks and the
+    # id's escape test take a few times the id's bytes.
     long_id = Document(char * 2**20, (0,))
     corpus = corpus_from_documents((long_id, Document("d1", (1,))), 2)
     path = tmp_path / "long_id.jsonl"
@@ -1117,8 +1168,8 @@ def test_a_wide_line_costs_only_its_own_bytes(tmp_path):
 
 
 def test_no_document_line_goes_through_json_dumps(tmp_path):
-    # A line no grid of many rows holds, for its long id or its many
-    # topics, is cut from a grid of its own: json.dumps writes the header
+    # A line over the block budget, for its long id or its many topics,
+    # is encoded as a block of its own: json.dumps writes the header
     # alone, and stays the oracle of every line.
     dumps = json.dumps
 

@@ -2,8 +2,7 @@
 importing the CLI stays cheap, no command loads scipy, every cap has its
 row in the README, no module reads the environment, none builds an
 unchecked instance, none uses numpy's string dtype, one function owns
-trial batches, one starts threads, one sizes byte grids and one opens
-the CLI's outputs."""
+trial batches, one starts threads and one opens the CLI's outputs."""
 
 import ast
 import importlib
@@ -187,21 +186,6 @@ def test_one_owner_of_trial_batches():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
     ]
     assert (calls.count("_batch_plan"), calls.count("fisher_yates")) == (1, 1)
-
-
-def test_one_rule_for_byte_grids():
-    # _grid_rows alone sizes the byte grids that save_corpus writes; a
-    # second caller would size its grids by a rule of its own.
-    package = Path(fomo.__file__).parent
-    callers = [
-        function.name
-        for source in sorted(package.glob("*.py"))
-        for function in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
-        if isinstance(function, ast.FunctionDef)
-        for node in ast.walk(function)
-        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_grid_rows"
-    ]
-    assert callers == ["save_corpus"]
 
 
 def test_every_benchmark_hook_resolves():

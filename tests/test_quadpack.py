@@ -138,12 +138,15 @@ def test_hard_integrands_reach_every_exit(monkeypatch):
 
 
 # Cases that reach what the cases above leave unreached: the epsilon
-# table cut for a small epsinf, the first rule's roundoff (ier 2) and the
-# limit (ier 1) at one subinterval, the bad-point test (ier 4) on an
-# interval of subnormals, and a table too short to extrapolate (noext).
+# table cut for a small epsinf, an epsinf between 1e-4 and 1e-3 that must
+# not cut it (a singular integrand whose integral is 0), the first rule's
+# roundoff (ier 2) and the limit (ier 1) at one subinterval, the bad-point
+# test (ier 4) on an interval of subnormals, and a table too short to
+# extrapolate (noext).
 ROOT = HARD_INTEGRANDS["1/sqrt(x)"]
 EDGE_CASES = {
     "step at pi/10": (lambda x: 1.0 if x > math.pi / 10 else 0.0, 0.0, 1.0, 1e-300, 1e-14, 50),
+    "x**-0.59 - 1/0.41": (lambda x: x ** -0.59 - 1 / (1 - 0.59), 0.0, 1.0, 0.0, 1e-13, 50),
     "1 at limit 1": (lambda x: 1.0, 0.0, 1.0, 1e-300, 1e-14, 1),
     "1/sqrt(x) at limit 1": (ROOT, 0.0, 1.0, 0.0, 1e-13, 1),
     "1/sqrt(x) on [0, 1e-320]": (ROOT, 0.0, 1e-320, 0.0, 1e-13, 2),
